@@ -6,57 +6,4 @@ geometric-horizon Q estimation, convergence diagnostics, and two episodic
 car environments with misleading rewards.
 """
 
-from .sas import StableSpec, sample_sas, sample_sas_cms, log_density, cdf, tail_probability
-from .policy import (
-    PolicyParams,
-    FIXED,
-    ADAPTIVE,
-    features,
-    policy_scale,
-    action_mode,
-    action_distribution,
-    sample_action,
-    log_likelihood,
-    score,
-    clip_score,
-    param_vector,
-    with_param_vector,
-)
-from .envs import (
-    EnvSpec,
-    EnvState,
-    StepResult,
-    Trajectory,
-    TrappedCar,
-    MountainCar,
-    rollout,
-)
-from .qvalue import QEstimate, draw_horizon, estimate_q, discounted_partial_return
-from .training import (
-    PowerDecay,
-    LinearRange,
-    Constant,
-    PlainAscent,
-    LipschitzAware,
-    step_size,
-    apply_update,
-    TrainConfig,
-    RunMetrics,
-    train,
-)
-from .diagnostics import (
-    NoiseModel,
-    BoundParams,
-    BoundReport,
-    SmoothBump,
-    bound_rhs,
-    synthetic_sga_run,
-    check_bound,
-    ExitSummary,
-    first_exit_statistics,
-    tail_exploration_ratio,
-)
-from .config import ExperimentConfig, FamilyConfig, parse_config, build_env, build_train_config
-from .experiment import run_experiment
-
 __version__ = "0.1.0"

@@ -4,32 +4,31 @@ The file format is a TOML-like subset: ``key = value`` lines grouped under
 ``[section]`` headers, with JSON-style values (quoted strings, numbers,
 booleans, flat arrays) and ``#`` comments.  Sections are ``[env]``,
 ``[policy.<family>]`` (one per policy family to compare), ``[train]``, and
-``[run]``; the only top-level key is ``name``.  Unknown sections or keys are
-hard errors, as are invariant violations.
+``[run]``; the only top-level key is ``name``.
+
+The parser checks syntax, keys and JSON value types.  Value invariants
+belong to the types a config builds: :class:`ExperimentConfig` builds the
+environment, every family's initial policy and a training config, and
+reports their errors under the section they came from.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError
-from .envs import (
-    DEFAULT_MOUNTAIN_SPEC,
-    DEFAULT_TRAPPED_SPEC,
-    EnvSpec,
-    MountainCar,
-    TrappedCar,
-)
-from .policy import ADAPTIVE, FIXED, PolicyParams
+from .envs import EnvSpec, MountainCar, TrappedCar
+from .policy import ADAPTIVE, PolicyParams
 from .training import (
+    DEFAULT_ALPHA_END,
+    DEFAULT_ALPHA_START,
     Constant,
     LinearRange,
     LipschitzAware,
     PlainAscent,
     PowerDecay,
-    Q_FRESH,
     Q_SHARED,
     TrainConfig,
 )
@@ -41,15 +40,49 @@ __all__ = [
     "parse_config",
     "build_env",
     "build_train_config",
+    "config_to_text",
     "FEATURE_DIM",
 ]
 
 # Features are [position, velocity, bias].
 FEATURE_DIM = 3
 
+# Name -> class tables.  Each rule's entry also maps its config keys to their
+# defaults; LinearRange's ``total`` is the episode budget, not a key.
+_ENV_KINDS = {"trapped_car": TrappedCar, "mountain_car": MountainCar}
+_STEP_RULES = {
+    "linear_range": (LinearRange, {"alpha_start": DEFAULT_ALPHA_START,
+                                   "alpha_end": DEFAULT_ALPHA_END}),
+    "power_decay": (PowerDecay, {"b": 0.75}),
+    "constant": (Constant, {"alpha": 0.001}),
+}
+_UPDATE_RULES = {"plain": (PlainAscent, {}), "lipschitz": (LipschitzAware, {"l1j": 1.0})}
+
+# Defaults of the keys that map one to one onto FamilyConfig and
+# ExperimentConfig fields.  A value read from the file must have its
+# default's JSON type (an integer passes as a number).
+_FAMILY_DEFAULTS = {"alpha": 1.0, "scale_mode": ADAPTIVE, "sigma0": 1.0}
+_TRAIN_DEFAULTS = {"episodes": 1000, "gamma": 0.97, "epsilon_clip": 0.2, "q_mode": Q_SHARED,
+                   "symmetric_clip": False, "start_at_false_goal": False}
+_RULE_DEFAULTS = {key: default
+                  for _, params in (*_STEP_RULES.values(), *_UPDATE_RULES.values())
+                  for key, default in params.items()}
+_SPEC_KEYS = {f.name for f in fields(EnvSpec)}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array of integers"}
+
 
 class ConfigError(ParameterError):
     """Malformed or invalid experiment configuration."""
+
+
+@contextmanager
+def _section(name: str):
+    """Report a ParameterError raised while building ``[name]`` as a ConfigError."""
+    try:
+        yield
+    except ParameterError as err:
+        raise ConfigError(f"[{name}] {err}") from None
 
 
 @dataclass(frozen=True)
@@ -62,6 +95,10 @@ class FamilyConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated sweep: construction (including ``dataclasses.replace``)
+    builds everything the sweep will build and raises ConfigError if any of
+    it is invalid."""
+
     name: str
     env_kind: str
     env_overrides: tuple  # ((key, value), ...)
@@ -77,243 +114,179 @@ class ExperimentConfig:
     seeds: tuple
     out_dir: str
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError("name must be a non-empty string")
+        names = [f.name for f in self.families]
+        if not names:
+            raise ConfigError("at least one [policy.<family>] section is required")
+        if not all(names) or len(set(names)) != len(names):
+            raise ConfigError("family names must be non-empty and distinct")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("[run] seeds must be a non-empty list of distinct integers")
+        if not self.out_dir:
+            raise ConfigError("[run] out must be a non-empty string")
+        if self.start_at_false_goal and self.env_kind != "trapped_car":
+            raise ConfigError(
+                "[train] start_at_false_goal applies to the trapped_car environment only")
+        with _section("env"):
+            build_env(self)
+        for family in self.families:
+            with _section(f"policy.{family.name}"):
+                _initial_policy(family)
+        with _section("train"):
+            build_train_config(self, self.families[0], self.seeds[0])
+
 
 # ---------------------------------------------------------------------------
 # Low-level file parsing
 
 
 def _strip_comment(line: str) -> str:
-    in_string = False
+    in_string = escaped = False
     for i, ch in enumerate(line):
-        if ch == '"':
+        if escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = in_string
+        elif ch == '"':
             in_string = not in_string
         elif ch == "#" and not in_string:
             return line[:i]
     return line
 
 
-def _parse_lines(text: str):
-    """Yield (lineno, section, key, value) for every assignment in the file."""
-    section = None
+def _parse_sections(text: str) -> dict:
+    """{section: (header line, {key: (line, value)})}; top-level keys are
+    under section None."""
+    sections = {None: (0, {})}
+    body = sections[None][1]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: malformed section header {raw.strip()!r}")
             section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(f"line {lineno}: empty section name")
+            if not line.endswith("]") or not section:
+                raise ConfigError(f"line {lineno}: malformed section header {raw.strip()!r}")
+            if section in sections:
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            sections[section] = (lineno, {})
+            body = sections[section][1]
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value_text = line.partition("=")
+        key, eq, value_text = line.partition("=")
         key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: missing key")
+        if not eq or not key:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        if key in body:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            value = json.loads(value_text.strip())
+            body[key] = (lineno, json.loads(value_text.strip()))
         except json.JSONDecodeError:
             raise ConfigError(
                 f"line {lineno}: cannot parse value {value_text.strip()!r} "
                 "(use quoted strings, numbers, booleans, or flat arrays)"
             ) from None
-        yield lineno, section, key, value
+    return sections
 
 
 # ---------------------------------------------------------------------------
 # Schema
 
-_ENV_KINDS = ("trapped_car", "mountain_car")
 
-_ENV_SPEC_KEYS = {f.name for f in fields(EnvSpec)}
-_TRAPPED_KEYS = _ENV_SPEC_KEYS | {
-    f.name for f in fields(TrappedCar) if f.name not in ("spec", "start_at_false_goal")
-}
-_MOUNTAIN_KEYS = _ENV_SPEC_KEYS | {
-    f.name for f in fields(MountainCar) if f.name != "spec"
-}
-
-_TRAIN_KEYS = {
-    "episodes", "gamma", "epsilon_clip", "q_mode", "symmetric_clip",
-    "start_at_false_goal", "step_rule", "alpha_start", "alpha_end", "b",
-    "alpha", "update_rule", "l1j",
-}
-_POLICY_KEYS = {"alpha", "scale_mode", "sigma0"}
-_RUN_KEYS = {"seeds", "out"}
-
-_STEP_RULES = ("linear_range", "power_decay", "constant")
-_UPDATE_RULES = ("plain", "lipschitz")
+def _typed(value, default, where: str):
+    """``value`` if it has the JSON type of ``default``."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is list and any(type(v) is not int for v in value)):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _read(section, body: dict, defaults: dict) -> dict:
+    """``defaults`` overridden by ``body``, whose keys must be among them."""
+    values = dict(defaults)
+    for key, (lineno, value) in body.items():
+        where = f"line {lineno}: " + (f"[{section}]" if section else "top-level")
+        if key not in defaults:
+            raise ConfigError(f"{where} key {key!r} is unknown")
+        values[key] = _typed(value, defaults[key], f"{where} {key}")
+    return values
 
 
-def _as_number(value, path: str, lineno: int) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"line {lineno}: {path} must be a number, got {value!r}")
-    return float(value)
+def _lookup(table: dict, section: str, body: dict, key: str, default: str):
+    """(name, entry) of the ``table`` entry that ``body[key]`` names."""
+    lineno, name = body.get(key, (0, default))
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(
+            f"line {lineno}: [{section}] {key} must be one of {list(table)}, got {name!r}")
+    return name, table[name]
+
+
+def _env_defaults(env_cls) -> dict:
+    """Every overridable constant of ``env_cls`` and its spec, by field name."""
+    env = env_cls()
+    values = {key: getattr(env.spec, key) for key in _SPEC_KEYS}
+    values.update((f.name, getattr(env, f.name)) for f in fields(env_cls)
+                  if f.name not in ("spec", "start_at_false_goal"))
+    return values
 
 
 def parse_config(text) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file.
+    """Parse an experiment configuration file (str or UTF-8 bytes).
 
-    Accepts str or UTF-8 bytes.  Every key is checked against the schema and
-    every invariant of the downstream types is enforced here, so a returned
-    config always builds runnable training configs.
+    Syntax, key and type errors name their line; the returned config has
+    passed every invariant of the objects it builds.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    sections = _parse_sections(text)
 
-    top: dict = {}
-    sections: dict = {}
-    lines: dict = {}
-    for lineno, section, key, value in _parse_lines(text):
-        target = top if section is None else sections.setdefault(section, {})
-        if key in target:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        target[key] = value
-        lines[(section, key)] = lineno
+    def body(section) -> dict:
+        return sections.get(section, (0, {}))[1]
 
-    def line_of(section, key) -> int:
-        return lines.get((section, key), 0)
+    name = _read(None, body(None), {"name": "experiment"})["name"]
+    for section, (lineno, _) in sections.items():
+        if section not in (None, "env", "train", "run") and not section.startswith("policy."):
+            raise ConfigError(f"line {lineno}: unknown section [{section}]")
 
-    for key in top:
-        _expect(key == "name", f"line {line_of(None, key)}: unknown top-level key {key!r}")
-    name = top.get("name", "experiment")
-    _expect(isinstance(name, str) and name, "name must be a non-empty string")
+    env_body = body("env")
+    kind, env_cls = _lookup(_ENV_KINDS, "env", env_body, "kind", "trapped_car")
+    env = _read("env", env_body, {"kind": kind, **_env_defaults(env_cls)})
 
-    policy_sections = [s for s in sections if s.startswith("policy.")]
-    known = {"env", "train", "run", *policy_sections}
-    for section in sections:
-        _expect(section in known, f"unknown section [{section}]")
+    families = tuple(
+        FamilyConfig(section.split(".", 1)[1], **_read(section, fam_body, _FAMILY_DEFAULTS))
+        for section, (_, fam_body) in sections.items()
+        if section and section.startswith("policy.")
+    )
 
-    # [env]
-    env_cfg = dict(sections.get("env", {}))
-    env_kind = env_cfg.pop("kind", "trapped_car")
-    _expect(env_kind in _ENV_KINDS,
-            f"[env] kind must be one of {_ENV_KINDS}, got {env_kind!r}")
-    allowed = _TRAPPED_KEYS if env_kind == "trapped_car" else _MOUNTAIN_KEYS
-    overrides = []
-    for key, value in env_cfg.items():
-        _expect(key in allowed,
-                f"line {line_of('env', key)}: unknown [env] key {key!r} for {env_kind}")
-        if key == "max_steps":
-            _expect(isinstance(value, int) and not isinstance(value, bool),
-                    f"line {line_of('env', key)}: max_steps must be an integer")
-            overrides.append((key, value))
-        else:
-            overrides.append((key, _as_number(value, f"[env] {key}", line_of("env", key))))
+    train_body = body("train")
+    step_name, (step_cls, step_keys) = _lookup(
+        _STEP_RULES, "train", train_body, "step_rule", "linear_range")
+    update_name, (update_cls, update_keys) = _lookup(
+        _UPDATE_RULES, "train", train_body, "update_rule", "plain")
+    train = _read("train", train_body, {**_TRAIN_DEFAULTS, **_RULE_DEFAULTS,
+                                        "step_rule": step_name, "update_rule": update_name})
+    step_params = {key: train[key] for key in step_keys}
+    if step_cls is LinearRange:
+        step_params["total"] = max(train["episodes"], 1)
+    with _section("train"):
+        step_rule = step_cls(**step_params)
+        update_rule = update_cls(**{key: train[key] for key in update_keys})
 
-    # [policy.<family>]
-    _expect(bool(policy_sections), "at least one [policy.<family>] section is required")
-    families = []
-    for section in policy_sections:
-        family = section.split(".", 1)[1]
-        _expect(bool(family), f"empty family name in [{section}]")
-        body = sections[section]
-        for key in body:
-            _expect(key in _POLICY_KEYS,
-                    f"line {line_of(section, key)}: unknown [{section}] key {key!r}")
-        alpha = _as_number(body.get("alpha", 1), f"[{section}] alpha", line_of(section, "alpha"))
-        _expect(alpha in (1.0, 2.0), f"[{section}] alpha must be 1 or 2, got {alpha}")
-        scale_mode = body.get("scale_mode", ADAPTIVE)
-        _expect(scale_mode in (FIXED, ADAPTIVE),
-                f"[{section}] scale_mode must be '{FIXED}' or '{ADAPTIVE}'")
-        sigma0 = _as_number(body.get("sigma0", 1.0), f"[{section}] sigma0",
-                            line_of(section, "sigma0"))
-        _expect(sigma0 > 0.0, f"[{section}] sigma0 must be positive")
-        families.append(FamilyConfig(family, alpha, scale_mode, sigma0))
-
-    # [train]
-    train_cfg = sections.get("train", {})
-    for key in train_cfg:
-        _expect(key in _TRAIN_KEYS,
-                f"line {line_of('train', key)}: unknown [train] key {key!r}")
-    episodes = train_cfg.get("episodes", 1000)
-    _expect(isinstance(episodes, int) and not isinstance(episodes, bool) and episodes >= 0,
-            "[train] episodes must be a non-negative integer")
-    gamma = _as_number(train_cfg.get("gamma", 0.97), "[train] gamma", line_of("train", "gamma"))
-    _expect(0.0 < gamma < 1.0, f"[train] gamma must lie in (0, 1), got {gamma}")
-    epsilon = _as_number(train_cfg.get("epsilon_clip", 0.2), "[train] epsilon_clip",
-                         line_of("train", "epsilon_clip"))
-    _expect(0.0 < epsilon < 1.0, f"[train] epsilon_clip must lie in (0, 1), got {epsilon}")
-
-    rule_name = train_cfg.get("step_rule", "linear_range")
-    _expect(rule_name in _STEP_RULES,
-            f"[train] step_rule must be one of {_STEP_RULES}, got {rule_name!r}")
-    if rule_name == "linear_range":
-        alpha_start = _as_number(train_cfg.get("alpha_start", 0.005), "[train] alpha_start",
-                                 line_of("train", "alpha_start"))
-        alpha_end = _as_number(train_cfg.get("alpha_end", 5e-9), "[train] alpha_end",
-                               line_of("train", "alpha_end"))
-        _expect(alpha_start >= alpha_end > 0.0,
-                "[train] requires alpha_start >= alpha_end > 0")
-        step_rule = LinearRange(alpha_start, alpha_end, max(episodes, 1))
-    elif rule_name == "power_decay":
-        b = _as_number(train_cfg.get("b", 0.75), "[train] b", line_of("train", "b"))
-        _expect(0.0 < b < 1.0, f"[train] b must lie in (0, 1), got {b}")
-        step_rule = PowerDecay(b)
-    else:
-        alpha = _as_number(train_cfg.get("alpha", 0.001), "[train] alpha",
-                           line_of("train", "alpha"))
-        _expect(alpha > 0.0, "[train] alpha must be positive")
-        step_rule = Constant(alpha)
-
-    update_name = train_cfg.get("update_rule", "plain")
-    _expect(update_name in _UPDATE_RULES,
-            f"[train] update_rule must be one of {_UPDATE_RULES}, got {update_name!r}")
-    if update_name == "lipschitz":
-        l1j = _as_number(train_cfg.get("l1j", 1.0), "[train] l1j", line_of("train", "l1j"))
-        _expect(l1j > 0.0, "[train] l1j must be positive")
-        update_rule = LipschitzAware(l1j)
-        alpha_max = train_cfg.get("alpha_start", train_cfg.get("alpha", 1.0))
-        _expect(1.0 / float(alpha_max) > l1j,
-                "[train] lipschitz update needs 1/alpha > l1j at the schedule maximum")
-    else:
-        update_rule = PlainAscent()
-
-    q_mode = train_cfg.get("q_mode", Q_SHARED)
-    _expect(q_mode in (Q_SHARED, Q_FRESH),
-            f"[train] q_mode must be '{Q_SHARED}' or '{Q_FRESH}'")
-    symmetric_clip = train_cfg.get("symmetric_clip", False)
-    _expect(isinstance(symmetric_clip, bool), "[train] symmetric_clip must be a boolean")
-    start_false = train_cfg.get("start_at_false_goal", False)
-    _expect(isinstance(start_false, bool), "[train] start_at_false_goal must be a boolean")
-    _expect(not (start_false and env_kind != "trapped_car"),
-            "[train] start_at_false_goal applies to the trapped_car environment only")
-
-    # [run]
-    run_cfg = sections.get("run", {})
-    for key in run_cfg:
-        _expect(key in _RUN_KEYS, f"line {line_of('run', key)}: unknown [run] key {key!r}")
-    seeds = run_cfg.get("seeds", [0])
-    _expect(isinstance(seeds, list) and seeds, "[run] seeds must be a non-empty array")
-    for s in seeds:
-        _expect(isinstance(s, int) and not isinstance(s, bool),
-                f"[run] seeds must be integers, got {s!r}")
-    _expect(len(set(seeds)) == len(seeds), "[run] seeds must be distinct")
-    out_dir = run_cfg.get("out", f"results/{name}")
-    _expect(isinstance(out_dir, str) and out_dir, "[run] out must be a non-empty string")
+    run = _read("run", body("run"), {"seeds": [0], "out": f"results/{name}"})
 
     return ExperimentConfig(
         name=name,
-        env_kind=env_kind,
-        env_overrides=tuple(overrides),
-        families=tuple(families),
-        episodes=episodes,
-        gamma=gamma,
-        epsilon_clip=epsilon,
+        env_kind=kind,
+        env_overrides=tuple((key, env[key]) for key in env_body if key != "kind"),
+        families=families,
         step_rule=step_rule,
         update_rule=update_rule,
-        q_mode=q_mode,
-        symmetric_clip=symmetric_clip,
-        start_at_false_goal=start_false,
-        seeds=tuple(seeds),
-        out_dir=out_dir,
+        **{key: train[key] for key in _TRAIN_DEFAULTS},
+        seeds=tuple(run["seeds"]),
+        out_dir=run["out"],
     )
 
 
@@ -323,28 +296,24 @@ def parse_config(text) -> ExperimentConfig:
 
 def build_env(cfg: ExperimentConfig):
     """Instantiate the configured environment with its overrides applied."""
+    default = _ENV_KINDS[cfg.env_kind]()
     overrides = dict(cfg.env_overrides)
-    if cfg.env_kind == "trapped_car":
-        base_spec, env_cls = DEFAULT_TRAPPED_SPEC, TrappedCar
-    else:
-        base_spec, env_cls = DEFAULT_MOUNTAIN_SPEC, MountainCar
-    spec_overrides = {k: v for k, v in overrides.items() if k in _ENV_SPEC_KEYS}
-    env_overrides = {k: v for k, v in overrides.items() if k not in _ENV_SPEC_KEYS}
-    spec = replace(base_spec, **spec_overrides) if spec_overrides else base_spec
-    if cfg.env_kind == "trapped_car":
-        return TrappedCar(spec=spec, start_at_false_goal=cfg.start_at_false_goal,
-                          **env_overrides)
-    return MountainCar(spec=spec, **env_overrides)
+    spec = {key: overrides.pop(key) for key in _SPEC_KEYS & overrides.keys()}
+    if cfg.start_at_false_goal:
+        overrides["start_at_false_goal"] = True
+    return replace(default, spec=replace(default.spec, **spec), **overrides)
+
+
+def _initial_policy(family: FamilyConfig) -> PolicyParams:
+    return PolicyParams.zeros(FEATURE_DIM, family.alpha, family.scale_mode, family.sigma0)
 
 
 def build_train_config(cfg: ExperimentConfig, family: FamilyConfig,
                        seed: int) -> TrainConfig:
     """One TrainConfig for a (family, seed) cell of the sweep."""
-    policy = PolicyParams.zeros(FEATURE_DIM, family.alpha, family.scale_mode,
-                                family.sigma0)
     return TrainConfig(
         env=build_env(cfg),
-        policy_init=policy,
+        policy_init=_initial_policy(family),
         episodes=cfg.episodes,
         seed=seed,
         gamma=cfg.gamma,
@@ -358,31 +327,20 @@ def build_train_config(cfg: ExperimentConfig, family: FamilyConfig,
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Render a config back to file syntax (used for provenance copies)."""
-    out = [f'name = "{cfg.name}"', "", "[env]", f'kind = "{cfg.env_kind}"']
-    for key, value in cfg.env_overrides:
-        out.append(f"{key} = {json.dumps(value)}")
+
+    def assign(key: str, value) -> str:
+        return f"{key} = {json.dumps(value)}"
+
+    out = [assign("name", cfg.name), "", "[env]", assign("kind", cfg.env_kind)]
+    out += [assign(key, value) for key, value in cfg.env_overrides]
     for fam in cfg.families:
-        out += ["", f"[policy.{fam.name}]", f"alpha = {int(fam.alpha)}",
-                f'scale_mode = "{fam.scale_mode}"', f"sigma0 = {fam.sigma0!r}"]
-    out += ["", "[train]", f"episodes = {cfg.episodes}", f"gamma = {cfg.gamma!r}",
-            f"epsilon_clip = {cfg.epsilon_clip!r}"]
-    rule = cfg.step_rule
-    if isinstance(rule, LinearRange):
-        out += ['step_rule = "linear_range"', f"alpha_start = {rule.alpha_start!r}",
-                f"alpha_end = {rule.alpha_end!r}"]
-    elif isinstance(rule, PowerDecay):
-        out += ['step_rule = "power_decay"', f"b = {rule.b!r}"]
-    else:
-        out += ['step_rule = "constant"', f"alpha = {rule.alpha!r}"]
-    if isinstance(cfg.update_rule, LipschitzAware):
-        out += ['update_rule = "lipschitz"', f"l1j = {cfg.update_rule.l1j!r}"]
-    out += [f'q_mode = "{cfg.q_mode}"',
-            f"symmetric_clip = {json.dumps(cfg.symmetric_clip)}",
-            f"start_at_false_goal = {json.dumps(cfg.start_at_false_goal)}"]
-    out += ["", "[run]", f"seeds = {json.dumps(list(cfg.seeds))}",
-            f'out = "{cfg.out_dir}"', ""]
+        out += ["", f"[policy.{fam.name}]"]
+        out += [assign(key, getattr(fam, key)) for key in _FAMILY_DEFAULTS]
+    out += ["", "[train]"] + [assign(key, getattr(cfg, key)) for key in _TRAIN_DEFAULTS]
+    for key, table, rule in (("step_rule", _STEP_RULES, cfg.step_rule),
+                             ("update_rule", _UPDATE_RULES, cfg.update_rule)):
+        name = next(name for name, (cls, _) in table.items() if isinstance(rule, cls))
+        out.append(assign(key, name))
+        out += [assign(param, getattr(rule, param)) for param in table[name][1]]
+    out += ["", "[run]", assign("seeds", list(cfg.seeds)), assign("out", cfg.out_dir), ""]
     return "\n".join(out)
-
-
-def with_updates(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **changes)

@@ -114,8 +114,39 @@ DEFAULT_MOUNTAIN_SPEC = EnvSpec(
 )
 
 
+class _Car:
+    """Dynamics shared by both cars: thrust, the -gravity*cos(3x) force, the
+    speed cap and inelastic walls.  Subclasses are dataclasses with the
+    fields ``spec``, ``thrust_gain``, ``gravity`` and ``max_speed`` and
+    define ``reward(x) -> (reward, at_goal)`` for the position reached."""
+
+    def reset(self, rng) -> EnvState:
+        span = self.spec.init_high - self.spec.init_low
+        return EnvState(self.spec.init_low + span * rng.random(), 0.0)
+
+    def step(self, state: EnvState, action: float) -> StepResult:
+        if state.terminal:
+            raise EnvUsageError("step() called on a terminal state")
+        spec = self.spec
+        a = spec.clamp_action(action)
+        v = state.velocity + self.thrust_gain * a - self.gravity * math.cos(3.0 * state.position)
+        v = min(max(v, -self.max_speed), self.max_speed)
+        x = state.position + v
+        if x <= spec.state_low:
+            x, v = spec.state_low, 0.0
+        elif x >= spec.state_high:
+            x, v = spec.state_high, 0.0
+        reward, at_goal = self.reward(x)
+        steps = state.step_count + 1
+        done = at_goal or steps >= spec.max_steps
+        return StepResult(EnvState(x, v, steps, done), reward, done)
+
+    def at_goal(self, state: EnvState) -> bool:
+        return self.reward(state.position)[1]
+
+
 @dataclass(frozen=True)
-class TrappedCar:
+class TrappedCar(_Car):
     """Car resting in a gravity well, with a large terminal reward past the
     right-hand hill and a small per-step reward inside a misleading region
     near the left wall.
@@ -150,41 +181,21 @@ class TrappedCar:
         )
         if begin_false:
             return EnvState(self.false_start, 0.0)
-        span = self.spec.init_high - self.spec.init_low
-        return EnvState(self.spec.init_low + span * rng.random(), 0.0)
+        return super().reset(rng)
 
-    def step(self, state: EnvState, action: float) -> StepResult:
-        if state.terminal:
-            raise EnvUsageError("step() called on a terminal state")
-        spec = self.spec
-        a = spec.clamp_action(action)
-        v = state.velocity + self.thrust_gain * a - self.gravity * math.cos(3.0 * state.position)
-        v = min(max(v, -self.max_speed), self.max_speed)
-        x = state.position + v
-        if x <= spec.state_low:
-            x, v = spec.state_low, 0.0
-        elif x >= spec.state_high:
-            x, v = spec.state_high, 0.0
-        at_goal = x >= self.true_goal
-        if at_goal:
-            reward = self.true_reward
-        elif self.false_low <= x <= self.false_high:
-            reward = self.false_reward
-        else:
-            reward = 0.0
-        steps = state.step_count + 1
-        done = at_goal or steps >= spec.max_steps
-        return StepResult(EnvState(x, v, steps, done), reward, done)
-
-    def at_goal(self, state: EnvState) -> bool:
-        return state.position >= self.true_goal
+    def reward(self, x: float) -> tuple[float, bool]:
+        if x >= self.true_goal:
+            return self.true_reward, True
+        if self.false_low <= x <= self.false_high:
+            return self.false_reward, False
+        return 0.0, False
 
     def outside_basin(self, state: EnvState) -> bool:
         return state.position >= self.basin_exit
 
 
 @dataclass(frozen=True)
-class MountainCar:
+class MountainCar(_Car):
     """Continuous mountain car: -1 per step while between the hills, episode
     ends on reaching the goal height or on the step budget."""
 
@@ -194,30 +205,9 @@ class MountainCar:
     max_speed: float = 0.07
     goal_position: float = 0.45
 
-    def reset(self, rng) -> EnvState:
-        span = self.spec.init_high - self.spec.init_low
-        return EnvState(self.spec.init_low + span * rng.random(), 0.0)
-
-    def step(self, state: EnvState, action: float) -> StepResult:
-        if state.terminal:
-            raise EnvUsageError("step() called on a terminal state")
-        spec = self.spec
-        a = spec.clamp_action(action)
-        v = state.velocity + self.thrust_gain * a - self.gravity * math.cos(3.0 * state.position)
-        v = min(max(v, -self.max_speed), self.max_speed)
-        x = state.position + v
-        if x <= spec.state_low:
-            x, v = spec.state_low, 0.0
-        elif x >= spec.state_high:
-            x, v = spec.state_high, 0.0
+    def reward(self, x: float) -> tuple[float, bool]:
         at_goal = x >= self.goal_position
-        reward = 0.0 if at_goal else -1.0
-        steps = state.step_count + 1
-        done = at_goal or steps >= spec.max_steps
-        return StepResult(EnvState(x, v, steps, done), reward, done)
-
-    def at_goal(self, state: EnvState) -> bool:
-        return state.position >= self.goal_position
+        return (0.0 if at_goal else -1.0), at_goal
 
 
 def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:

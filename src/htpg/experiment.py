@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ExperimentConfig, build_train_config, config_to_text
+from .config import ConfigError, ExperimentConfig, build_train_config, config_to_text
 from .training import RunMetrics, train
 
 __all__ = [
@@ -37,7 +37,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def worker_count(n_jobs: int) -> int:
     """Parallelism cap: HTPG_THREADS if set, else the CPU count."""
     env_cap = os.environ.get("HTPG_THREADS")
-    cap = int(env_cap) if env_cap else (os.cpu_count() or 1)
+    try:
+        cap = int(env_cap) if env_cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"HTPG_THREADS must be an integer, got {env_cap!r}") from None
     return max(1, min(cap, n_jobs))
 
 
@@ -76,12 +79,12 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
     Returns {family: [RunMetrics in seed order]}.  A diverged run is recorded
     (marker row in its CSV, flag in the aggregate) without failing the sweep.
     """
+    cells = [(fi, seed) for fi in range(len(cfg.families)) for seed in cfg.seeds]
+    workers = worker_count(len(cells)) if max_workers is None else max_workers
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
 
-    cells = [(fi, seed) for fi in range(len(cfg.families)) for seed in cfg.seeds]
-    workers = worker_count(len(cells)) if max_workers is None else max_workers
     results: dict[str, dict[int, RunMetrics]] = {f.name: {} for f in cfg.families}
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -52,6 +52,11 @@ log = logging.getLogger(__name__)
 Q_SHARED = "shared"
 Q_FRESH = "fresh"
 
+# The default step-size schedule: log-linear from 0.005 down to 5e-9 over
+# the episode budget.
+DEFAULT_ALPHA_START = 0.005
+DEFAULT_ALPHA_END = 5e-9
+
 
 @dataclass(frozen=True, slots=True)
 class PowerDecay:
@@ -149,7 +154,8 @@ def apply_update(theta: np.ndarray, grad: np.ndarray, rule: UpdateRule,
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything one training run needs.  ``step_rule=None`` selects the
-    default log-linear range 0.005 -> 5e-9 over the episode budget."""
+    default log-linear range DEFAULT_ALPHA_START -> DEFAULT_ALPHA_END over
+    the episode budget."""
 
     env: object
     policy_init: PolicyParams
@@ -172,9 +178,8 @@ class TrainConfig:
         if self.q_mode not in (Q_SHARED, Q_FRESH):
             raise ParameterError(f"unknown q_mode {self.q_mode!r}")
         if self.step_rule is None:
-            object.__setattr__(
-                self, "step_rule", LinearRange(0.005, 5e-9, max(self.episodes, 1))
-            )
+            object.__setattr__(self, "step_rule", LinearRange(
+                DEFAULT_ALPHA_START, DEFAULT_ALPHA_END, max(self.episodes, 1)))
         if isinstance(self.update_rule, LipschitzAware):
             alpha_max = step_size(self.step_rule, 1)
             if 1.0 / alpha_max - self.update_rule.l1j <= 0.0:

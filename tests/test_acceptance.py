@@ -246,7 +246,9 @@ def test_criterion_8_mountain_car_goal_counts():
 
 
 def test_criterion_9_rerun_byte_identical(tmp_path):
-    from htpg.config import parse_config, with_updates
+    from dataclasses import replace
+
+    from htpg.config import parse_config
     from htpg.experiment import run_experiment
 
     text = """
@@ -268,8 +270,8 @@ episodes = 10
 [run]
 seeds = [1, 2]
 """
-    cfg1 = with_updates(parse_config(text), out_dir=str(tmp_path / "a"))
-    cfg2 = with_updates(parse_config(text), out_dir=str(tmp_path / "b"))
+    cfg1 = replace(parse_config(text), out_dir=str(tmp_path / "a"))
+    cfg2 = replace(parse_config(text), out_dir=str(tmp_path / "b"))
     run_experiment(cfg1, max_workers=1)
     run_experiment(cfg2, max_workers=1)
     names = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))

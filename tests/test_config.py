@@ -1,16 +1,34 @@
 """Config-file parsing: defaults, schema enforcement, and invariant errors."""
 
+import json
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from htpg.config import (
     ConfigError,
+    ExperimentConfig,
     FEATURE_DIM,
+    FamilyConfig,
     build_env,
     build_train_config,
+    config_to_text,
     parse_config,
 )
 from htpg.envs import MountainCar, TrappedCar
-from htpg.training import Constant, LinearRange, PowerDecay
+from htpg.errors import ParameterError
+from htpg.policy import PolicyParams
+from htpg.training import (
+    Constant,
+    LinearRange,
+    LipschitzAware,
+    PlainAscent,
+    PowerDecay,
+    TrainConfig,
+    step_size,
+    train,
+)
 
 MINIMAL = """
 [policy.cauchy]
@@ -210,3 +228,170 @@ alpha = 1
 [run]
 seeds = [1]
 """)
+
+
+def test_lipschitz_update_with_default_schedule_trains():
+    cfg = parse_config(MINIMAL + '\n[train]\nepisodes = 2\nupdate_rule = "lipschitz"\n')
+    assert cfg.update_rule == LipschitzAware(1.0)
+    metrics = train(build_train_config(cfg, cfg.families[0], seed=1))
+    assert len(metrics.returns) == 2 and not metrics.diverged
+
+
+def test_rejects_lipschitz_schedule_maximum_at_parse_time():
+    text = MINIMAL + ('\n[train]\nstep_rule = "constant"\nalpha = 0.9\n'
+                      'update_rule = "lipschitz"\nl1j = 2\n')
+    with pytest.raises(ConfigError, match=r"^\[train\] .*alpha=0.9"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("override", ["max_steps = 0", "init_low = -10"])
+def test_rejects_invalid_env_values_at_parse_time(override):
+    with pytest.raises(ConfigError, match=r"^\[env\] "):
+        parse_config(f"[env]\n{override}\n" + MINIMAL)
+
+
+def test_replace_revalidates():
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="distinct"):
+        replace(cfg, seeds=(1, 1))
+    with pytest.raises(ConfigError, match="out"):
+        replace(cfg, out_dir="")
+    with pytest.raises(ConfigError, match=r"\[policy.x\] .*sigma0"):
+        replace(cfg, families=(FamilyConfig("x", 1.0, sigma0=-1.0),))
+
+
+def test_section_headers_count_without_keys():
+    cfg = parse_config("[policy.cauchy]\n[policy.gaussian]\nalpha = 2\n")
+    assert [(f.name, f.alpha) for f in cfg.families] == [("cauchy", 1.0), ("gaussian", 2.0)]
+    with pytest.raises(ConfigError, match=r"line 3: duplicate section \[policy.c\]"):
+        parse_config("[policy.c]\nalpha = 1\n[policy.c]\n")
+
+
+def test_rejects_wrong_value_types_with_line():
+    with pytest.raises(ConfigError, match=r"line 2: \[train\] episodes must be an integer"):
+        parse_config("[train]\nepisodes = 1.5\n" + MINIMAL)
+    with pytest.raises(ConfigError, match=r"line 2: \[run\] seeds must be an array"):
+        parse_config('[run]\nseeds = [1, "2"]\n[policy.c]\n')
+
+
+_NAMES = st.text(st.sampled_from('ab "\\#=[]\n\t') | st.characters(), min_size=1, max_size=12)
+_UNIT = st.floats(0.01, 0.99)
+
+
+@st.composite
+def experiment_configs(draw):
+    kind = draw(st.sampled_from(["trapped_car", "mountain_car"]))
+    keys = {"max_steps": st.integers(1, 1000), "thrust_gain": _UNIT,
+            "reward_bound": st.floats(0.1, 1e3)}
+    keys.update({"trapped_car": {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7)},
+                 "mountain_car": {"goal_position": st.floats(0.0, 0.6)}}[kind])
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True),
+                          min_size=1, max_size=3, unique=True))
+    families = tuple(
+        FamilyConfig(n, draw(st.sampled_from([1.0, 2.0])),
+                     draw(st.sampled_from(["fixed", "adaptive"])), draw(st.floats(0.01, 10.0)))
+        for n in names)
+    episodes = draw(st.integers(0, 2000))
+    step_rule = draw(st.one_of(
+        st.tuples(_UNIT, _UNIT).map(lambda ab: LinearRange(max(ab), min(ab), max(episodes, 1))),
+        _UNIT.map(PowerDecay),
+        _UNIT.map(Constant),
+    ))
+    ceiling = 1.0 / step_size(step_rule, 1)
+    update_rule = draw(st.one_of(st.just(PlainAscent()),
+                                 _UNIT.map(lambda f: LipschitzAware(f * ceiling))))
+    return ExperimentConfig(
+        name=draw(_NAMES),
+        env_kind=kind,
+        env_overrides=tuple((k, draw(keys[k])) for k in chosen),
+        families=families,
+        episodes=episodes,
+        gamma=draw(_UNIT),
+        epsilon_clip=draw(_UNIT),
+        step_rule=step_rule,
+        update_rule=update_rule,
+        q_mode=draw(st.sampled_from(["shared", "fresh"])),
+        symmetric_clip=draw(st.booleans()),
+        start_at_false_goal=kind == "trapped_car" and draw(st.booleans()),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))),
+        out_dir=draw(_NAMES),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(experiment_configs())
+@example(replace(parse_config(MINIMAL), name='a\\b"#c', out_dir='out "#\\ dir'))
+def test_config_text_roundtrip(cfg):
+    assert parse_config(config_to_text(cfg)) == cfg
+
+
+# Per value: a strategy of valid values and one of edge values, which may
+# or may not be valid.  Each example breaks at most one value.
+_EDGE = st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0])
+_CASES = {
+    "max_steps": (st.integers(1, 5), st.sampled_from([-1, 0, 1])),
+    "init_low": (st.sampled_from([-1.0, -0.6]), st.sampled_from([-10.0, -1.2, -0.4, 1.5])),
+    "policy_alpha": (st.sampled_from([1, 2]), st.sampled_from([0.5, 1.5, 3])),
+    "scale_mode": (st.sampled_from(["fixed", "adaptive"]), st.just("loose")),
+    "sigma0": (_UNIT, _EDGE),
+    "episodes": (st.integers(0, 3), st.integers(-2, 0)),
+    "gamma": (_UNIT, _EDGE),
+    "epsilon_clip": (_UNIT, _EDGE),
+    "alpha_start": (st.floats(0.5, 0.99), _EDGE),
+    "alpha_end": (st.floats(0.01, 0.49), _EDGE),
+    "b": (_UNIT, _EDGE),
+    "alpha": (_UNIT, _EDGE),
+    "l1j": (_UNIT, _EDGE),
+    "q_mode": (st.sampled_from(["shared", "fresh"]), st.just("stale")),
+}
+_RULE_KEYS = {"linear_range": ("alpha_start", "alpha_end"), "power_decay": ("b",),
+              "constant": ("alpha",)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_accepts_exactly_what_the_types_accept(data):
+    kind = data.draw(st.sampled_from(["trapped_car", "mountain_car"]))
+    step_rule = data.draw(st.sampled_from(sorted(_RULE_KEYS)))
+    lipschitz = data.draw(st.booleans())
+    v = {key: data.draw(valid) for key, (valid, _) in _CASES.items()}
+    broken = data.draw(st.sampled_from([None, *_CASES]))
+    if broken:
+        v[broken] = data.draw(_CASES[broken][1])
+    train_keys = ["episodes", "gamma", "epsilon_clip", "q_mode", *_RULE_KEYS[step_rule], "l1j"]
+    text = "\n".join([
+        "[env]", f"kind = {json.dumps(kind)}", f"max_steps = {v['max_steps']}",
+        f"init_low = {v['init_low']!r}",
+        "[policy.varied]", f"alpha = {v['policy_alpha']}",
+        f"scale_mode = {json.dumps(v['scale_mode'])}", f"sigma0 = {v['sigma0']!r}",
+        "[policy.gaussian]", "alpha = 2",
+        "[train]", f"step_rule = {json.dumps(step_rule)}",
+        f"update_rule = {json.dumps('lipschitz' if lipschitz else 'plain')}",
+        *(f"{key} = {json.dumps(v[key])}" for key in train_keys),
+        "[run]", "seeds = [1, 2]", ""])
+    try:
+        parse_config(text)
+        parsed = True
+    except ConfigError:
+        parsed = False
+
+    try:
+        env_cls = {"trapped_car": TrappedCar, "mountain_car": MountainCar}[kind]
+        spec = replace(env_cls().spec, max_steps=v["max_steps"], init_low=v["init_low"])
+        policies = [PolicyParams.zeros(FEATURE_DIM, v["policy_alpha"], v["scale_mode"],
+                                       v["sigma0"]),
+                    PolicyParams.zeros(FEATURE_DIM, 2.0)]
+        episodes = v["episodes"]
+        rule = {"linear_range": lambda: LinearRange(v["alpha_start"], v["alpha_end"],
+                                                    max(episodes, 1)),
+                "power_decay": lambda: PowerDecay(v["b"]),
+                "constant": lambda: Constant(v["alpha"])}[step_rule]()
+        update = LipschitzAware(v["l1j"]) if lipschitz else PlainAscent()
+        for policy in policies:
+            TrainConfig(env_cls(spec=spec), policy, episodes, 1, v["gamma"], v["epsilon_clip"],
+                        rule, update, v["q_mode"])
+        direct = True
+    except ParameterError:
+        direct = False
+    assert parsed == direct

@@ -2,12 +2,13 @@
 the CLI subcommands."""
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from htpg.cli import main
-from htpg.config import parse_config, with_updates
+from htpg.config import parse_config
 from htpg.experiment import RUN_CSV_COLUMNS, run_experiment, replot
 
 SMALL_SWEEP = """
@@ -34,7 +35,7 @@ seeds = [1, 2, 3]
 @pytest.fixture
 def sweep_cfg(tmp_path):
     cfg = parse_config(SMALL_SWEEP)
-    return with_updates(cfg, out_dir=str(tmp_path / "out"))
+    return replace(cfg, out_dir=str(tmp_path / "out"))
 
 
 def read_bytes_map(out_dir: Path) -> dict:
@@ -74,7 +75,7 @@ def test_run_experiment_outputs(sweep_cfg):
 def test_run_experiment_deterministic_bytes(sweep_cfg, tmp_path):
     run_experiment(sweep_cfg, max_workers=1)
     first = read_bytes_map(Path(sweep_cfg.out_dir))
-    cfg2 = with_updates(sweep_cfg, out_dir=str(tmp_path / "second"))
+    cfg2 = replace(sweep_cfg, out_dir=str(tmp_path / "second"))
     run_experiment(cfg2, max_workers=1)
     second = read_bytes_map(Path(cfg2.out_dir))
     assert first.keys() == second.keys()
@@ -85,7 +86,7 @@ def test_run_experiment_deterministic_bytes(sweep_cfg, tmp_path):
 def test_run_experiment_parallel_matches_serial(sweep_cfg, tmp_path):
     run_experiment(sweep_cfg, max_workers=1)
     serial = read_bytes_map(Path(sweep_cfg.out_dir))
-    cfg2 = with_updates(sweep_cfg, out_dir=str(tmp_path / "par"))
+    cfg2 = replace(sweep_cfg, out_dir=str(tmp_path / "par"))
     run_experiment(cfg2, max_workers=2)
     parallel = read_bytes_map(Path(cfg2.out_dir))
     assert serial.keys() == parallel.keys()
@@ -137,6 +138,35 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     bad.write_text("[policy.c]\nalpha = 7\n\n[run]\nseeds = [1]\n")
     rc = main(["train", "--config", str(bad)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["train", "--seeds", "1,x"], {}),
+    (["train", "--seeds", "1,1"], {}),
+    (["train"], {"HTPG_THREADS": "two"}),
+    (["check-bound", "--n", "0"], {}),
+    (["check-bound", "--b", "1.5"], {}),
+    (["check-bound", "--seeds", "0"], {}),
+], ids=["seeds-not-int", "seeds-repeated", "threads-not-int", "bound-n-0", "bound-b-1.5",
+        "bound-seeds-0"])
+def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if argv[0] == "train":
+        cfg_file = tmp_path / "exp.toml"
+        cfg_file.write_text(SMALL_SWEEP)
+        argv = argv + ["--config", str(cfg_file), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "config.txt").exists()
+
+
+def test_cli_first_exit_out_path_is_escaped(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HTPG_THREADS", "1")
+    out = tmp_path / 'first "exit" #1 \\ x'
+    assert main(["first-exit", "--episodes", "1", "--seeds", "1,2", "--out", str(out)]) == 0
+    assert parse_config((out / "config.txt").read_text()).out_dir == str(out)
 
 
 def test_cli_check_bound(capsys):
