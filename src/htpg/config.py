@@ -67,7 +67,8 @@ _TRAIN_DEFAULTS = {"episodes": 1000, "gamma": 0.97, "epsilon_clip": 0.2, "q_mode
 _RULE_DEFAULTS = {key: default
                   for _, params in (*_STEP_RULES.values(), *_UPDATE_RULES.values())
                   for key, default in params.items()}
-_SPEC_KEYS = {f.name for f in fields(EnvSpec)}
+# EnvSpec.gamma is not a key: nothing reads it, the discount is [train] gamma.
+_SPEC_KEYS = {f.name for f in fields(EnvSpec)} - {"gamma"}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "an array of integers"}
 
@@ -135,7 +136,10 @@ class ExperimentConfig:
             with _section(f"policy.{family.name}"):
                 _initial_policy(family)
         with _section("train"):
-            build_train_config(self, self.families[0], self.seeds[0])
+            train = build_train_config(self, self.families[0], 0)
+        with _section("run"):
+            for seed in self.seeds:
+                replace(train, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ __all__ = [
     "TrappedCar",
     "MountainCar",
     "rollout",
+    "walk",
 ]
 
 
@@ -80,7 +81,6 @@ class Trajectory:
     actions: tuple
     rewards: tuple
     final_state: EnvState
-    reached_terminal: bool
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -210,26 +210,40 @@ class MountainCar(_Car):
         return (0.0 if at_goal else -1.0), at_goal
 
 
-def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:
-    """Simulate one episode of at most ``horizon`` transitions.
+def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
+         steps: int) -> Trajectory:
+    """Take ``action`` in ``state``, then follow ``policy``, for at most
+    ``steps`` transitions.
 
-    Actions are sampled from the policy at each visited state, clamped to the
-    action bounds, and recorded as executed (post-clamp).
+    Per transition: step, record, stop on ``done``, else draw the next action
+    at the state reached, so a walk cut by ``steps`` draws one action more
+    than it executes.  Actions are recorded as executed (clamped).
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be at least 1, got {horizon}")
-    state = env.reset(rng)
+    clamp = env.spec.clamp_action
+    action = clamp(action)
     states: list[EnvState] = []
     actions: list[float] = []
     rewards: list[float] = []
-    for _ in range(horizon):
-        s = features((state.position, state.velocity))
-        a = env.spec.clamp_action(sample_action(policy, s, rng))
-        result = env.step(state, a)
+    for _ in range(steps):
+        result = env.step(state, action)
         states.append(state)
-        actions.append(a)
+        actions.append(action)
         rewards.append(result.reward)
         state = result.next_state
         if result.done:
             break
-    return Trajectory(tuple(states), tuple(actions), tuple(rewards), state, state.terminal)
+        action = clamp(sample_action(policy, features((state.position, state.velocity)), rng))
+    return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
+
+
+def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:
+    """Simulate one episode of at most ``horizon`` transitions: reset, draw
+    the first action, then :func:`walk`.  Cut by ``horizon`` before ``done``
+    it draws one action more than it executes; training never cuts, as it
+    passes the step budget, which always ends in ``done``.
+    """
+    if horizon < 1:
+        raise ParameterError(f"horizon must be at least 1, got {horizon}")
+    state = env.reset(rng)
+    action = sample_action(policy, features((state.position, state.velocity)), rng)
+    return walk(env, policy, rng, state, action, horizon)

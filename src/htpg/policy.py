@@ -185,12 +185,14 @@ def param_vector(p: PolicyParams) -> np.ndarray:
 
 
 def with_param_vector(p: PolicyParams, vec: np.ndarray) -> PolicyParams:
-    """A copy of ``p`` with its trainable parameters replaced by ``vec``."""
+    """``p`` with its trainable parameters replaced by ``vec``.  The result
+    shares ``vec`` without copying, so ``vec`` must not be mutated later;
+    ``train`` never mutates a parameter vector in place."""
     d = p.dim
     if p.scale_mode == FIXED:
         if vec.size != d:
             raise ParameterError(f"expected {d} parameters, got {vec.size}")
-        return PolicyParams(vec.copy(), p.theta_sigma, p.alpha, p.scale_mode, p.sigma0)
+        return PolicyParams(vec, p.theta_sigma, p.alpha, p.scale_mode, p.sigma0)
     if vec.size != 2 * d:
         raise ParameterError(f"expected {2 * d} parameters, got {vec.size}")
-    return PolicyParams(vec[:d].copy(), vec[d:].copy(), p.alpha, p.scale_mode, p.sigma0)
+    return PolicyParams(vec[:d], vec[d:], p.alpha, p.scale_mode, p.sigma0)

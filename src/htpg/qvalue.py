@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .envs import walk
 from .errors import ParameterError
-from .policy import PolicyParams, features, sample_action
+# features and sample_action go unused here: the benchmark tracer patches them.
+from .policy import PolicyParams, features, sample_action  # noqa: F401
 
 __all__ = ["QEstimate", "draw_horizon", "estimate_q", "discounted_partial_return"]
 
@@ -54,25 +56,14 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
                horizon: int | None = None) -> QEstimate:
     """One unbiased Q sample for (s0, a0) under ``policy``.
 
-    Executes a0 first, then follows the policy until the drawn horizon, a
-    terminal state, or the environment step budget, whichever comes first.
-    ``horizon`` overrides the geometric draw (test hook).
+    Draws the horizon, then walks from s0 (:func:`htpg.envs.walk`): executes
+    a0 and follows the policy until the drawn horizon, a terminal state, or
+    the step budget, whichever comes first, drawing the next action after
+    every transition that is not ``done``.  ``horizon`` overrides the
+    geometric draw (test hook).
     """
     drawn = draw_horizon(gamma, rng) if horizon is None else int(horizon)
     if drawn < 0:
         raise ParameterError(f"horizon must be non-negative, got {drawn}")
-    spec = env.spec
-    last = min(drawn, spec.max_steps)
-    state = s0
-    action = spec.clamp_action(a0)
-    total = 0.0
-    for t in range(last + 1):
-        result = env.step(state, action)
-        total += gamma ** (0.5 * t) * result.reward
-        if result.done:
-            break
-        state = result.next_state
-        action = spec.clamp_action(
-            sample_action(policy, features((state.position, state.velocity)), rng)
-        )
-    return QEstimate(total, drawn)
+    traj = walk(env, policy, rng, s0, a0, min(drawn, env.spec.max_steps) + 1)
+    return QEstimate(discounted_partial_return(traj.rewards, gamma, drawn), drawn)

@@ -44,9 +44,9 @@ class StableSpec:
 def sample_sas(spec: StableSpec, rng) -> float:
     """Draw one variate from the given SaS law.
 
-    The Gaussian (alpha=2) and Cauchy (alpha=1) members use exact closed-form
-    samplers (one ``standard_normal`` / one inverse-CDF uniform); every other
-    tail index goes through the Chambers-Mallows-Stuck transform.  The draw is
+    The Gaussian (alpha=2) member uses one ``standard_normal``; every other
+    tail index goes through the Chambers-Mallows-Stuck transform, which at
+    alpha=1 is the exact Cauchy inverse CDF of one uniform.  The draw is
     always ``location + scale * z`` with ``z`` a standard (scale-1, location-0)
     variate, so draws at different scales from identically seeded streams are
     exact affine images of each other.
@@ -57,8 +57,8 @@ def sample_sas(spec: StableSpec, rng) -> float:
 def sample_sas_cms(spec: StableSpec, rng) -> float:
     """Draw one variate using the CMS transform regardless of tail index.
 
-    Cross-check path: for alpha in {1, 2} this must agree in distribution
-    with the closed-form samplers used by :func:`sample_sas`.
+    Cross-check path: for alpha=2 this must agree in distribution with the
+    Gaussian sampler used by :func:`sample_sas`.
     """
     return spec.location + spec.scale * _standard_cms(spec.alpha, rng)
 
@@ -66,9 +66,6 @@ def sample_sas_cms(spec: StableSpec, rng) -> float:
 def _standard_sas(alpha: float, rng) -> float:
     if alpha == 2.0:
         return math.sqrt(2.0) * rng.standard_normal()
-    if alpha == 1.0:
-        # Inverse CDF of the standard Cauchy.
-        return math.tan(math.pi * (rng.random() - 0.5))
     return _standard_cms(alpha, rng)
 
 
@@ -77,6 +74,7 @@ def _standard_cms(alpha: float, rng) -> float:
     # uniform angle on (-pi/2, pi/2) and one unit exponential.
     u = math.pi * (rng.random() - 0.5)
     if alpha == 1.0:
+        # Inverse CDF of the standard Cauchy.
         return math.tan(u)
     w = rng.standard_exponential()
     sin_au = math.sin(alpha * u)

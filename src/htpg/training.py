@@ -25,11 +25,11 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 from .policy import (
     PolicyParams,
-    FIXED,
     clip_score,
     features,
     param_vector,
     score,
+    with_param_vector,
 )
 from .envs import rollout
 from .qvalue import discounted_partial_return, draw_horizon, estimate_q
@@ -171,6 +171,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.episodes < 0:
             raise ParameterError("episodes must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.epsilon_clip < 1.0:
@@ -229,17 +231,6 @@ def train(config: TrainConfig) -> RunMetrics:
     per_episode_rule = isinstance(config.step_rule, LinearRange)
     fresh = config.q_mode == Q_FRESH
     track_basin = hasattr(env, "outside_basin")
-    adaptive = policy.scale_mode != FIXED
-    dim = policy.dim
-
-    def rebind(new_vec: np.ndarray) -> PolicyParams:
-        # Hot path: views into the fresh update vector, which is never
-        # mutated in place, so sharing is safe.
-        if adaptive:
-            return PolicyParams(new_vec[:dim], new_vec[dim:], policy.alpha,
-                                policy.scale_mode, policy.sigma0)
-        return PolicyParams(new_vec, policy.theta_sigma, policy.alpha,
-                            policy.scale_mode, policy.sigma0)
 
     returns: list[float] = []
     moving: list[float] = []
@@ -261,9 +252,7 @@ def train(config: TrainConfig) -> RunMetrics:
             traj = rollout(env, policy, rng, env.spec.max_steps)
             if not fresh:
                 drawn = draw_horizon(config.gamma, rng)
-                q_shared = discounted_partial_return(
-                    traj.rewards, config.gamma, min(drawn, len(traj) - 1)
-                )
+                q_shared = discounted_partial_return(traj.rewards, config.gamma, drawn)
             if per_episode_rule:
                 alpha_episode = step_size(config.step_rule, episode + 1)
             vec_before = vec
@@ -293,7 +282,7 @@ def train(config: TrainConfig) -> RunMetrics:
                         episode, updates,
                     )
                     break
-                policy = rebind(vec)
+                policy = with_param_vector(policy, vec)
             if diverged:
                 break
 

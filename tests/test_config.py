@@ -157,6 +157,12 @@ seeds = [1, 1]
 """)
 
 
+def test_rejects_negative_seeds():
+    # Every seed is checked, not only the first; numpy cannot seed from them.
+    with pytest.raises(ConfigError, match=r"^\[run\] seed must be non-negative, got -1"):
+        parse_config(MINIMAL.replace("seeds = [1]", "seeds = [1, -1]"))
+
+
 def test_rejects_unknown_keys_with_line():
     bad = MINIMAL + "\n[train]\nbogus_key = 3\n"
     with pytest.raises(ConfigError, match=r"line \d+.*bogus_key"):
@@ -216,11 +222,14 @@ seeds = [1, 2]  # list with comment
 
 
 def test_env_override_unknown_key():
-    with pytest.raises(ConfigError, match="goal_position"):
-        parse_config("""
+    # [env] gamma would be ignored (the discount is [train] gamma), so it is
+    # not a key.
+    for key in ("goal_position", "gamma"):
+        with pytest.raises(ConfigError, match=rf"line 4: \[env\] key '{key}' is unknown"):
+            parse_config(f"""
 [env]
 kind = "trapped_car"
-goal_position = 0.5
+{key} = 0.5
 
 [policy.c]
 alpha = 1
@@ -256,6 +265,8 @@ def test_replace_revalidates():
         replace(cfg, seeds=(1, 1))
     with pytest.raises(ConfigError, match="out"):
         replace(cfg, out_dir="")
+    with pytest.raises(ConfigError, match=r"\[run\] seed must be non-negative"):
+        replace(cfg, seeds=(1, -2))
     with pytest.raises(ConfigError, match=r"\[policy.x\] .*sigma0"):
         replace(cfg, families=(FamilyConfig("x", 1.0, sigma0=-1.0),))
 

@@ -143,12 +143,14 @@ def test_cli_train_invalid_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env", [
     (["train", "--seeds", "1,x"], {}),
     (["train", "--seeds", "1,1"], {}),
+    (["train", "--seeds", "-1"], {}),
+    (["train", "--seeds", "1,-1"], {}),
     (["train"], {"HTPG_THREADS": "two"}),
     (["check-bound", "--n", "0"], {}),
     (["check-bound", "--b", "1.5"], {}),
     (["check-bound", "--seeds", "0"], {}),
-], ids=["seeds-not-int", "seeds-repeated", "threads-not-int", "bound-n-0", "bound-b-1.5",
-        "bound-seeds-0"])
+], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
+        "threads-not-int", "bound-n-0", "bound-b-1.5", "bound-seeds-0"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -160,6 +162,16 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out" / "config.txt").exists()
+
+
+def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(SMALL_SWEEP.replace("seeds = [1, 2, 3]", "seeds = [-1]"))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [run] seed must be non-negative, got -1\n"
+    assert not out_dir.exists()
 
 
 def test_cli_first_exit_out_path_is_escaped(tmp_path, monkeypatch, capsys):
