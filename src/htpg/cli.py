@@ -131,6 +131,8 @@ def _ks_statistic(samples: np.ndarray, cdf) -> float:
 
 
 def cmd_dist_tests(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool, str]] = []
 

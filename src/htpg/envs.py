@@ -124,21 +124,30 @@ class _Car:
         span = self.spec.init_high - self.spec.init_low
         return EnvState(self.spec.init_low + span * rng.random(), 0.0)
 
+    def advance(self, x: float, v: float, a: float) -> tuple[float, float]:
+        """Position and velocity after thrust ``a`` from ``(x, v)``.
+
+        ``a`` is taken as given: :meth:`step` clamps it to the action range
+        first.  The speed cap and the walls hold for any finite ``a``.
+        """
+        v = v + self.thrust_gain * a - self.gravity * math.cos(3.0 * x)
+        v = min(max(v, -self.max_speed), self.max_speed)
+        x = x + v
+        spec = self.spec
+        if x <= spec.state_low:
+            return spec.state_low, 0.0
+        if x >= spec.state_high:
+            return spec.state_high, 0.0
+        return x, v
+
     def step(self, state: EnvState, action: float) -> StepResult:
         if state.terminal:
             raise EnvUsageError("step() called on a terminal state")
-        spec = self.spec
-        a = spec.clamp_action(action)
-        v = state.velocity + self.thrust_gain * a - self.gravity * math.cos(3.0 * state.position)
-        v = min(max(v, -self.max_speed), self.max_speed)
-        x = state.position + v
-        if x <= spec.state_low:
-            x, v = spec.state_low, 0.0
-        elif x >= spec.state_high:
-            x, v = spec.state_high, 0.0
+        x, v = self.advance(state.position, state.velocity,
+                            self.spec.clamp_action(action))
         reward, at_goal = self.reward(x)
         steps = state.step_count + 1
-        done = at_goal or steps >= spec.max_steps
+        done = at_goal or steps >= self.spec.max_steps
         return StepResult(EnvState(x, v, steps, done), reward, done)
 
     def at_goal(self, state: EnvState) -> bool:
@@ -190,8 +199,8 @@ class TrappedCar(_Car):
             return self.false_reward, False
         return 0.0, False
 
-    def outside_basin(self, state: EnvState) -> bool:
-        return state.position >= self.basin_exit
+    def outside_basin(self, x: float) -> bool:
+        return x >= self.basin_exit
 
 
 @dataclass(frozen=True)

@@ -142,23 +142,26 @@ def score(p: PolicyParams, s: np.ndarray, a: float) -> np.ndarray:
 
     The theta_sigma block is present only in adaptive scale mode.
     """
-    x0 = action_mode(p, s)
-    sigma = policy_scale(p)
-    u = (a - x0) / sigma
-    if p.alpha == 1.0:
-        denom = 1.0 + u * u
-        mode_coef = 2.0 * u / (sigma * denom)
-        gs = 2.0 * u * u / denom - 1.0
-    else:
-        mode_coef = u / sigma
-        gs = u * u - 1.0
+    mode_coef, sigma_coef = _score_coefs(p.alpha, a, action_mode(p, s), policy_scale(p))
     if p.scale_mode == FIXED:
         return mode_coef * s
     d = s.size
     out = np.empty(2 * d)
     np.multiply(s, mode_coef, out=out[:d])
-    out[d:] = gs
+    out[d:] = sigma_coef
     return out
+
+
+def _score_coefs(alpha: float, a: float, x0: float, sigma: float) -> tuple[float, float]:
+    """The scalars of :func:`score`: ``(mode_coef, sigma_coef)``, where the
+    score is ``mode_coef * s`` followed by ``sigma_coef`` once per
+    theta_sigma component.  On Python floats a zero ``sigma`` raises
+    ``ZeroDivisionError``."""
+    u = (a - x0) / sigma
+    if alpha == 1.0:
+        denom = 1.0 + u * u
+        return 2.0 * u / (sigma * denom), 2.0 * u * u / denom - 1.0
+    return u / sigma, u * u - 1.0
 
 
 def clip_score(g: np.ndarray, epsilon: float, symmetric: bool = False) -> np.ndarray:

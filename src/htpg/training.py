@@ -12,6 +12,13 @@ with the score always evaluated at the current (just-updated) parameters.
 own leading rewards over a geometric horizon; ``q_mode="fresh"`` instead
 draws an independent estimate from every visited pair (unbiased per pair,
 roughly the mean horizon times more environment steps).
+
+The loop has two implementations.  ``_train_reference`` works on
+``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
+``_train_car_shared`` runs shared-Q training on the two cars as one loop
+over Python floats and is what :func:`train` uses for those inputs.  The
+reference is the oracle: the fast loop must reproduce its metrics and final
+parameters bit for bit (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -24,15 +31,19 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError
 from .policy import (
+    ADAPTIVE,
     PolicyParams,
+    _SQRT2,
+    _score_coefs,
     clip_score,
     features,
     param_vector,
     score,
     with_param_vector,
 )
-from .envs import rollout
+from .envs import _Car, rollout
 from .qvalue import discounted_partial_return, draw_horizon, estimate_q
+from .sas import StableSpec, _standard_sas
 
 __all__ = [
     "PowerDecay",
@@ -142,13 +153,18 @@ UpdateRule = PlainAscent | LipschitzAware
 def apply_update(theta: np.ndarray, grad: np.ndarray, rule: UpdateRule,
                  alpha_k: float) -> np.ndarray:
     if isinstance(rule, LipschitzAware):
-        inv = 1.0 / alpha_k - rule.l1j
-        if inv <= 0.0:
-            raise ScheduleError(
-                f"1/alpha - L = {inv} is not positive at alpha={alpha_k}, L={rule.l1j}"
-            )
-        return theta + grad / inv
+        return theta + grad / _lipschitz_divisor(rule, alpha_k)
     return theta + alpha_k * grad
+
+
+def _lipschitz_divisor(rule: LipschitzAware, alpha_k: float) -> float:
+    """1/alpha_k - L, which must be positive."""
+    inv = 1.0 / alpha_k - rule.l1j
+    if inv <= 0.0:
+        raise ScheduleError(
+            f"1/alpha - L = {inv} is not positive at alpha={alpha_k}, L={rule.l1j}"
+        )
+    return inv
 
 
 @dataclass(frozen=True)
@@ -223,95 +239,250 @@ def train(config: TrainConfig) -> RunMetrics:
     start/end range meaningful regardless of how many updates each episode
     contributes.  Either way the alpha sequence seen by the updates is
     non-increasing.
+
+    Shared-Q training on either car with the cars' 3-feature policy runs
+    as one loop over Python floats (:func:`_train_car_shared`); every other
+    input runs :func:`_train_reference`, which builds the policy, the
+    trajectory and the score as objects.  The reference is the oracle: both
+    paths draw the same random stream, do the same arithmetic in the same
+    order, and return identical metrics (``tests/test_kernel.py``).
     """
+    if (config.q_mode == Q_SHARED and isinstance(config.env, _Car)
+            and config.policy_init.dim == 3):
+        return _train_car_shared(config)
+    return _train_reference(config)
+
+
+class _Curves:
+    """The per-episode series of :class:`RunMetrics`, as both training paths
+    record them."""
+
+    def __init__(self, env) -> None:
+        self.returns: list[float] = []
+        self.moving: list[float] = []
+        self.norms: list[float] = []
+        self.counts: list[int] = []
+        self._window: list[float] = []
+        self._window_sum = 0.0
+        self.terminal_episodes = 0
+        self.first_exit: int | None = None
+        self._outside_basin = getattr(env, "outside_basin", None)
+
+    def add(self, episode: int, ret: float, norm: float, updates: int, at_goal: bool,
+            positions) -> None:
+        """Record one finished episode; ``positions`` are the positions it
+        visited, final one included."""
+        self.returns.append(ret)
+        self._window.append(ret)
+        self._window_sum += ret
+        if len(self._window) > 100:
+            self._window_sum -= self._window.pop(0)
+        self.moving.append(self._window_sum / len(self._window))
+        self.norms.append(norm)
+        self.counts.append(updates)
+        self.terminal_episodes += at_goal
+        if (self._outside_basin is not None and self.first_exit is None
+                and any(map(self._outside_basin, positions))):
+            self.first_exit = episode
+
+    def metrics(self, updates: int, diverged: bool, final_policy: PolicyParams) -> RunMetrics:
+        return RunMetrics(
+            returns=self.returns,
+            moving_avg_100=self.moving,
+            update_norms=self.norms,
+            update_counts=self.counts,
+            first_exit_episode=self.first_exit,
+            wall_updates=updates,
+            terminal_episodes=self.terminal_episodes,
+            diverged=diverged,
+            final_policy=final_policy,
+        )
+
+
+def _warn_diverged(episode: int, updates: int) -> None:
+    log.warning("non-finite parameters at episode %d, update %d; aborting run",
+                episode, updates)
+
+
+# Heavy-tailed q_hat * score products may overflow; that is exactly what the
+# divergence guard in both loops is for, so numpy stays quiet while they run.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_reference(config: TrainConfig) -> RunMetrics:
+    """The episode loop over policy, trajectory and score objects: the
+    reference for :func:`_train_car_shared`, and the path for fresh Q and
+    for environments other than the cars."""
     env = config.env
     rng = np.random.default_rng(config.seed)
     policy = config.policy_init
     vec = param_vector(policy)
     per_episode_rule = isinstance(config.step_rule, LinearRange)
     fresh = config.q_mode == Q_FRESH
-    track_basin = hasattr(env, "outside_basin")
-
-    returns: list[float] = []
-    moving: list[float] = []
-    norms: list[float] = []
-    counts: list[int] = []
-    window: list[float] = []
-    window_sum = 0.0
-    first_exit: int | None = None
+    curves = _Curves(env)
     updates = 0
-    terminal_episodes = 0
     diverged = False
 
-    # Heavy-tailed q_hat * score products may overflow; that is exactly what
-    # the divergence guard below is for, so keep numpy quiet about it while
-    # the loop runs.
-    saved_errstate = np.seterr(over="ignore", invalid="ignore")
-    try:
-        for episode in range(config.episodes):
-            traj = rollout(env, policy, rng, env.spec.max_steps)
-            if not fresh:
-                drawn = draw_horizon(config.gamma, rng)
-                q_shared = discounted_partial_return(traj.rewards, config.gamma, drawn)
-            if per_episode_rule:
-                alpha_episode = step_size(config.step_rule, episode + 1)
-            vec_before = vec
-            for state, action in zip(traj.states, traj.actions):
-                if fresh:
-                    q_hat = estimate_q(env, policy, state, action, config.gamma,
-                                       rng).value
-                else:
-                    q_hat = q_shared
-                s = features((state.position, state.velocity))
-                g = clip_score(score(policy, s, action), config.epsilon_clip,
-                               config.symmetric_clip)
-                updates += 1
-                alpha = alpha_episode if per_episode_rule else step_size(
-                    config.step_rule, updates
-                )
+    for episode in range(config.episodes):
+        traj = rollout(env, policy, rng, env.spec.max_steps)
+        if not fresh:
+            drawn = draw_horizon(config.gamma, rng)
+            q_shared = discounted_partial_return(traj.rewards, config.gamma, drawn)
+        if per_episode_rule:
+            alpha_episode = step_size(config.step_rule, episode + 1)
+        vec_before = vec
+        for state, action in zip(traj.states, traj.actions):
+            if fresh:
+                q_hat = estimate_q(env, policy, state, action, config.gamma,
+                                   rng).value
+            else:
+                q_hat = q_shared
+            s = features((state.position, state.velocity))
+            g = clip_score(score(policy, s, action), config.epsilon_clip,
+                           config.symmetric_clip)
+            updates += 1
+            alpha = alpha_episode if per_episode_rule else step_size(
+                config.step_rule, updates
+            )
+            try:
+                vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
+            except ScheduleError as err:
+                raise ScheduleError(f"{err} (update {updates})") from None
+            # Cheap screen first; the squared norm is finite iff every
+            # component is, unless it overflows, so confirm on trigger.
+            if not math.isfinite(float(vec @ vec)) and not np.isfinite(vec).all():
+                diverged = True
+                _warn_diverged(episode, updates)
+                break
+            policy = with_param_vector(policy, vec)
+        if diverged:
+            break
+        curves.add(episode, traj.total_return(), float(np.linalg.norm(vec - vec_before)),
+                   updates, env.at_goal(traj.final_state),
+                   (st.position for st in (*traj.states, traj.final_state)))
+    return curves.metrics(updates, diverged, policy)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _train_car_shared(config: TrainConfig) -> RunMetrics:
+    """:func:`_train_reference` for shared Q on a car, as one loop over
+    Python floats: no policy, state, trajectory or score objects per step.
+
+    Bit-identity with the reference rests on doing its arithmetic, not an
+    equivalent: the mode ``theta_x0 . s`` stays numpy's 3-vector dot (the
+    BLAS dot may fuse multiply-adds, plain Python does not), sigma stays
+    ``np.exp`` of ``(c0 + c1) + c2`` (numpy's sum order; ``math.exp`` rounds
+    differently), the clip is ``hi if g > hi else g`` (NaN passes through,
+    as through ``np.minimum``), and the update keeps the reference's
+    operation order per component.  Dynamics, score and draw are the shared
+    :meth:`~htpg.envs._Car.advance`, ``policy._score_coefs`` and
+    ``sas._standard_sas``.
+    """
+    env = config.env
+    spec = env.spec
+    max_steps = spec.max_steps
+    clamp, advance, reward = spec.clamp_action, env.advance, env.reward
+    rng = np.random.default_rng(config.seed)
+    init = config.policy_init
+    tail = init.alpha
+    adaptive = init.scale_mode == ADAPTIVE
+    rule = config.step_rule
+    per_episode_rule = isinstance(rule, LinearRange)
+    lipschitz = config.update_rule if isinstance(config.update_rule, LipschitzAware) else None
+    gamma = config.gamma
+    hi = 1.0 + config.epsilon_clip
+    lo = -hi if config.symmetric_clip else -math.inf
+
+    # The parameters are t0..t2 (theta_x0) and c0..c2 (theta_sigma, inert in
+    # fixed scale mode).  ``theta`` mirrors t0..t2 for the dot product with
+    # ``feats`` = (x, v, 1); both are written through memoryviews.
+    t0, t1, t2 = map(float, init.theta_x0)
+    c0, c1, c2 = map(float, init.theta_sigma)
+    theta, feats = np.array((t0, t1, t2)), np.array((0.0, 0.0, 1.0))
+    theta_w, feats_w = memoryview(theta), memoryview(feats)
+    mode_dot = theta.dot
+
+    def param_vec():
+        return np.array((t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2))
+
+    vec = param_vec()
+    curves = _Curves(env)
+    updates = 0
+    diverged = False
+
+    for episode in range(config.episodes):
+        # Rollout at fixed parameters (rollout/walk): reset, draw, then
+        # step, record, stop on done, else draw the next clamped action.
+        start = env.reset(rng)
+        x, v = start.position, start.velocity
+        sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
+        # sample_action's law, validated once per episode instead of per draw.
+        scale = StableSpec(tail, 0.0, sigma / _SQRT2 if tail == 2.0 else sigma).scale
+        xs: list[float] = []
+        vs: list[float] = []
+        actions: list[float] = []
+        rewards: list[float] = []
+        feats_w[0], feats_w[1] = x, v
+        a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
+        while True:
+            xs.append(x)
+            vs.append(v)
+            actions.append(a)
+            x, v = advance(x, v, a)
+            r, at_goal = reward(x)
+            rewards.append(r)
+            if at_goal or len(rewards) >= max_steps:
+                break
+            feats_w[0], feats_w[1] = x, v
+            a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
+
+        q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
+        if per_episode_rule:
+            alpha = step_size(rule, episode + 1)
+        vec_before = vec
+        for xk, vk, ak in zip(xs, vs, actions):
+            feats_w[0], feats_w[1] = xk, vk
+            if adaptive:
+                sigma = float(np.exp((c0 + c1) + c2))
+            mode_coef, sigma_coef = _score_coefs(tail, ak, float(mode_dot(feats)), sigma)
+            g0, g1, g2 = mode_coef * xk, mode_coef * vk, mode_coef
+            # clip_score, component by component.
+            g0 = hi if g0 > hi else lo if g0 < lo else g0
+            g1 = hi if g1 > hi else lo if g1 < lo else g1
+            g2 = hi if g2 > hi else lo if g2 < lo else g2
+            gs = hi if sigma_coef > hi else lo if sigma_coef < lo else sigma_coef
+            updates += 1
+            if not per_episode_rule:
+                alpha = step_size(rule, updates)
+            # apply_update on q * g, component by component.
+            if lipschitz is None:
+                n0, n1, n2 = t0 + alpha * (q * g0), t1 + alpha * (q * g1), t2 + alpha * (q * g2)
+                ds = alpha * (q * gs)
+            else:
                 try:
-                    vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
+                    inv = _lipschitz_divisor(lipschitz, alpha)
                 except ScheduleError as err:
                     raise ScheduleError(f"{err} (update {updates})") from None
-                # Cheap screen first; the squared norm is finite iff every
-                # component is, unless it overflows, so confirm on trigger.
-                if not math.isfinite(float(vec @ vec)) and not np.isfinite(vec).all():
-                    diverged = True
-                    log.warning(
-                        "non-finite parameters at episode %d, update %d; aborting run",
-                        episode, updates,
-                    )
-                    break
-                policy = with_param_vector(policy, vec)
-            if diverged:
+                n0, n1, n2 = t0 + q * g0 / inv, t1 + q * g1 / inv, t2 + q * g2 / inv
+                ds = q * gs / inv
+            if adaptive:
+                m0, m1, m2 = c0 + ds, c1 + ds, c2 + ds
+                total = n0 + n1 + n2 + m0 + m1 + m2
+                finite = math.isfinite(total) or all(
+                    map(math.isfinite, (n0, n1, n2, m0, m1, m2)))
+            else:
+                total = n0 + n1 + n2
+                finite = math.isfinite(total) or all(map(math.isfinite, (n0, n1, n2)))
+            if not finite:
+                diverged = True
+                _warn_diverged(episode, updates)
                 break
-
-            returns.append(traj.total_return())
-            window.append(returns[-1])
-            window_sum += returns[-1]
-            if len(window) > 100:
-                window_sum -= window.pop(0)
-            moving.append(window_sum / len(window))
-            norms.append(float(np.linalg.norm(vec - vec_before)))
-            counts.append(updates)
-            if env.at_goal(traj.final_state):
-                terminal_episodes += 1
-            if track_basin and first_exit is None:
-                if any(env.outside_basin(st) for st in traj.states) or env.outside_basin(
-                    traj.final_state
-                ):
-                    first_exit = episode
-    finally:
-        np.seterr(**saved_errstate)
-
-    return RunMetrics(
-        returns=returns,
-        moving_avg_100=moving,
-        update_norms=norms,
-        update_counts=counts,
-        first_exit_episode=first_exit,
-        wall_updates=updates,
-        terminal_episodes=terminal_episodes,
-        diverged=diverged,
-        final_policy=policy,
-    )
+            t0, t1, t2 = n0, n1, n2
+            theta_w[0], theta_w[1], theta_w[2] = n0, n1, n2
+            if adaptive:
+                c0, c1, c2 = m0, m1, m2
+        vec = param_vec()
+        if diverged:
+            break
+        xs.append(x)
+        curves.add(episode, float(sum(rewards)), float(np.linalg.norm(vec - vec_before)),
+                   updates, at_goal, xs)
+    return curves.metrics(updates, diverged, with_param_vector(init, vec))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htpg.envs import (
     DEFAULT_MOUNTAIN_SPEC,
@@ -12,6 +13,7 @@ from htpg.envs import (
     EnvSpec,
     EnvState,
     MountainCar,
+    StepResult,
     TrappedCar,
     rollout,
 )
@@ -116,6 +118,27 @@ def test_reward_bound_and_state_containment(env):
         assert spec.state_low <= res.next_state.position <= spec.state_high
 
 
+@settings(max_examples=400, deadline=None)
+@given(env=st.sampled_from([TrappedCar(), MountainCar()]), data=st.data())
+def test_advance_keeps_state_in_bounds_and_step_is_advance_then_reward(env, data):
+    spec = env.spec
+    x = data.draw(st.floats(spec.state_low, spec.state_high), label="x")
+    v = data.draw(st.floats(-env.max_speed, env.max_speed), label="v")
+    a = data.draw(st.floats(allow_nan=False, allow_infinity=False), label="a")
+    steps = data.draw(st.integers(0, spec.max_steps - 1), label="steps")
+    x1, v1 = env.advance(x, v, a)
+    assert spec.state_low <= x1 <= spec.state_high
+    assert abs(v1) <= env.max_speed
+    if x1 in (spec.state_low, spec.state_high):
+        assert v1 == 0.0
+    # step clamps the action, then advances and scores the position reached.
+    x1, v1 = env.advance(x, v, spec.clamp_action(a))
+    reward, at_goal = env.reward(x1)
+    done = at_goal or steps + 1 >= spec.max_steps
+    assert env.step(EnvState(x, v, steps), a) == StepResult(
+        EnvState(x1, v1, steps + 1, done), reward, done)
+
+
 def test_trapped_zero_action_never_reaches_goal():
     # From anywhere in the start interval the central gravity well holds the
     # car; the true goal is unreachable without thrust.
@@ -135,7 +158,7 @@ def test_trapped_false_start_stays_inside_basin_without_thrust():
     for _ in range(5000):
         res = env.step(EnvState(st.position, st.velocity), 0.0)
         st = res.next_state
-        assert not env.outside_basin(st)
+        assert not env.outside_basin(st.position)
 
 
 def test_mountain_car_dynamics():
