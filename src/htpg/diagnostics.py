@@ -46,8 +46,9 @@ class NoiseModel:
     y2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.y1 < 0.0 or self.y2 < 0.0:
-            raise ParameterError("noise constants must be non-negative")
+        if not (0.0 <= self.y1 < math.inf and 0.0 <= self.y2 < math.inf):
+            raise ParameterError(
+                f"noise constants must be finite and non-negative, got y1={self.y1}, y2={self.y2}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +64,8 @@ class BoundParams:
     b: float
 
     def __post_init__(self) -> None:
-        if min(self.u_r, self.l1j, self.y1) <= 0.0:
-            raise ParameterError("u_r, l1j, and y1 must be positive")
+        if not all(0.0 < c < math.inf for c in (self.u_r, self.l1j, self.y1)):
+            raise ParameterError("u_r, l1j, and y1 must be finite and positive")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.b < 1.0:

@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EnvUsageError, ParameterError
 from .policy import PolicyParams, features, sample_action
+from .sas import _standard_sas
 
 __all__ = [
     "EnvSpec",
@@ -243,6 +246,56 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
             break
         action = clamp(sample_action(policy, features((state.position, state.velocity)), rng))
     return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
+
+
+def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
+              state: EnvState, action: float, steps: int):
+    """:func:`walk` on a car over Python floats, for a policy with mode
+    ``theta . (x, v, 1)`` and draw ``mode + scale * _standard_sas(tail, rng)``.
+
+    Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
+    velocities and (clamped) actions of the transitions taken, their rewards,
+    the final position and whether it is at the goal.  ``steps`` must be at
+    least 1 and ``scale`` positive: :func:`walk` validates the law at its
+    first draw, which a walk done after one transition never makes, so a
+    caller checks the scale where it knows a draw comes or else runs
+    :func:`walk`.
+
+    The mode is ``theta.dot`` on a 3-array written through a memoryview, the
+    same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
+    rounds differently).  The budget is counted once, not per step: the walk
+    is done after ``max(max_steps - step_count, 1)`` transitions unless the
+    goal ends it first, and one cut short by ``steps`` draws the next action
+    like :func:`walk` does.
+    """
+    if state.terminal:
+        raise EnvUsageError("step() called on a terminal state")
+    spec = env.spec
+    clamp, advance, reward = spec.clamp_action, env.advance, env.reward
+    budget = max(spec.max_steps - state.step_count, 1)
+    # Index of the transition after which no action is drawn; past the
+    # end (never reached) when the walk is cut by ``steps``.
+    last = budget - 1 if steps >= budget else steps
+    feats = np.array((0.0, 0.0, 1.0))
+    feats_w = memoryview(feats)
+    mode_dot = theta.dot
+    x, v, a = state.position, state.velocity, clamp(action)
+    xs: list[float] = []
+    vs: list[float] = []
+    actions: list[float] = []
+    rewards: list[float] = []
+    for i in range(min(steps, budget)):
+        xs.append(x)
+        vs.append(v)
+        actions.append(a)
+        x, v = advance(x, v, a)
+        r, at_goal = reward(x)
+        rewards.append(r)
+        if at_goal or i == last:
+            break
+        feats_w[0], feats_w[1] = x, v
+        a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
+    return xs, vs, actions, rewards, x, at_goal
 
 
 def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:

@@ -111,10 +111,12 @@ def action_distribution(p: PolicyParams, s: np.ndarray) -> StableSpec:
     For alpha=2 the policy sigma is the Gaussian standard deviation, so the
     stable-convention scale is ``sigma / sqrt(2)``.
     """
-    loc = action_mode(p, s)
-    sigma = policy_scale(p)
-    scale = sigma / _SQRT2 if p.alpha == 2.0 else sigma
-    return StableSpec(p.alpha, loc, scale)
+    return StableSpec(p.alpha, action_mode(p, s), _stable_scale(p.alpha, policy_scale(p)))
+
+
+def _stable_scale(alpha: float, sigma: float) -> float:
+    """The :mod:`htpg.sas` scale of the action law at policy scale ``sigma``."""
+    return sigma / _SQRT2 if alpha == 2.0 else sigma
 
 
 def sample_action(p: PolicyParams, s: np.ndarray, rng) -> float:

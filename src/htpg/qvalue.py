@@ -3,6 +3,13 @@
 The estimator truncates a rollout at T ~ Geom(1 - sqrt(gamma)) and weights
 the reward at step t by gamma**(t/2).  Since P(T >= t) = gamma**(t/2), the
 expectation of the weighted sum telescopes to the ordinary discounted Q.
+
+:func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
+3-weight policy it runs ``envs._car_walk``, a loop over Python floats with
+no state, step-result or trajectory objects; everything else, and a policy
+whose scale is not positive, runs :func:`htpg.envs.walk`, the generic loop.
+``walk`` is the oracle: both give the same value, horizon, random stream and
+errors (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -10,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .envs import walk
+from .envs import _Car, _car_walk, walk
 from .errors import ParameterError
+from .policy import PolicyParams, _stable_scale, policy_scale
 # features and sample_action go unused here: the benchmark tracer patches them.
-from .policy import PolicyParams, features, sample_action  # noqa: F401
+from .policy import features, sample_action  # noqa: F401
 
 __all__ = ["QEstimate", "draw_horizon", "estimate_q", "discounted_partial_return"]
 
@@ -22,8 +30,9 @@ __all__ = ["QEstimate", "draw_horizon", "estimate_q", "discounted_partial_return
 class QEstimate:
     """One Q sample and the geometric horizon it was drawn with.
 
-    ``value`` always satisfies |value| <= U_R / (1 - sqrt(gamma)) when every
-    reward is bounded by U_R.
+    ``value`` satisfies |value| <= U_R / (1 - sqrt(gamma)) when every reward
+    is bounded by U_R, up to rounding: once gamma**(t/2) falls below an ulp
+    of the sum, a long walk can round a few ulps past the float ceiling.
     """
 
     value: float
@@ -56,14 +65,31 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
                horizon: int | None = None) -> QEstimate:
     """One unbiased Q sample for (s0, a0) under ``policy``.
 
-    Draws the horizon, then walks from s0 (:func:`htpg.envs.walk`): executes
-    a0 and follows the policy until the drawn horizon, a terminal state, or
-    the step budget, whichever comes first, drawing the next action after
-    every transition that is not ``done``.  ``horizon`` overrides the
-    geometric draw (test hook).
+    Draws the horizon, then walks from s0: executes a0 (clamped) and follows
+    the policy until the drawn horizon or ``done`` (the goal, or the step
+    budget counted from ``s0.step_count``), whichever comes first, drawing
+    the next action after every transition that is not ``done`` (so a walk
+    cut by the horizon draws one action more than it executes).
+    ``horizon`` overrides the geometric draw (test hook).
+
+    On a car with a 3-weight policy the walk is the float loop; otherwise,
+    or when the policy's scale is not positive, it is :func:`htpg.envs.walk`.
+    Either way a terminal ``s0`` raises ``EnvUsageError``, each draw is
+    ``mode + scale * z`` with ``z`` from ``sas._standard_sas``, and a scale
+    that is not positive raises the sampler's ``scale must be positive``
+    only when a draw comes: a walk done after its first transition raises
+    nothing.
     """
     drawn = draw_horizon(gamma, rng) if horizon is None else int(horizon)
     if drawn < 0:
         raise ParameterError(f"horizon must be non-negative, got {drawn}")
-    traj = walk(env, policy, rng, s0, a0, min(drawn, env.spec.max_steps) + 1)
+    steps = min(drawn, env.spec.max_steps) + 1
+    if isinstance(env, _Car) and policy.dim == 3:
+        scale = _stable_scale(policy.alpha, policy_scale(policy))
+        # walk checks the scale at its first draw, which may never come.
+        if scale > 0.0:
+            rewards = _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0,
+                                steps)[3]
+            return QEstimate(discounted_partial_return(rewards, gamma, drawn), drawn)
+    traj = walk(env, policy, rng, s0, a0, steps)
     return QEstimate(discounted_partial_return(traj.rewards, gamma, drawn), drawn)

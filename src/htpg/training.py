@@ -33,15 +33,15 @@ from .errors import ParameterError, ScheduleError
 from .policy import (
     ADAPTIVE,
     PolicyParams,
-    _SQRT2,
     _score_coefs,
+    _stable_scale,
     clip_score,
     features,
     param_vector,
     score,
     with_param_vector,
 )
-from .envs import _Car, rollout
+from .envs import _Car, _car_walk, rollout
 from .qvalue import discounted_partial_return, draw_horizon, estimate_q
 from .sas import StableSpec, _standard_sas
 
@@ -372,14 +372,11 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     ``np.exp`` of ``(c0 + c1) + c2`` (numpy's sum order; ``math.exp`` rounds
     differently), the clip is ``hi if g > hi else g`` (NaN passes through,
     as through ``np.minimum``), and the update keeps the reference's
-    operation order per component.  Dynamics, score and draw are the shared
-    :meth:`~htpg.envs._Car.advance`, ``policy._score_coefs`` and
-    ``sas._standard_sas``.
+    operation order per component.  The rollout is ``envs._car_walk``, the
+    float walk that fresh-Q estimation also runs; score and draw are the
+    shared ``policy._score_coefs`` and ``sas._standard_sas``.
     """
     env = config.env
-    spec = env.spec
-    max_steps = spec.max_steps
-    clamp, advance, reward = spec.clamp_action, env.advance, env.reward
     rng = np.random.default_rng(config.seed)
     init = config.policy_init
     tail = init.alpha
@@ -409,30 +406,16 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     diverged = False
 
     for episode in range(config.episodes):
-        # Rollout at fixed parameters (rollout/walk): reset, draw, then
-        # step, record, stop on done, else draw the next clamped action.
+        # Rollout at fixed parameters: reset, draw, then the float walk.
         start = env.reset(rng)
-        x, v = start.position, start.velocity
         sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
-        # sample_action's law, validated once per episode instead of per draw.
-        scale = StableSpec(tail, 0.0, sigma / _SQRT2 if tail == 2.0 else sigma).scale
-        xs: list[float] = []
-        vs: list[float] = []
-        actions: list[float] = []
-        rewards: list[float] = []
-        feats_w[0], feats_w[1] = x, v
-        a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
-        while True:
-            xs.append(x)
-            vs.append(v)
-            actions.append(a)
-            x, v = advance(x, v, a)
-            r, at_goal = reward(x)
-            rewards.append(r)
-            if at_goal or len(rewards) >= max_steps:
-                break
-            feats_w[0], feats_w[1] = x, v
-            a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
+        # sample_action's law, validated once per episode: the first draw
+        # always comes.
+        scale = StableSpec(tail, 0.0, _stable_scale(tail, sigma)).scale
+        feats_w[0], feats_w[1] = start.position, start.velocity
+        a = float(mode_dot(feats)) + scale * _standard_sas(tail, rng)
+        xs, vs, actions, rewards, x, at_goal = _car_walk(
+            env, theta, scale, tail, rng, start, a, env.spec.max_steps)
 
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
         if per_episode_rule:

@@ -70,6 +70,19 @@ def test_bound_rhs_matches_symbolic():
         assert bound_rhs(p, n_val) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: NoiseModel(y1=bad),
+    lambda bad: NoiseModel(y1=0.1, y2=bad),
+    lambda bad: BoundParams(u_r=bad, gamma=0.5, l1j=1.0, y1=1.0, b=0.5),
+    lambda bad: BoundParams(u_r=1.0, gamma=0.5, l1j=bad, y1=1.0, b=0.5),
+    lambda bad: BoundParams(u_r=1.0, gamma=0.5, l1j=1.0, y1=bad, b=0.5),
+], ids=["noise-y1", "noise-y2", "bound-u_r", "bound-l1j", "bound-y1"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_noise_and_bound_constants_must_be_finite_and_in_range(build, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        build(bad)
+
+
 def test_bound_rhs_decreases_when_first_term_dominates():
     p = BoundParams(u_r=100.0, gamma=0.5, l1j=0.01, y1=0.01, b=0.5)
     assert bound_rhs(p, 10_000) < bound_rhs(p, 100)

@@ -149,9 +149,12 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--n", "0"], {}),
     (["check-bound", "--b", "1.5"], {}),
     (["check-bound", "--seeds", "0"], {}),
+    (["check-bound", "--y1", "nan"], {}),
+    (["check-bound", "--y1", "inf"], {}),
     (["dist-tests", "--seed", "-1"], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
-        "threads-not-int", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "dist-seed-negative"])
+        "threads-not-int", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
+        "bound-y1-inf", "dist-seed-negative"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)

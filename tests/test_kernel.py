@@ -1,21 +1,43 @@
-"""The scalar shared-Q car loop against the reference episode loop.
+"""The float paths against the object paths they must reproduce bit for bit.
 
 ``train`` runs shared-Q training on a car as one loop over Python floats;
-``_train_reference`` is the object-level loop it must reproduce bit for bit:
-every field of the metrics, the final parameter bytes, and, where the
-reference raises, the same exception with the same message.
+``_train_reference`` is the object-level loop it must reproduce: every field
+of the metrics, the final parameter bytes, and, where the reference raises,
+the same exception with the same message.  ``estimate_q`` on a car walks
+over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
+runs); ``walk`` + ``discounted_partial_return`` is its oracle: the same
+value and horizon bytes, the same next draw of the random stream, the same
+errors.
 """
 
+import math
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from htpg import training
-from htpg.envs import DEFAULT_MOUNTAIN_SPEC, DEFAULT_TRAPPED_SPEC, MountainCar, TrappedCar
-from htpg.errors import ParameterError
-from htpg.policy import ADAPTIVE, FIXED, PolicyParams, param_vector
+from htpg import qvalue, training
+from htpg.envs import (
+    DEFAULT_MOUNTAIN_SPEC,
+    DEFAULT_TRAPPED_SPEC,
+    EnvState,
+    MountainCar,
+    TrappedCar,
+    _car_walk,
+    walk,
+)
+from htpg.errors import EnvUsageError, ParameterError
+from htpg.policy import (
+    ADAPTIVE,
+    FIXED,
+    PolicyParams,
+    _stable_scale,
+    param_vector,
+    policy_scale,
+)
+from htpg.qvalue import QEstimate, discounted_partial_return, draw_horizon, estimate_q
 from htpg.training import (
     Constant,
     LinearRange,
@@ -186,3 +208,177 @@ def _configs(draw):
 @given(config=_configs())
 def test_kernel_matches_reference_on_drawn_configs(config, monkeypatch):
     _assert_kernel_matches_reference(config, monkeypatch)
+
+
+# -- fresh Q: the float walk against walk + discounted_partial_return -------
+
+
+def _q_by_walk(env, policy, s0, a0, gamma, rng, horizon=None):
+    """``estimate_q`` on the object path."""
+    drawn = draw_horizon(gamma, rng) if horizon is None else int(horizon)
+    traj = walk(env, policy, rng, s0, a0, min(drawn, env.spec.max_steps) + 1)
+    return QEstimate(discounted_partial_return(traj.rewards, gamma, drawn), drawn)
+
+
+def _refuse_walk(*args):
+    raise AssertionError("estimate_q took the object walk")
+
+
+def _q_outcome(estimate, env, policy, s0, a0, gamma, seed, horizon):
+    """Value and horizon bytes plus the stream's next draw, or the error."""
+    rng = np.random.default_rng(seed)
+    try:
+        est = estimate(env, policy, s0, a0, gamma, rng, horizon)
+    except Exception as err:  # the comparison is on type and message
+        return ("raised", type(err), str(err))
+    return struct.pack("<d", est.value), est.horizon_drawn, struct.pack("<d", rng.random())
+
+
+def _assert_float_q_matches_walk(monkeypatch, *args, fast=True):
+    """``fast``: the float walk must be what runs (``qvalue.walk`` refuses)."""
+    want = _q_outcome(_q_by_walk, *args)
+    with monkeypatch.context() as patch:
+        if fast:
+            patch.setattr(qvalue, "walk", _refuse_walk)
+        got = _q_outcome(estimate_q, *args)
+    assert got == want
+    return want
+
+
+_Q_ENVS = (
+    TrappedCar(spec=_SHORT_TRAPPED),
+    _NEAR_GOAL,
+    _MOUNTAIN,
+    TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=1)),
+    MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=3)),
+)
+_Q_POLICIES = (
+    PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([0.1, 0.0, -0.3]), 1.0),
+    PolicyParams(np.array([-1.0, 40.0, 2.0]), np.array([0.0, 0.2, 0.5]), 2.0),
+    PolicyParams(np.array([0.3, -7.0, 0.25]), np.zeros(3), 1.0, FIXED, 5.0),
+    PolicyParams(np.array([0.05, 3.0, -0.6]), np.zeros(3), 2.0, FIXED, 0.2),
+)
+
+
+def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
+    rng = np.random.default_rng(31)
+    values = []
+    for i in range(400):
+        env = _Q_ENVS[i % len(_Q_ENVS)]
+        spec = env.spec
+        s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
+                      rng.uniform(-env.max_speed, env.max_speed),
+                      int(rng.integers(0, spec.max_steps)))
+        a0 = (-30.0, 0.7, 30.0, math.nan)[i % 4]
+        horizon = (None, None, 0, 1, 5, spec.max_steps - 1, spec.max_steps + 7)[i % 7]
+        want = _assert_float_q_matches_walk(
+            monkeypatch, env, _Q_POLICIES[i % len(_Q_POLICIES)], s0, a0,
+            (0.97, 0.5)[i % 2], i, horizon)
+        values.append(struct.unpack("<d", want[0])[0])
+    # Goal, misleading-region and mountain rewards all occur.
+    assert max(values) >= 100.0 and min(values) < 0.0 and any(0.0 < v < 100.0 for v in values)
+
+
+@st.composite
+def _q_inputs(draw):
+    env = draw(st.sampled_from(_Q_ENVS))
+    spec = env.spec
+    extreme = st.sampled_from([1e300, -1e300, 1e-300, 0.0])
+    weights = st.lists(st.floats(-1e3, 1e3) | extreme, min_size=3, max_size=3)
+    # exp of the sum stays a positive finite scale; zero and NaN scales
+    # have their own test.
+    log_scales = st.lists(st.floats(-200.0, 200.0), min_size=3, max_size=3)
+    policy = PolicyParams(draw(weights), draw(log_scales), draw(st.sampled_from([1.0, 2.0])),
+                          draw(st.sampled_from([FIXED, ADAPTIVE])),
+                          draw(st.sampled_from([1e-3, 1.0, 30.0])))
+    s0 = EnvState(draw(st.floats(spec.state_low, spec.state_high)),
+                  draw(st.floats(-env.max_speed, env.max_speed)),
+                  draw(st.integers(0, spec.max_steps - 1)))
+    a0 = draw(st.floats(2 * spec.action_low, 2 * spec.action_high) | st.floats())
+    horizon = draw(st.none() | st.integers(0, spec.max_steps + 3))
+    gamma = draw(st.sampled_from([0.5, 0.97, 0.999]))
+    return env, policy, s0, a0, gamma, draw(st.integers(0, 2**32)), horizon
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_q_inputs())
+def test_float_q_walk_matches_walk_on_drawn_inputs(inputs, monkeypatch):
+    _assert_float_q_matches_walk(monkeypatch, *inputs)
+
+
+def _walk_outcome(walker, seed):
+    """Everything a walk records, and the stream's next draw."""
+    rng = np.random.default_rng(seed)
+    return repr(walker(rng)), rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_q_inputs())
+def test_float_walk_records_what_walk_records(inputs):
+    # A Q value sees only rewards; the trajectory shows every action bit.
+    env, policy, s0, a0, _, seed, horizon = inputs
+    steps = env.spec.max_steps if horizon is None else horizon + 1
+    scale = _stable_scale(policy.alpha, policy_scale(policy))
+
+    def by_walk(rng):
+        traj = walk(env, policy, rng, s0, a0, steps)
+        return ([s.position for s in traj.states], [s.velocity for s in traj.states],
+                list(traj.actions), list(traj.rewards), traj.final_state.position,
+                env.at_goal(traj.final_state))
+
+    def by_floats(rng):
+        return _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)
+
+    assert _walk_outcome(by_floats, seed) == _walk_outcome(by_walk, seed)
+
+
+def test_float_q_walk_refuses_a_terminal_state(monkeypatch):
+    s0 = EnvState(1.5, 0.0, 3, terminal=True)
+    for env in (_NEAR_GOAL, _MOUNTAIN):
+        want = _assert_float_q_matches_walk(monkeypatch, env, _Q_POLICIES[0], s0, 0.0,
+                                            0.97, 1, None)
+        assert want == ("raised", EnvUsageError, "step() called on a terminal state")
+
+
+@pytest.mark.parametrize("log_scale", [-800.0, math.nan])
+def test_zero_or_nan_scale_raises_only_at_a_draw(log_scale, monkeypatch):
+    spec = _SHORT_TRAPPED
+    for alpha in (1.0, 2.0):
+        policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([log_scale, 0.0, 0.0]),
+                              alpha)
+        # Mid-track with steps to go: the first draw meets the bad scale.
+        want = _assert_float_q_matches_walk(monkeypatch, _NEAR_GOAL, policy,
+                                            EnvState(1.5, 0.0), 0.0, 0.97, 2, 4, fast=False)
+        assert want[:2] == ("raised", ParameterError)
+        assert "scale must be positive" in want[2]
+        # Done after one transition, by the budget or at the goal: no draw.
+        for s0 in (EnvState(1.5, 0.0, spec.max_steps - 1), EnvState(2.05, 0.1, 7)):
+            for horizon in (None, 0, 9):
+                want = _assert_float_q_matches_walk(monkeypatch, _NEAR_GOAL, policy, s0,
+                                                    0.0, 0.97, 3, horizon, fast=False)
+                assert want[0] != "raised"
+
+
+def test_other_policies_keep_the_object_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(qvalue, "walk", lambda *args: walks.append(args) or walk(*args))
+    with pytest.raises(ParameterError, match="feature dimension"):
+        estimate_q(_MOUNTAIN, PolicyParams.zeros(4, 1.0), EnvState(-0.5, 0.0), 0.0, 0.97,
+                   np.random.default_rng(0), horizon=3)
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
+    config = replace(CASES[name], q_mode="fresh")
+    walks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(qvalue, "walk", lambda *args: walks.append(args) or walk(*args))
+        got = _outcome(train, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "estimate_q", _q_by_walk)
+        want = _outcome(train, config)
+    assert got == want
+    if got[0] != "raised":
+        assert walks == []

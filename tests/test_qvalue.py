@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import ChainEnv, chain_exact_q
-from htpg.envs import EnvState, MountainCar
+from htpg import qvalue
+from htpg.envs import EnvState, MountainCar, TrappedCar
 from htpg.errors import ParameterError
-from htpg.policy import FIXED, PolicyParams
+from htpg.policy import ADAPTIVE, FIXED, PolicyParams
 from htpg.qvalue import QEstimate, discounted_partial_return, draw_horizon, estimate_q
 
 
@@ -73,6 +75,40 @@ def test_estimate_q_bounded(chain_env):
     for _ in range(5000):
         est = estimate_q(chain_env, pol, EnvState(0.0, 0.0), 0.0, gamma, rng)
         assert abs(est.value) <= bound
+
+
+def _refuse_walk(*args):
+    raise AssertionError("estimate_q took the object walk")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(env=st.sampled_from([TrappedCar(), MountainCar()]), data=st.data())
+def test_estimate_q_bounded_on_the_cars(env, data, monkeypatch):
+    spec = env.spec
+    weights = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
+    policy = PolicyParams(data.draw(weights),
+                          data.draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)),
+                          data.draw(st.sampled_from([1.0, 2.0])),
+                          data.draw(st.sampled_from([FIXED, ADAPTIVE])),
+                          data.draw(st.floats(1e-3, 50.0)))
+    s0 = EnvState(data.draw(st.floats(spec.state_low, spec.state_high)),
+                  data.draw(st.floats(-env.max_speed, env.max_speed)),
+                  data.draw(st.integers(0, spec.max_steps - 1)))
+    a0 = data.draw(st.floats(spec.action_low, spec.action_high))
+    gamma = data.draw(st.floats(0.01, 0.999))
+    horizon = data.draw(st.none() | st.integers(0, 2 * spec.max_steps))
+    monkeypatch.setattr(qvalue, "walk", _refuse_walk)
+    est = estimate_q(env, policy, s0, a0, gamma,
+                     np.random.default_rng(data.draw(st.integers(0, 2**32))), horizon)
+    # The ceiling holds up to rounding: once gamma**(t/2) drops below an ulp
+    # of the sum, the float sum can round past the float ceiling (MountainCar,
+    # zero policy, gamma 0.78346, horizon 281: 8.705692700120313 against
+    # 8.705692700120311).  Allow the error of summing max_steps + 1 rounded
+    # terms and of 1 - sqrt(gamma).
+    eps = np.finfo(float).eps
+    slack = (spec.max_steps + 3) * eps + eps / (1.0 - math.sqrt(gamma))
+    assert abs(est.value) <= spec.reward_bound / (1.0 - math.sqrt(gamma)) * (1.0 + slack)
 
 
 def test_estimate_q_weighting_exact():
