@@ -56,13 +56,16 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
 
 def cmd_train(args) -> int:
     path = Path(args.config)
-    if not path.exists():
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        return 2
-    cfg = parse_config(path.read_bytes())
-    if args.out:
+    try:
+        text = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
+    cfg = parse_config(text)
+    if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if args.seeds:
+    if args.seeds is not None:
         cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds))
     try:
         if args.replot:

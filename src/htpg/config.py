@@ -15,6 +15,7 @@ reports their errors under the section they came from.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -48,7 +49,8 @@ __all__ = [
 FEATURE_DIM = 3
 
 # Name -> class tables.  Each rule's entry also maps its config keys to their
-# defaults; LinearRange's ``total`` is the episode budget, not a key.
+# defaults; only the selected rules' keys may appear in [train].
+# LinearRange's ``total`` is the episode budget, not a key.
 _ENV_KINDS = {"trapped_car": TrappedCar, "mountain_car": MountainCar}
 _STEP_RULES = {
     "linear_range": (LinearRange, {"alpha_start": DEFAULT_ALPHA_START,
@@ -64,9 +66,6 @@ _UPDATE_RULES = {"plain": (PlainAscent, {}), "lipschitz": (LipschitzAware, {"l1j
 _FAMILY_DEFAULTS = {"alpha": 1.0, "scale_mode": ADAPTIVE, "sigma0": 1.0}
 _TRAIN_DEFAULTS = {"episodes": 1000, "gamma": 0.97, "epsilon_clip": 0.2, "q_mode": Q_SHARED,
                    "symmetric_clip": False, "start_at_false_goal": False}
-_RULE_DEFAULTS = {key: default
-                  for _, params in (*_STEP_RULES.values(), *_UPDATE_RULES.values())
-                  for key, default in params.items()}
 # EnvSpec.gamma is not a key: nothing reads it, the discount is [train] gamma.
 _SPEC_KEYS = {f.name for f in fields(EnvSpec)} - {"gamma"}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -199,9 +198,12 @@ def _parse_sections(text: str) -> dict:
 
 
 def _typed(value, default, where: str):
-    """``value`` if it has the JSON type of ``default``."""
+    """``value`` if it has the JSON type of ``default``; a number must be finite."""
     kind = type(default)
-    if kind is float and type(value) is int:
+    if kind is float and type(value) in (int, float):
+        # Exact for integers of any size; false for NaN and the infinities.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
         value = float(value)
     if type(value) is not kind or (kind is list and any(type(v) is not int for v in value)):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
@@ -244,7 +246,10 @@ def parse_config(text) -> ExperimentConfig:
     passed every invariant of the objects it builds.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config is not UTF-8 text: {err}") from None
     sections = _parse_sections(text)
 
     def body(section) -> dict:
@@ -270,7 +275,7 @@ def parse_config(text) -> ExperimentConfig:
         _STEP_RULES, "train", train_body, "step_rule", "linear_range")
     update_name, (update_cls, update_keys) = _lookup(
         _UPDATE_RULES, "train", train_body, "update_rule", "plain")
-    train = _read("train", train_body, {**_TRAIN_DEFAULTS, **_RULE_DEFAULTS,
+    train = _read("train", train_body, {**_TRAIN_DEFAULTS, **step_keys, **update_keys,
                                         "step_rule": step_name, "update_rule": update_name})
     step_params = {key: train[key] for key in step_keys}
     if step_cls is LinearRange:

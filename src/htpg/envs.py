@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EnvUsageError, ParameterError
 from .policy import PolicyParams, features, sample_action
-from .sas import _standard_sas
+from .sas import _check_scale, _standard_sas
 
 __all__ = [
     "EnvSpec",
@@ -187,11 +187,8 @@ class TrappedCar(_Car):
     basin_exit: float = -1.5
     start_at_false_goal: bool = False
 
-    def reset(self, rng, start_at_false_goal: bool | None = None) -> EnvState:
-        begin_false = (
-            self.start_at_false_goal if start_at_false_goal is None else start_at_false_goal
-        )
-        if begin_false:
+    def reset(self, rng) -> EnvState:
+        if self.start_at_false_goal:
             return EnvState(self.false_start, 0.0)
         return super().reset(rng)
 
@@ -256,10 +253,10 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
     the final position and whether it is at the goal.  ``steps`` must be at
-    least 1 and ``scale`` positive: :func:`walk` validates the law at its
-    first draw, which a walk done after one transition never makes, so a
-    caller checks the scale where it knows a draw comes or else runs
-    :func:`walk`.
+    least 1.  Like :func:`walk`, each draw first checks the scale, so a
+    scale that is not positive raises the sampler's ``scale must be
+    positive`` at the first draw and a walk done before any draw raises
+    nothing.
 
     The mode is ``theta.dot`` on a 3-array written through a memoryview, the
     same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
@@ -294,6 +291,7 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
         if at_goal or i == last:
             break
         feats_w[0], feats_w[1] = x, v
+        _check_scale(scale)
         a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
     return xs, vs, actions, rewards, x, at_goal
 

@@ -13,6 +13,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, build_train_config, config_to_text
@@ -65,12 +66,11 @@ def write_run_csv(path: Path, metrics: RunMetrics) -> None:
             writer.writerow(["diverged", "", "", metrics.wall_updates])
 
 
-def _run_cell(cfg: ExperimentConfig, family_index: int, seed: int):
-    family = cfg.families[family_index]
+def _run_cell(cfg: ExperimentConfig, cell) -> RunMetrics:
+    family, seed = cell
     metrics = train(build_train_config(cfg, family, seed))
-    out_dir = Path(cfg.out_dir)
-    write_run_csv(run_path(out_dir, family.name, seed), metrics)
-    return family.name, seed, metrics
+    write_run_csv(run_path(Path(cfg.out_dir), family.name, seed), metrics)
+    return metrics
 
 
 def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dict:
@@ -79,26 +79,22 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
     Returns {family: [RunMetrics in seed order]}.  A diverged run is recorded
     (marker row in its CSV, flag in the aggregate) without failing the sweep.
     """
-    cells = [(fi, seed) for fi in range(len(cfg.families)) for seed in cfg.seeds]
+    cells = [(family, seed) for family in cfg.families for seed in cfg.seeds]
     workers = worker_count(len(cells)) if max_workers is None else max_workers
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
 
-    results: dict[str, dict[int, RunMetrics]] = {f.name: {} for f in cfg.families}
+    run_cell = partial(_run_cell, cfg)
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, cfg, fi, seed) for fi, seed in cells]
-            for future in futures:
-                name, seed, metrics = future.result()
-                results[name][seed] = metrics
+            results = list(pool.map(run_cell, cells))
     else:
-        for fi, seed in cells:
-            name, seed, metrics = _run_cell(cfg, fi, seed)
-            results[name][seed] = metrics
+        results = list(map(run_cell, cells))
 
-    by_family = {f.name: [results[f.name][s] for s in cfg.seeds] for f in cfg.families}
-    _write_aggregate(out_dir / "aggregate.csv", cfg, by_family)
+    _write_aggregate(out_dir / "aggregate.csv", zip(cells, results))
+    n = len(cfg.seeds)
+    by_family = {f.name: results[i * n:(i + 1) * n] for i, f in enumerate(cfg.families)}
     series = {
         name: [m.moving_avg_100 for m in runs] for name, runs in by_family.items()
     }
@@ -106,23 +102,21 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
     return by_family
 
 
-def _write_aggregate(path: Path, cfg: ExperimentConfig, by_family: dict) -> None:
+def _write_aggregate(path: Path, cell_runs) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
-        for family in cfg.families:
-            for seed, metrics in zip(cfg.seeds, by_family[family.name]):
-                final = metrics.moving_avg_100[-1] if metrics.moving_avg_100 else ""
-                writer.writerow([
-                    family.name,
-                    seed,
-                    len(metrics.returns),
-                    _format(final) if final != "" else "",
-                    "" if metrics.first_exit_episode is None else metrics.first_exit_episode,
-                    metrics.terminal_episodes,
-                    metrics.wall_updates,
-                    int(metrics.diverged),
-                ])
+        for (family, seed), metrics in cell_runs:
+            writer.writerow([
+                family.name,
+                seed,
+                len(metrics.returns),
+                _format(metrics.moving_avg_100[-1]) if metrics.moving_avg_100 else "",
+                "" if metrics.first_exit_episode is None else metrics.first_exit_episode,
+                metrics.terminal_episodes,
+                metrics.wall_updates,
+                int(metrics.diverged),
+            ])
 
 
 def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
@@ -163,12 +157,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return ticks
 
 
-def render_chart(series: dict, width: int = 800, height: int = 480) -> str:
+def render_chart(series: dict) -> str:
     """Seed-averaged moving-average returns per family with a min/max band.
 
     ``series`` maps family name to a list (per seed) of per-episode values.
     Byte-deterministic for identical input.
     """
+    width, height = 800, 480
     pad_l, pad_r, pad_t, pad_b = 60, 20, 20, 45
     plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
 

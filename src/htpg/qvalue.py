@@ -6,10 +6,9 @@ expectation of the weighted sum telescopes to the ordinary discounted Q.
 
 :func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
 3-weight policy it runs ``envs._car_walk``, a loop over Python floats with
-no state, step-result or trajectory objects; everything else, and a policy
-whose scale is not positive, runs :func:`htpg.envs.walk`, the generic loop.
-``walk`` is the oracle: both give the same value, horizon, random stream and
-errors (``tests/test_kernel.py``).
+no state, step-result or trajectory objects; every other input runs
+:func:`htpg.envs.walk`, the generic loop.  ``walk`` is the oracle: both give
+the same value, horizon, random stream and errors (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -72,13 +71,12 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     cut by the horizon draws one action more than it executes).
     ``horizon`` overrides the geometric draw (test hook).
 
-    On a car with a 3-weight policy the walk is the float loop; otherwise,
-    or when the policy's scale is not positive, it is :func:`htpg.envs.walk`.
-    Either way a terminal ``s0`` raises ``EnvUsageError``, each draw is
-    ``mode + scale * z`` with ``z`` from ``sas._standard_sas``, and a scale
-    that is not positive raises the sampler's ``scale must be positive``
-    only when a draw comes: a walk done after its first transition raises
-    nothing.
+    On a car with a 3-weight policy the walk is the float loop; otherwise it
+    is :func:`htpg.envs.walk`.  Either way a terminal ``s0`` raises
+    ``EnvUsageError``, each draw is ``mode + scale * z`` with ``z`` from
+    ``sas._standard_sas``, and a scale that is not positive raises the
+    sampler's ``scale must be positive`` only when a draw comes: a walk done
+    after its first transition raises nothing.
     """
     drawn = draw_horizon(gamma, rng) if horizon is None else int(horizon)
     if drawn < 0:
@@ -86,10 +84,7 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     steps = min(drawn, env.spec.max_steps) + 1
     if isinstance(env, _Car) and policy.dim == 3:
         scale = _stable_scale(policy.alpha, policy_scale(policy))
-        # walk checks the scale at its first draw, which may never come.
-        if scale > 0.0:
-            rewards = _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0,
-                                steps)[3]
-            return QEstimate(discounted_partial_return(rewards, gamma, drawn), drawn)
-    traj = walk(env, policy, rng, s0, a0, steps)
-    return QEstimate(discounted_partial_return(traj.rewards, gamma, drawn), drawn)
+        rewards = _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)[3]
+    else:
+        rewards = walk(env, policy, rng, s0, a0, steps).rewards
+    return QEstimate(discounted_partial_return(rewards, gamma, drawn), drawn)

@@ -37,8 +37,13 @@ class StableSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.scale > 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        _check_scale(self.scale)
+
+
+def _check_scale(scale: float) -> None:
+    """The scale rule of :class:`StableSpec`: positive (NaN is not)."""
+    if not scale > 0.0:
+        raise ParameterError(f"scale must be positive, got {scale}")
 
 
 def sample_sas(spec: StableSpec, rng) -> float:

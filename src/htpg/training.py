@@ -43,7 +43,7 @@ from .policy import (
 )
 from .envs import _Car, _car_walk, rollout
 from .qvalue import discounted_partial_return, draw_horizon, estimate_q
-from .sas import StableSpec, _standard_sas
+from .sas import StableSpec, sample_sas
 
 __all__ = [
     "PowerDecay",
@@ -198,12 +198,9 @@ class TrainConfig:
         if self.step_rule is None:
             object.__setattr__(self, "step_rule", LinearRange(
                 DEFAULT_ALPHA_START, DEFAULT_ALPHA_END, max(self.episodes, 1)))
+        # The schedule never exceeds its first step size.
         if isinstance(self.update_rule, LipschitzAware):
-            alpha_max = step_size(self.step_rule, 1)
-            if 1.0 / alpha_max - self.update_rule.l1j <= 0.0:
-                raise ScheduleError(
-                    f"schedule maximum alpha={alpha_max} violates 1/alpha > L={self.update_rule.l1j}"
-                )
+            _lipschitz_divisor(self.update_rule, step_size(self.step_rule, 1))
 
 
 @dataclass
@@ -373,8 +370,8 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     differently), the clip is ``hi if g > hi else g`` (NaN passes through,
     as through ``np.minimum``), and the update keeps the reference's
     operation order per component.  The rollout is ``envs._car_walk``, the
-    float walk that fresh-Q estimation also runs; score and draw are the
-    shared ``policy._score_coefs`` and ``sas._standard_sas``.
+    float walk that fresh-Q estimation also runs, after a first action from
+    ``sas.sample_sas``; the score is the shared ``policy._score_coefs``.
     """
     env = config.env
     rng = np.random.default_rng(config.seed)
@@ -409,11 +406,9 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         # Rollout at fixed parameters: reset, draw, then the float walk.
         start = env.reset(rng)
         sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
-        # sample_action's law, validated once per episode: the first draw
-        # always comes.
-        scale = StableSpec(tail, 0.0, _stable_scale(tail, sigma)).scale
+        scale = _stable_scale(tail, sigma)
         feats_w[0], feats_w[1] = start.position, start.velocity
-        a = float(mode_dot(feats)) + scale * _standard_sas(tail, rng)
+        a = sample_sas(StableSpec(tail, float(mode_dot(feats)), scale), rng)
         xs, vs, actions, rewards, x, at_goal = _car_walk(
             env, theta, scale, tail, rng, start, a, env.spec.max_steps)
 

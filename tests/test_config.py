@@ -253,6 +253,32 @@ def test_rejects_lipschitz_schedule_maximum_at_parse_time():
         parse_config(text)
 
 
+@pytest.mark.parametrize("rule, key", [
+    ('step_rule = "linear_range"', "b = 0.6"),
+    ('step_rule = "power_decay"', "alpha = 0.3"),
+    ('step_rule = "constant"', "alpha_start = 0.01"),
+    ('update_rule = "plain"', "l1j = 5"),
+])
+def test_rejects_keys_of_rules_not_selected(rule, key):
+    name = key.split()[0]
+    with pytest.raises(ConfigError, match=rf"^line 3: \[train\] key '{name}' is unknown"):
+        parse_config(f"[train]\n{rule}\n{key}\n" + MINIMAL)
+
+
+@pytest.mark.parametrize("section, line", [
+    ("train", "gamma = 1" + "0" * 400),
+    ("env", "thrust_gain = NaN"),
+    ("env", "thrust_gain = Infinity"),
+    ("env", "thrust_gain = -Infinity"),
+    ("env", "thrust_gain = 1e400"),
+], ids=["int-beyond-float", "nan", "inf", "minus-inf", "1e400"])
+def test_rejects_numbers_that_are_not_finite(section, line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError,
+                       match=rf"^line 2: \[{section}\] {key} must be a finite number, got "):
+        parse_config(f"[{section}]\n{line}\n" + MINIMAL)
+
+
 @pytest.mark.parametrize("override", ["max_steps = 0", "init_low = -10"])
 def test_rejects_invalid_env_values_at_parse_time(override):
     with pytest.raises(ConfigError, match=r"^\[env\] "):
@@ -370,7 +396,8 @@ def test_parse_accepts_exactly_what_the_types_accept(data):
     broken = data.draw(st.sampled_from([None, *_CASES]))
     if broken:
         v[broken] = data.draw(_CASES[broken][1])
-    train_keys = ["episodes", "gamma", "epsilon_clip", "q_mode", *_RULE_KEYS[step_rule], "l1j"]
+    train_keys = ["episodes", "gamma", "epsilon_clip", "q_mode", *_RULE_KEYS[step_rule],
+                  *(["l1j"] if lipschitz else [])]
     text = "\n".join([
         "[env]", f"kind = {json.dumps(kind)}", f"max_steps = {v['max_steps']}",
         f"init_low = {v['init_low']!r}",

@@ -52,8 +52,8 @@ def test_trapped_reset_interval_endpoints():
 
 
 def test_trapped_false_start():
-    env = TrappedCar()
-    st = env.reset(FixedUniform(0.5), start_at_false_goal=True)
+    env = TrappedCar(start_at_false_goal=True)
+    st = env.reset(FixedUniform(0.5))
     assert st.position == env.false_start
     assert env.false_low <= st.position <= env.false_high
     # The start sits at the local potential minimum: a resting car barely
@@ -62,8 +62,6 @@ def test_trapped_false_start():
     for _ in range(1000):
         probe = env.step(EnvState(probe.position, probe.velocity), 0.0).next_state
         assert env.false_low <= probe.position <= env.false_high
-    env2 = TrappedCar(start_at_false_goal=True)
-    assert env2.reset(FixedUniform(0.5)).position == env.false_start
 
 
 def test_trapped_rewards_and_termination():
@@ -153,8 +151,8 @@ def test_trapped_zero_action_never_reaches_goal():
 
 
 def test_trapped_false_start_stays_inside_basin_without_thrust():
-    env = TrappedCar()
-    st = env.reset(FixedUniform(0.0), start_at_false_goal=True)
+    env = TrappedCar(start_at_false_goal=True)
+    st = env.reset(FixedUniform(0.0))
     for _ in range(5000):
         res = env.step(EnvState(st.position, st.velocity), 0.0)
         st = res.next_state

@@ -146,6 +146,10 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["train", "--seeds", "-1"], {}),
     (["train", "--seeds", "1,-1"], {}),
     (["train"], {"HTPG_THREADS": "two"}),
+    (["train", "--config", "latin1.toml"], {}),
+    (["train", "--config", "."], {}),
+    (["train", "--out", ""], {}),
+    (["train", "--seeds", ""], {}),
     (["check-bound", "--n", "0"], {}),
     (["check-bound", "--b", "1.5"], {}),
     (["check-bound", "--seeds", "0"], {}),
@@ -153,19 +157,24 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--y1", "inf"], {}),
     (["dist-tests", "--seed", "-1"], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
-        "threads-not-int", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
+        "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
+        "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
         "bound-y1-inf", "dist-seed-negative"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    monkeypatch.chdir(tmp_path)
     if argv[0] == "train":
-        cfg_file = tmp_path / "exp.toml"
-        cfg_file.write_text(SMALL_SWEEP)
-        argv = argv + ["--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        Path("exp.toml").write_text(SMALL_SWEEP)
+        Path("latin1.toml").write_bytes("[policy.caf\xe9]\n".encode("latin-1"))
+        for flag, value in (("--config", "exp.toml"), ("--out", "out")):
+            if flag not in argv:
+                argv = argv + [flag, value]
+    files = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "out" / "config.txt").exists()
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):

@@ -234,12 +234,11 @@ def _q_outcome(estimate, env, policy, s0, a0, gamma, seed, horizon):
     return struct.pack("<d", est.value), est.horizon_drawn, struct.pack("<d", rng.random())
 
 
-def _assert_float_q_matches_walk(monkeypatch, *args, fast=True):
-    """``fast``: the float walk must be what runs (``qvalue.walk`` refuses)."""
+def _assert_float_q_matches_walk(monkeypatch, *args):
+    """The float walk must be what runs: ``qvalue.walk`` refuses."""
     want = _q_outcome(_q_by_walk, *args)
     with monkeypatch.context() as patch:
-        if fast:
-            patch.setattr(qvalue, "walk", _refuse_walk)
+        patch.setattr(qvalue, "walk", _refuse_walk)
         got = _q_outcome(estimate_q, *args)
     assert got == want
     return want
@@ -349,14 +348,14 @@ def test_zero_or_nan_scale_raises_only_at_a_draw(log_scale, monkeypatch):
                               alpha)
         # Mid-track with steps to go: the first draw meets the bad scale.
         want = _assert_float_q_matches_walk(monkeypatch, _NEAR_GOAL, policy,
-                                            EnvState(1.5, 0.0), 0.0, 0.97, 2, 4, fast=False)
+                                            EnvState(1.5, 0.0), 0.0, 0.97, 2, 4)
         assert want[:2] == ("raised", ParameterError)
         assert "scale must be positive" in want[2]
         # Done after one transition, by the budget or at the goal: no draw.
         for s0 in (EnvState(1.5, 0.0, spec.max_steps - 1), EnvState(2.05, 0.1, 7)):
             for horizon in (None, 0, 9):
                 want = _assert_float_q_matches_walk(monkeypatch, _NEAR_GOAL, policy, s0,
-                                                    0.0, 0.97, 3, horizon, fast=False)
+                                                    0.0, 0.97, 3, horizon)
                 assert want[0] != "raised"
 
 
@@ -380,5 +379,4 @@ def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
         patch.setattr(training, "estimate_q", _q_by_walk)
         want = _outcome(train, config)
     assert got == want
-    if got[0] != "raised":
-        assert walks == []
+    assert walks == []
