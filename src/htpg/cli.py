@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -30,20 +29,13 @@ name = "first-exit"
 
 [env]
 kind = "trapped_car"
+start_at_false_goal = true
 
 [policy.cauchy]
 alpha = 1
 
 [policy.gaussian]
 alpha = 2
-
-[train]
-episodes = {episodes}
-start_at_false_goal = true
-
-[run]
-seeds = {seeds}
-out = {out}
 """
 
 
@@ -111,10 +103,8 @@ def cmd_check_bound(args) -> int:
 
 
 def cmd_first_exit(args) -> int:
-    text = _FIRST_EXIT_CONFIG.format(episodes=args.episodes,
-                                     seeds=json.dumps(_parse_seed_list(args.seeds)),
-                                     out=json.dumps(args.out))
-    cfg = parse_config(text)
+    cfg = dataclasses.replace(parse_config(_FIRST_EXIT_CONFIG), episodes=args.episodes,
+                              seeds=_parse_seed_list(args.seeds), out_dir=args.out)
     by_family = run_experiment(cfg)
     summary = diagnostics.first_exit_statistics(by_family)
     for name, med in summary.median_exit.items():

@@ -65,7 +65,7 @@ _UPDATE_RULES = {"plain": (PlainAscent, {}), "lipschitz": (LipschitzAware, {"l1j
 # default's JSON type (an integer passes as a number).
 _FAMILY_DEFAULTS = {"alpha": 1.0, "scale_mode": ADAPTIVE, "sigma0": 1.0}
 _TRAIN_DEFAULTS = {"episodes": 1000, "gamma": 0.97, "epsilon_clip": 0.2, "q_mode": Q_SHARED,
-                   "symmetric_clip": False, "start_at_false_goal": False}
+                   "symmetric_clip": False}
 # EnvSpec.gamma is not a key: nothing reads it, the discount is [train] gamma.
 _SPEC_KEYS = {f.name for f in fields(EnvSpec)} - {"gamma"}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -97,7 +97,8 @@ class FamilyConfig:
 class ExperimentConfig:
     """A validated sweep: construction (including ``dataclasses.replace``)
     builds everything the sweep will build and raises ConfigError if any of
-    it is invalid."""
+    it is invalid.  ``env_overrides`` are the ``[env]`` keys but ``kind``;
+    a ``linear_range`` rule is re-spanned over ``max(episodes, 1)`` episodes."""
 
     name: str
     env_kind: str
@@ -110,11 +111,13 @@ class ExperimentConfig:
     update_rule: object
     q_mode: str
     symmetric_clip: bool
-    start_at_false_goal: bool
     seeds: tuple
     out_dir: str
 
     def __post_init__(self) -> None:
+        if isinstance(self.step_rule, LinearRange):
+            object.__setattr__(self, "step_rule",
+                               replace(self.step_rule, total=max(self.episodes, 1)))
         if not self.name:
             raise ConfigError("name must be a non-empty string")
         names = [f.name for f in self.families]
@@ -126,9 +129,6 @@ class ExperimentConfig:
             raise ConfigError("[run] seeds must be a non-empty list of distinct integers")
         if not self.out_dir:
             raise ConfigError("[run] out must be a non-empty string")
-        if self.start_at_false_goal and self.env_kind != "trapped_car":
-            raise ConfigError(
-                "[train] start_at_false_goal applies to the trapped_car environment only")
         with _section("env"):
             build_env(self)
         for family in self.families:
@@ -234,8 +234,7 @@ def _env_defaults(env_cls) -> dict:
     """Every overridable constant of ``env_cls`` and its spec, by field name."""
     env = env_cls()
     values = {key: getattr(env.spec, key) for key in _SPEC_KEYS}
-    values.update((f.name, getattr(env, f.name)) for f in fields(env_cls)
-                  if f.name not in ("spec", "start_at_false_goal"))
+    values.update((f.name, getattr(env, f.name)) for f in fields(env_cls) if f.name != "spec")
     return values
 
 
@@ -279,7 +278,7 @@ def parse_config(text) -> ExperimentConfig:
                                         "step_rule": step_name, "update_rule": update_name})
     step_params = {key: train[key] for key in step_keys}
     if step_cls is LinearRange:
-        step_params["total"] = max(train["episodes"], 1)
+        step_params["total"] = 1  # ExperimentConfig spans it over the episodes
     with _section("train"):
         step_rule = step_cls(**step_params)
         update_rule = update_cls(**{key: train[key] for key in update_keys})
@@ -308,8 +307,6 @@ def build_env(cfg: ExperimentConfig):
     default = _ENV_KINDS[cfg.env_kind]()
     overrides = dict(cfg.env_overrides)
     spec = {key: overrides.pop(key) for key in _SPEC_KEYS & overrides.keys()}
-    if cfg.start_at_false_goal:
-        overrides["start_at_false_goal"] = True
     return replace(default, spec=replace(default.spec, **spec), **overrides)
 
 

@@ -107,6 +107,8 @@ class SmoothBump:
         return -2.0 * theta * math.exp(-float(theta @ theta))
 
 
+# Like both training loops, the run stays quiet on its way to DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
 def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
                       update_rule: UpdateRule, n: int, rng,
                       theta0=None) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Sweep runner: executes family x seed training runs, persists CSV metrics,
 and renders a deterministic SVG comparison chart.
 
-Per-run CSVs are the source of truth; the aggregate CSV and the SVG are
-derived from them and can be rebuilt with ``replot``.  Runs execute in
+Per-run CSVs are the source of truth: the aggregate CSV is written from
+the same runs, and the SVG is always drawn from the CSVs by ``replot``, so a
+sweep's chart and a rebuilt one are the same bytes.  Runs execute in
 parallel processes (capped by the HTPG_THREADS environment variable) and
 write only their own files; aggregation happens after the join.
 """
@@ -17,6 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, build_train_config, config_to_text
+from .errors import ParameterError
 from .training import RunMetrics, train
 
 __all__ = [
@@ -93,13 +95,9 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
         results = list(map(run_cell, cells))
 
     _write_aggregate(out_dir / "aggregate.csv", zip(cells, results))
+    replot(out_dir, [f.name for f in cfg.families], list(cfg.seeds))
     n = len(cfg.seeds)
-    by_family = {f.name: results[i * n:(i + 1) * n] for i, f in enumerate(cfg.families)}
-    series = {
-        name: [m.moving_avg_100 for m in runs] for name, runs in by_family.items()
-    }
-    (out_dir / "returns.svg").write_text(render_chart(series), encoding="utf-8")
-    return by_family
+    return {f.name: results[i * n:(i + 1) * n] for i, f in enumerate(cfg.families)}
 
 
 def _write_aggregate(path: Path, cell_runs) -> None:
@@ -119,19 +117,24 @@ def _write_aggregate(path: Path, cell_runs) -> None:
             ])
 
 
+def _read_moving_avg(path: Path) -> list[float]:
+    """The avg_return_100 series of a run CSV, without its divergence row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if {"episode", "avg_return_100"} <= set(reader.fieldnames or ()):
+                return [float(r["avg_return_100"])
+                        for r in reader if r["episode"] != "diverged"]
+    except (ValueError, TypeError, csv.Error):
+        pass
+    raise ParameterError(f"{path} is not a run CSV: it needs an episode column "
+                         "and numbers in an avg_return_100 column")
+
+
 def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
-    """Rebuild returns.svg from the per-run CSVs already on disk."""
-    series: dict[str, list[list[float]]] = {}
-    for family in families:
-        rows = []
-        for seed in seeds:
-            path = run_path(out_dir, family, seed)
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                rows.append([
-                    float(r["avg_return_100"]) for r in reader if r["episode"] != "diverged"
-                ])
-        series[family] = rows
+    """(Re)draw returns.svg from the per-run CSVs on disk."""
+    series = {family: [_read_moving_avg(run_path(out_dir, family, seed)) for seed in seeds]
+              for family in families}
     (out_dir / "returns.svg").write_text(render_chart(series), encoding="utf-8")
 
 

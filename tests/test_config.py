@@ -193,16 +193,15 @@ def test_rejects_bad_family_values():
 
 
 def test_rejects_false_start_on_mountain_car():
-    with pytest.raises(ConfigError, match="trapped_car"):
+    with pytest.raises(ConfigError,
+                       match=r"^line 4: \[env\] key 'start_at_false_goal' is unknown$"):
         parse_config("""
 [env]
 kind = "mountain_car"
+start_at_false_goal = true
 
 [policy.c]
 alpha = 1
-
-[train]
-start_at_false_goal = true
 
 [run]
 seeds = [1]
@@ -297,6 +296,33 @@ def test_replace_revalidates():
         replace(cfg, families=(FamilyConfig("x", 1.0, sigma0=-1.0),))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('name = ""\n', r"name must be a non-empty string"),
+    ("[policy.]\n", r"family names must be non-empty and distinct"),
+    ("[env\n", r"line 1: malformed section header '\[env'"),
+    ('[env]\nkind = "trapped_car"\nkind = "mountain_car"\n', r"line 3: duplicate key 'kind'"),
+    ('[env]\nkind = "cart_pole"\n',
+     r"line 2: \[env\] kind must be one of \['trapped_car', 'mountain_car'\], got 'cart_pole'"),
+    ('[train]\nstep_rule = "cosine"\n',
+     r"line 2: \[train\] step_rule must be one of \['linear_range', 'power_decay', "
+     r"'constant'\], got 'cosine'"),
+    ("[train]\nupdate_rule = 3\n",
+     r"line 2: \[train\] update_rule must be one of \['plain', 'lipschitz'\], got 3"),
+], ids=["empty-name", "empty-family", "open-header", "duplicate-key", "unknown-kind",
+        "unknown-step-rule", "update-rule-not-a-string"])
+def test_rejects_malformed_configs(text, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(text + MINIMAL)
+
+
+@pytest.mark.parametrize("episodes", [0, 1, 7, 50, 2000])
+def test_replacing_episodes_respans_linear_range(episodes):
+    cfg = replace(parse_config(FULL), episodes=episodes)
+    assert cfg == parse_config(FULL.replace("episodes = 50", f"episodes = {episodes}"))
+    assert cfg.step_rule.total == max(episodes, 1)
+    assert parse_config(config_to_text(cfg)) == cfg
+
+
 def test_section_headers_count_without_keys():
     cfg = parse_config("[policy.cauchy]\n[policy.gaussian]\nalpha = 2\n")
     assert [(f.name, f.alpha) for f in cfg.families] == [("cauchy", 1.0), ("gaussian", 2.0)]
@@ -320,7 +346,8 @@ def experiment_configs(draw):
     kind = draw(st.sampled_from(["trapped_car", "mountain_car"]))
     keys = {"max_steps": st.integers(1, 1000), "thrust_gain": _UNIT,
             "reward_bound": st.floats(0.1, 1e3)}
-    keys.update({"trapped_car": {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7)},
+    keys.update({"trapped_car": {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7),
+                                 "start_at_false_goal": st.booleans()},
                  "mountain_car": {"goal_position": st.floats(0.0, 0.6)}}[kind])
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True),
@@ -350,7 +377,6 @@ def experiment_configs(draw):
         update_rule=update_rule,
         q_mode=draw(st.sampled_from(["shared", "fresh"])),
         symmetric_clip=draw(st.booleans()),
-        start_at_false_goal=kind == "trapped_car" and draw(st.booleans()),
         seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))),
         out_dir=draw(_NAMES),
     )

@@ -19,7 +19,7 @@ from htpg.diagnostics import (
     tail_exploration_ratio,
 )
 from htpg.envs import TrappedCar, rollout
-from htpg.errors import ParameterError
+from htpg.errors import DivergenceError, ParameterError
 from htpg.policy import FIXED, PolicyParams
 from htpg.training import Constant, LipschitzAware, PlainAscent, PowerDecay
 from htpg.training import RunMetrics
@@ -154,6 +154,15 @@ def test_synthetic_run_with_lipschitz_update():
     with pytest.raises(ParameterError):
         synthetic_sga_run(obj, NoiseModel(0.1, 0.0), PowerDecay(0.5),
                           LipschitzAware(obj.grad_lipschitz), 10, rng)
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_synthetic_run_raises_without_warnings():
+    # Overflow on the way is what the divergence guard is for: numpy must not
+    # warn first.
+    with pytest.raises(DivergenceError, match=r"^non-finite iterate at step 8$"):
+        synthetic_sga_run(SmoothBump(), NoiseModel(0.1), Constant(1e308), PlainAscent(), 50,
+                          np.random.default_rng(0))
 
 
 def test_check_bound_trivial_and_adversarial():

@@ -156,10 +156,14 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--y1", "nan"], {}),
     (["check-bound", "--y1", "inf"], {}),
     (["dist-tests", "--seed", "-1"], {}),
+    (["first-exit", "--episodes", "-1"], {}),
+    (["first-exit", "--seeds", "1,1"], {}),
+    (["first-exit", "--out", ""], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
-        "bound-y1-inf", "dist-seed-negative"])
+        "bound-y1-inf", "dist-seed-negative", "first-exit-episodes-negative",
+        "first-exit-seeds-repeated", "first-exit-out-empty"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -175,6 +179,39 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("header, row", [
+    ("episode,return", "0,1.0"),
+    ("return,avg_return_100", "1.0,1.0"),
+    ("episode,return,avg_return_100,update_count", "0,1.0,abc,3"),
+    ("episode,return,avg_return_100,update_count", "0,1.0"),
+    ("", ""),
+], ids=["no-average-column", "no-episode-column", "average-not-a-number", "short-row",
+        "empty-file"])
+def test_cli_replot_of_a_malformed_csv_is_one_line_with_exit_2(header, row, tmp_path,
+                                                                  capsys):
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(SMALL_SWEEP.replace("seeds = [1, 2, 3]", "seeds = [1]"))
+    argv = ["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    bad = tmp_path / "out" / "gaussian_seed1.csv"
+    bad.write_text(f"{header}\n{row}\n")
+    svg = (tmp_path / "out" / "returns.svg").read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--replot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} ") and err.count("\n") == 1
+    assert (tmp_path / "out" / "returns.svg").read_bytes() == svg
+
+
+def test_cli_replot_of_a_missing_csv_is_one_line_with_exit_1(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(SMALL_SWEEP)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out), "--replot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cauchy_seed1.csv" in err and err.count("\n") == 1
 
 
 def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
@@ -247,13 +284,13 @@ def test_start_at_false_goal_reaches_env(tmp_path):
     cfg = parse_config("""
 [env]
 kind = "trapped_car"
+start_at_false_goal = true
 
 [policy.c]
 alpha = 1
 
 [train]
 episodes = 1
-start_at_false_goal = true
 
 [run]
 seeds = [1]

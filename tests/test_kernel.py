@@ -28,7 +28,7 @@ from htpg.envs import (
     _car_walk,
     walk,
 )
-from htpg.errors import EnvUsageError, ParameterError
+from htpg.errors import EnvUsageError, ParameterError, ScheduleError
 from htpg.policy import (
     ADAPTIVE,
     FIXED,
@@ -122,6 +122,12 @@ CASES = {
     "zero-scale": _config(_FALSE_START, 1.0, 11, episodes=6, step_rule=Constant(1000.0)),
     "zero-scale-mountain": _config(_MOUNTAIN, 1.0, 13, episodes=6, step_rule=Constant(10.0)),
     "no-episodes": _config(_TRAPPED, 1.0, 15, episodes=0),
+    # exp(log(s)) rounds above s, so the schedule's k = 2 step is one ulp
+    # past the Lipschitz ceiling that its k = 1 step passed.
+    "lipschitz-ceiling-rounding": _config(
+        TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=5)), 1.0, 16, episodes=3,
+        step_rule=LinearRange(0.00026362359173243805, 0.00026362359173243805, 3),
+        update_rule=LipschitzAware(3793.2872146546697)),
 }
 
 
@@ -136,6 +142,9 @@ def test_fixed_cases_reach_divergence_and_errors():
     for name in ("zero-scale", "zero-scale-mountain"):
         with pytest.raises(ZeroDivisionError):
             _train_reference(CASES[name])
+    with pytest.raises(ScheduleError, match=r"^1/alpha - L = 0\.0 is not positive .*"
+                                            r" \(update 6\)$"):
+        _train_reference(CASES["lipschitz-ceiling-rounding"])
 
 
 def test_zero_scale_at_a_draw_raises_the_samplers_error(monkeypatch):
