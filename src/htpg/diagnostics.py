@@ -9,6 +9,13 @@ Covers three independent questions:
   (:func:`first_exit_statistics`);
 * how much of the action stream is genuinely extreme
   (:func:`tail_exploration_ratio`).
+
+The noisy-ascent loop has two implementations.  ``_synthetic_sga_reference``
+works on arrays and runs every objective; ``_smooth_bump_run`` runs the 2-D
+:class:`SmoothBump` (the ``check-bound`` testbed) as one loop over Python
+floats and is what :func:`synthetic_sga_run` uses there.  The reference is
+the oracle: the float loop must reproduce its norms, errors and random
+stream bit for bit (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,14 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
 from .policy import PolicyParams, action_mode, features, policy_scale
-from .training import StepRule, UpdateRule, apply_update, step_size
+from .training import (
+    LipschitzAware,
+    StepRule,
+    UpdateRule,
+    _lipschitz_divisor,
+    apply_update,
+    step_size,
+)
 
 __all__ = [
     "NoiseModel",
@@ -79,13 +93,19 @@ def bound_rhs(p: BoundParams, n: int) -> float:
         2 u_r / (1 - gamma) * N**(b-1)
         + L y1
         + L y1 b / (N (1 - b)) * (N**(1-b) - 1).
+
+    Constants so large that the ceiling overflows raise ParameterError: an
+    infinite ceiling would let every run "hold".
     """
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
     first = 2.0 * p.u_r / (1.0 - p.gamma) * n ** (p.b - 1.0)
     second = p.l1j * p.y1
     third = p.l1j * p.y1 * p.b / (n * (1.0 - p.b)) * (n ** (1.0 - p.b) - 1.0)
-    return first + second + third
+    rhs = first + second + third
+    if not math.isfinite(rhs):
+        raise ParameterError(f"the bound is not finite (rhs={rhs}) for {p}")
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -107,8 +127,6 @@ class SmoothBump:
         return -2.0 * theta * math.exp(-float(theta @ theta))
 
 
-# Like both training loops, the run stays quiet on its way to DivergenceError.
-@np.errstate(over="ignore", invalid="ignore")
 def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
                       update_rule: UpdateRule, n: int, rng,
                       theta0=None) -> np.ndarray:
@@ -116,13 +134,27 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
     return the true squared gradient norms at every visited iterate.
 
     The noise is Gaussian, scaled so that E||w_k||^2 equals the NoiseModel
-    target exactly (equality, not just a bound).
+    target exactly (equality, not just a bound).  A :class:`SmoothBump` from
+    a 2-D iterate runs :func:`_smooth_bump_run`, a loop over Python floats;
+    every other input runs :func:`_synthetic_sga_reference`, the generic loop
+    that is its oracle.
     """
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
     theta = (
         np.full(objective.dim, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     )
+    if type(objective) is SmoothBump and theta.shape == (2,):
+        return _smooth_bump_run(noise, step_rule, update_rule, n, rng, theta)
+    return _synthetic_sga_reference(objective, noise, step_rule, update_rule, n, rng, theta)
+
+
+# Like both training loops, the runs stay quiet on their way to DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
+def _synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
+                             update_rule: UpdateRule, n: int, rng,
+                             theta: np.ndarray) -> np.ndarray:
+    """:func:`synthetic_sga_run` for any objective, from the iterate ``theta``."""
     norms = np.empty(n)
     for k in range(1, n + 1):
         g = objective.grad(theta)
@@ -135,6 +167,71 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
         theta = apply_update(theta, g, update_rule, step_size(step_rule, k))
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite iterate at step {k}")
+    return norms
+
+
+# The most noise pairs the float loop draws in one generator call.
+_NOISE_BLOCK = 4096
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: UpdateRule,
+                     n: int, rng, theta: np.ndarray) -> np.ndarray:
+    """:func:`_synthetic_sga_reference` for a 2-D :class:`SmoothBump`, as one
+    loop over Python floats.
+
+    Bit-identity rests on doing the reference's arithmetic, not an
+    equivalent: both squared norms stay numpy's 2-vector dot (the BLAS dot
+    may fuse multiply-adds, plain Python does not), the gradient is
+    ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and the update keeps
+    ``apply_update``'s operation order.  The schedule and the Lipschitz check
+    are the training module's own.  Noise comes in blocks of
+    ``standard_normal(2 * m)``, the same stream as m calls of
+    ``standard_normal(2)``; a step draws only when its target is positive, as
+    in the reference, and however the loop ends the generator is rewound to
+    just past the last pair used.
+    """
+    y1, y2 = noise.y1, noise.y2
+    lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
+    # ``theta`` and ``grad`` mirror (t0, t1) and (g0, g1) for the two dot
+    # products; both are written through memoryviews.
+    t0, t1 = theta.tolist()
+    theta, grad = np.array((t0, t1)), np.empty(2)
+    theta_w, grad_w = memoryview(theta), memoryview(grad)
+    theta_dot, grad_dot = theta.dot, grad.dot
+    norms = np.empty(n)
+    norms_w = memoryview(norms)
+    bit_generator = rng.bit_generator
+    block, used, block_state = [], 0, None
+    try:
+        for k in range(1, n + 1):
+            e = math.exp(-float(theta_dot(theta)))
+            g0, g1 = (-2.0 * t0) * e, (-2.0 * t1) * e
+            grad_w[0], grad_w[1] = g0, g1
+            g_sq = float(grad_dot(grad))
+            norms_w[k - 1] = g_sq
+            target = y1 + y2 * g_sq
+            if target > 0.0:
+                if used == len(block):
+                    block_state = bit_generator.state
+                    block = rng.standard_normal(2 * min(_NOISE_BLOCK, n - k + 1)).tolist()
+                    used = 0
+                scale = math.sqrt(target / 2)
+                g0, g1 = g0 + scale * block[used], g1 + scale * block[used + 1]
+                used += 2
+            alpha = step_size(step_rule, k)
+            if lipschitz is None:
+                t0, t1 = t0 + alpha * g0, t1 + alpha * g1
+            else:
+                inv = _lipschitz_divisor(lipschitz, alpha)
+                t0, t1 = t0 + g0 / inv, t1 + g1 / inv
+            if not (math.isfinite(t0) and math.isfinite(t1)):
+                raise DivergenceError(f"non-finite iterate at step {k}")
+            theta_w[0], theta_w[1] = t0, t1
+    finally:
+        if used < len(block):
+            bit_generator.state = block_state
+            rng.standard_normal(used)
     return norms
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from htpg import diagnostics
 from htpg.diagnostics import (
     BoundParams,
     NoiseModel,
@@ -83,6 +84,20 @@ def test_noise_and_bound_constants_must_be_finite_and_in_range(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("params, n", [
+    (BoundParams(u_r=1e308, gamma=0.5, l1j=2.0, y1=0.1, b=0.5), 10),
+    (BoundParams(u_r=0.5, gamma=0.5, l1j=2.0, y1=1e308, b=0.5), 10_000),
+    # An infinite middle term times the vanishing series factor is NaN.
+    (BoundParams(u_r=0.5, gamma=0.5, l1j=1e308, y1=1e308, b=0.5), 1),
+], ids=["u_r", "y1", "nan-at-n1"])
+def test_bound_rhs_rejects_a_ceiling_that_is_not_finite(params, n):
+    with pytest.raises(ParameterError, match="not finite"):
+        bound_rhs(params, n)
+    # An infinite ceiling would let any sequence "hold".
+    with pytest.raises(ParameterError, match="not finite"):
+        check_bound(np.full(n, 1e300), params)
+
+
 def test_bound_rhs_decreases_when_first_term_dominates():
     p = BoundParams(u_r=100.0, gamma=0.5, l1j=0.01, y1=0.01, b=0.5)
     assert bound_rhs(p, 10_000) < bound_rhs(p, 100)
@@ -132,16 +147,21 @@ def test_synthetic_run_stationary_start_stays_zero():
     assert np.all(norms == 0.0)
 
 
-def test_synthetic_noise_moment():
-    # E||w||^2 must equal y1 exactly in expectation (y2 = 0).
+def test_synthetic_noise_moment(monkeypatch):
+    # E||w||^2 must equal y1 exactly in expectation (y2 = 0).  From the
+    # stationary origin the first step is pure noise, theta_2 = alpha * w_1,
+    # and ||grad J(theta_2)||^2 = 4 alpha^2 ||w_1||^2 exp(-2 alpha^2 ||w_1||^2)
+    # gives ||w_1||^2 back to about 1e-8 relative.
+    monkeypatch.setattr(diagnostics, "_synthetic_sga_reference", None)  # the float loop runs
     obj = SmoothBump(dim=2)
-    y1 = 0.37
+    y1, alpha, runs = 0.37, 1e-4, 25_000
     rng = np.random.default_rng(3)
-    w_sq = []
-    for _ in range(100_000):
-        w = math.sqrt(y1 / 2) * rng.standard_normal(2)
-        w_sq.append(float(w @ w))
-    assert np.mean(w_sq) == pytest.approx(y1, rel=0.02)
+    w_sq = np.array([
+        synthetic_sga_run(obj, NoiseModel(y1), Constant(alpha), PlainAscent(), 2, rng,
+                          theta0=(0.0, 0.0))[1] / (4 * alpha**2)
+        for _ in range(runs)
+    ])
+    assert abs(w_sq.mean() - y1) <= 3 * w_sq.std(ddof=1) / math.sqrt(runs)
 
 
 def test_synthetic_run_with_lipschitz_update():

@@ -2,14 +2,19 @@
 the CLI subcommands."""
 
 import csv
+import math
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from htpg.cli import main
 from htpg.config import parse_config
+from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
 from htpg.experiment import RUN_CSV_COLUMNS, run_experiment, replot
+from htpg.training import PlainAscent, PowerDecay
 
 SMALL_SWEEP = """
 name = "smoke"
@@ -155,6 +160,7 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--seeds", "0"], {}),
     (["check-bound", "--y1", "nan"], {}),
     (["check-bound", "--y1", "inf"], {}),
+    (["check-bound", "--y1", "1e308"], {}),
     (["dist-tests", "--seed", "-1"], {}),
     (["first-exit", "--episodes", "-1"], {}),
     (["first-exit", "--seeds", "1,1"], {}),
@@ -162,7 +168,8 @@ def test_cli_train_invalid_config(tmp_path, capsys):
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
-        "bound-y1-inf", "dist-seed-negative", "first-exit-episodes-negative",
+        "bound-y1-inf", "bound-y1-1e308", "dist-seed-negative",
+        "first-exit-episodes-negative",
         "first-exit-seeds-repeated", "first-exit-out-empty"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
@@ -236,6 +243,29 @@ def test_cli_check_bound(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "holds=true" in out
+
+
+@pytest.mark.parametrize("seeds, n", [(3, 300), (20, 1), (1, 50)])
+def test_cli_check_bound_reports_the_stacked_mean(seeds, n, capsys):
+    # The CLI keeps a running sum; lhs, rhs and holds are those of the mean
+    # over all runs stacked at once.
+    objective = SmoothBump()
+    params = BoundParams(u_r=0.5, gamma=0.5, l1j=objective.grad_lipschitz, y1=0.1, b=0.5)
+    runs = [synthetic_sga_run(objective, NoiseModel(0.1), PowerDecay(0.5), PlainAscent(), n,
+                              np.random.default_rng(seed)) for seed in range(seeds)]
+    want = check_bound(np.mean(runs, axis=0), params)
+    rc = main(["check-bound", "--n", str(n), "--seeds", str(seeds)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith(f"lhs={want.lhs:.6g} (")
+    assert out.endswith(f" rhs={want.rhs:.6g} holds=true\n")
+    # The interval is the sample standard deviation's; one seed has none.
+    means = [float(norms.mean()) for norms in runs]
+    if seeds == 1:
+        assert "(1 seed)" in out and "CI" not in out
+    else:
+        ci = 1.96 * statistics.stdev(means) / math.sqrt(seeds)
+        assert f"(95% CI +/- {ci:.2g} over {seeds} seeds)" in out
 
 
 def test_cli_dist_tests(capsys):

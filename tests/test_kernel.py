@@ -7,9 +7,12 @@ the same exception with the same message.  ``estimate_q`` on a car walks
 over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
 runs); ``walk`` + ``discounted_partial_return`` is its oracle: the same
 value and horizon bytes, the same next draw of the random stream, the same
-errors.
+errors.  ``synthetic_sga_run`` on a 2-D ``SmoothBump`` ascends over floats
+too; ``diagnostics._synthetic_sga_reference``, the generic loop, is its
+oracle on the same three counts: norms bytes, errors, next draw.
 """
 
+import itertools
 import math
 import struct
 from dataclasses import replace
@@ -18,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from htpg import qvalue, training
+from htpg import diagnostics, qvalue, training
+from htpg.diagnostics import NoiseModel, SmoothBump
 from htpg.envs import (
     DEFAULT_MOUNTAIN_SPEC,
     DEFAULT_TRAPPED_SPEC,
@@ -28,7 +32,7 @@ from htpg.envs import (
     _car_walk,
     walk,
 )
-from htpg.errors import EnvUsageError, ParameterError, ScheduleError
+from htpg.errors import DivergenceError, EnvUsageError, ParameterError, ScheduleError
 from htpg.policy import (
     ADAPTIVE,
     FIXED,
@@ -389,3 +393,131 @@ def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
         want = _outcome(train, config)
     assert got == want
     assert walks == []
+
+
+# -- the bound testbed: the 2-D SmoothBump float loop against the generic one -
+
+
+def _sga_outcome(run, noise, step_rule, update_rule, n, seed, theta0):
+    """The norms bytes or the error raised, and the stream's next draw."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = run(noise, step_rule, update_rule, n, rng, theta0).tobytes()
+    except Exception as err:  # the comparison is on type and message
+        result = ("raised", type(err), str(err))
+    return result, struct.pack("<d", rng.random())
+
+
+def _sga_by_reference(noise, step_rule, update_rule, n, rng, theta0):
+    theta = np.full(2, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
+    return diagnostics._synthetic_sga_reference(SmoothBump(), noise, step_rule, update_rule,
+                                                n, rng, theta)
+
+
+def _sga_by_dispatch(noise, step_rule, update_rule, n, rng, theta0):
+    return diagnostics.synthetic_sga_run(SmoothBump(), noise, step_rule, update_rule, n, rng,
+                                         theta0)
+
+
+def _refuse_sga(*args):
+    raise AssertionError("synthetic_sga_run took the other loop")
+
+
+def _assert_float_sga_matches_reference(monkeypatch, block, *args):
+    """``synthetic_sga_run`` must run the float loop, at noise block ``block``,
+    and reproduce the reference."""
+    want = _sga_outcome(_sga_by_reference, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_NOISE_BLOCK", block)
+        patch.setattr(diagnostics, "_synthetic_sga_reference", _refuse_sga)
+        got = _sga_outcome(_sga_by_dispatch, *args)
+    assert got == want
+    return want
+
+
+_SGA_STEPS = (PowerDecay(0.5), PowerDecay(0.9), Constant(0.1), Constant(50.0),
+              LinearRange(0.4, 1e-3, 6))
+_SGA_UPDATES = (PlainAscent(), LipschitzAware(2.0))
+_SGA_NOISE = (NoiseModel(0.0), NoiseModel(0.1), NoiseModel(0.0, 0.5), NoiseModel(0.3, 2.0))
+# (0.5, 0.5) is the default start; the origin is stationary, so without a
+# noise floor nothing is drawn there.  A strided view checks the copy in.
+_SGA_STARTS = (None, (0.0, 0.0), (3.0, -1.0), np.arange(4.0)[::2])
+
+
+@pytest.mark.parametrize("update_rule", _SGA_UPDATES, ids=["plain", "lipschitz"])
+@pytest.mark.parametrize("step_rule", _SGA_STEPS, ids=repr)
+def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monkeypatch):
+    # A block of 3 pairs makes n = 3 one block and n = 11 several, with
+    # skipped draws and errors landing inside a block.
+    outcomes = set()
+    for i, (noise, theta0, n) in enumerate(itertools.product(_SGA_NOISE, _SGA_STARTS,
+                                                              (1, 3, 11))):
+        want = _assert_float_sga_matches_reference(monkeypatch, 3, noise, step_rule,
+                                                   update_rule, n, i, theta0)
+        outcomes.add(want[0][0] if isinstance(want[0], tuple) else "returned")
+    # Only a first step past the Lipschitz ceiling 1/L raises.
+    lipschitz_fails = (isinstance(update_rule, LipschitzAware)
+                       and 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j)
+    assert outcomes == ({"raised"} if lipschitz_fails else {"returned"})
+
+
+def test_float_sga_matches_reference_at_the_real_block_size(monkeypatch):
+    block = diagnostics._NOISE_BLOCK
+    for n, noise, step_rule in ((block, NoiseModel(0.1), PowerDecay(0.5)),
+                                (2 * block + 3, NoiseModel(0.1, 1.0), Constant(0.1)),
+                                (2 * block + 3, NoiseModel(0.0, 0.5), Constant(50.0))):
+        _assert_float_sga_matches_reference(monkeypatch, block, noise, step_rule,
+                                            PlainAscent(), n, 7, None)
+
+
+def test_float_sga_matches_reference_on_errors(monkeypatch):
+    # Step 8 overflows: its target is NaN, so 7 pairs are drawn, not 8.
+    want = _assert_float_sga_matches_reference(monkeypatch, 3, NoiseModel(0.1),
+                                               Constant(1e308), PlainAscent(), 50, 0, None)
+    assert want[0] == ("raised", DivergenceError, "non-finite iterate at step 8")
+    rng = np.random.default_rng(0)
+    rng.standard_normal(14)
+    assert want[1] == struct.pack("<d", rng.random())
+    # The Lipschitz ceiling fails at step 1, after its draw.
+    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1),
+                                               PowerDecay(0.5), LipschitzAware(2.0), 9, 1,
+                                               None)
+    assert want[0][:2] == ("raised", ScheduleError)
+    # An unknown schedule fails in step_size, also after the first draw.
+    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), object(),
+                                               PlainAscent(), 9, 2, None)
+    assert want[0][:2] == ("raised", ParameterError)
+    assert want[0][2].startswith("unknown step rule")
+
+
+@st.composite
+def _sga_inputs(draw):
+    step_rule = draw(st.sampled_from([PowerDecay(0.5), Constant(1e308)])
+                     | st.builds(PowerDecay, st.floats(0.01, 0.99))
+                     | st.builds(Constant, st.floats(1e-3, 1e3))
+                     | st.builds(LinearRange, st.floats(0.1, 0.45), st.floats(1e-4, 0.1),
+                                 st.integers(1, 30)))
+    update_rule = draw(st.sampled_from([PlainAscent(), LipschitzAware(2.0)])
+                       | st.builds(LipschitzAware, st.floats(0.01, 3.0)))
+    y = st.just(0.0) | st.floats(1e-6, 10.0)
+    noise = NoiseModel(draw(y), draw(y))
+    coordinate = st.floats(-30.0, 30.0) | st.sampled_from([0.0, 1e300, 1e-300])
+    theta0 = draw(st.none() | st.tuples(coordinate, coordinate))
+    return (draw(st.sampled_from([1, 2, 3, 4096])), noise, step_rule, update_rule,
+            draw(st.integers(1, 40)), draw(st.integers(0, 2**32)), theta0)
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_sga_inputs())
+def test_float_sga_matches_reference_on_drawn_inputs(inputs, monkeypatch):
+    _assert_float_sga_matches_reference(monkeypatch, *inputs)
+
+
+def test_other_inputs_keep_the_generic_sga_loop(monkeypatch):
+    monkeypatch.setattr(diagnostics, "_smooth_bump_run", _refuse_sga)
+    noise, rule = NoiseModel(0.1), PowerDecay(0.5)
+    for dim in (1, 3):
+        norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule, PlainAscent(),
+                                              20, np.random.default_rng(0))
+        assert norms.shape == (20,) and np.isfinite(norms).all()
