@@ -166,10 +166,16 @@ def cmd_dist_tests(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParameterError: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="htpg",
-                                     description="heavy-tailed policy search toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="htpg", description="heavy-tailed policy search toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_train = sub.add_parser("train", help="run a configured experiment sweep")
     p_train.add_argument("--config", required=True, help="experiment config file")
@@ -197,8 +203,8 @@ def main(argv=None) -> int:
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.set_defaults(func=cmd_dist_tests)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)

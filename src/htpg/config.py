@@ -7,21 +7,22 @@ booleans, flat arrays) and ``#`` comments.  Sections are ``[env]``,
 ``[run]``; the only top-level key is ``name``.
 
 The parser checks syntax, keys and JSON value types.  Value invariants
-belong to the types a config builds: :class:`ExperimentConfig` builds the
-environment, every family's initial policy and a training config, and
-reports their errors under the section they came from.
+belong to the types a config builds: the parser builds the car and
+:class:`ExperimentConfig` every family's initial policy and a training
+config, and each reports their errors under the section they came from.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError
 from .envs import EnvSpec, MountainCar, TrappedCar
-from .policy import ADAPTIVE, PolicyParams
+from .policy import PolicyParams
 from .training import (
     DEFAULT_ALPHA_END,
     DEFAULT_ALPHA_START,
@@ -30,7 +31,6 @@ from .training import (
     LipschitzAware,
     PlainAscent,
     PowerDecay,
-    Q_SHARED,
     TrainConfig,
 )
 
@@ -60,14 +60,19 @@ _STEP_RULES = {
 }
 _UPDATE_RULES = {"plain": (PlainAscent, {}), "lipschitz": (LipschitzAware, {"l1j": 1.0})}
 
-# Defaults of the keys that map one to one onto FamilyConfig and
-# ExperimentConfig fields.  A value read from the file must have its
+# The keys that map one to one onto FamilyConfig and ExperimentConfig fields,
+# with the defaults of the PolicyParams and TrainConfig fields they set (the
+# episode count has its own).  A value read from the file must have its
 # default's JSON type (an integer passes as a number).
-_FAMILY_DEFAULTS = {"alpha": 1.0, "scale_mode": ADAPTIVE, "sigma0": 1.0}
-_TRAIN_DEFAULTS = {"episodes": 1000, "gamma": 0.97, "epsilon_clip": 0.2, "q_mode": Q_SHARED,
-                   "symmetric_clip": False}
+_FAMILY_DEFAULTS = {f.name: f.default for f in fields(PolicyParams)
+                    if f.name in ("alpha", "scale_mode", "sigma0")}
+_TRAIN_DEFAULTS = {"episodes": 1000}
+_TRAIN_DEFAULTS.update((f.name, f.default) for f in fields(TrainConfig)
+                       if f.name in ("gamma", "epsilon_clip", "q_mode", "symmetric_clip"))
 # EnvSpec.gamma is not a key: nothing reads it, the discount is [train] gamma.
-_SPEC_KEYS = {f.name for f in fields(EnvSpec)} - {"gamma"}
+_SPEC_KEYS = tuple(f.name for f in fields(EnvSpec) if f.name != "gamma")
+# Characters a family name cannot hold: it names the run CSV files.
+_NOT_IN_FAMILY_NAMES = {"/", os.sep, os.altsep, "\0"} - {None}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "an array of integers"}
 
@@ -89,20 +94,19 @@ def _section(name: str):
 class FamilyConfig:
     name: str
     alpha: float
-    scale_mode: str = ADAPTIVE
-    sigma0: float = 1.0
+    scale_mode: str = _FAMILY_DEFAULTS["scale_mode"]
+    sigma0: float = _FAMILY_DEFAULTS["sigma0"]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated sweep: construction (including ``dataclasses.replace``)
     builds everything the sweep will build and raises ConfigError if any of
-    it is invalid.  ``env_overrides`` are the ``[env]`` keys but ``kind``;
-    a ``linear_range`` rule is re-spanned over ``max(episodes, 1)`` episodes."""
+    it is invalid.  ``env`` is the car every cell trains on; a
+    ``linear_range`` rule is re-spanned over ``max(episodes, 1)`` episodes."""
 
     name: str
-    env_kind: str
-    env_overrides: tuple  # ((key, value), ...)
+    env: TrappedCar | MountainCar
     families: tuple
     episodes: int
     gamma: float
@@ -125,12 +129,14 @@ class ExperimentConfig:
             raise ConfigError("at least one [policy.<family>] section is required")
         if not all(names) or len(set(names)) != len(names):
             raise ConfigError("family names must be non-empty and distinct")
+        for name in names:
+            if _NOT_IN_FAMILY_NAMES.intersection(name):
+                raise ConfigError(f"family name {name!r} holds a path separator or NUL")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("[run] seeds must be a non-empty list of distinct integers")
-        if not self.out_dir:
-            raise ConfigError("[run] out must be a non-empty string")
-        with _section("env"):
-            build_env(self)
+        if not self.out_dir or "\0" in self.out_dir:
+            raise ConfigError(f"[run] out must be a non-empty string without NUL, "
+                              f"got {self.out_dir!r}")
         for family in self.families:
             with _section(f"policy.{family.name}"):
                 _initial_policy(family)
@@ -230,11 +236,10 @@ def _lookup(table: dict, section: str, body: dict, key: str, default: str):
     return name, table[name]
 
 
-def _env_defaults(env_cls) -> dict:
-    """Every overridable constant of ``env_cls`` and its spec, by field name."""
-    env = env_cls()
+def _env_keys(env) -> dict:
+    """The ``[env]`` keys but ``kind`` of a car: its spec's but gamma, then its own."""
     values = {key: getattr(env.spec, key) for key in _SPEC_KEYS}
-    values.update((f.name, getattr(env, f.name)) for f in fields(env_cls) if f.name != "spec")
+    values.update((f.name, getattr(env, f.name)) for f in fields(env) if f.name != "spec")
     return values
 
 
@@ -261,7 +266,12 @@ def parse_config(text) -> ExperimentConfig:
 
     env_body = body("env")
     kind, env_cls = _lookup(_ENV_KINDS, "env", env_body, "kind", "trapped_car")
-    env = _read("env", env_body, {"kind": kind, **_env_defaults(env_cls)})
+    default = env_cls()
+    env_keys = _read("env", env_body, {"kind": kind, **_env_keys(default)})
+    del env_keys["kind"]
+    with _section("env"):
+        spec = replace(default.spec, **{key: env_keys.pop(key) for key in _SPEC_KEYS})
+        env = env_cls(spec=spec, **env_keys)
 
     families = tuple(
         FamilyConfig(section.split(".", 1)[1], **_read(section, fam_body, _FAMILY_DEFAULTS))
@@ -287,8 +297,7 @@ def parse_config(text) -> ExperimentConfig:
 
     return ExperimentConfig(
         name=name,
-        env_kind=kind,
-        env_overrides=tuple((key, env[key]) for key in env_body if key != "kind"),
+        env=env,
         families=families,
         step_rule=step_rule,
         update_rule=update_rule,
@@ -303,11 +312,8 @@ def parse_config(text) -> ExperimentConfig:
 
 
 def build_env(cfg: ExperimentConfig):
-    """Instantiate the configured environment with its overrides applied."""
-    default = _ENV_KINDS[cfg.env_kind]()
-    overrides = dict(cfg.env_overrides)
-    spec = {key: overrides.pop(key) for key in _SPEC_KEYS & overrides.keys()}
-    return replace(default, spec=replace(default.spec, **spec), **overrides)
+    """The configured car, ``cfg.env``."""
+    return cfg.env
 
 
 def _initial_policy(family: FamilyConfig) -> PolicyParams:
@@ -317,18 +323,9 @@ def _initial_policy(family: FamilyConfig) -> PolicyParams:
 def build_train_config(cfg: ExperimentConfig, family: FamilyConfig,
                        seed: int) -> TrainConfig:
     """One TrainConfig for a (family, seed) cell of the sweep."""
-    return TrainConfig(
-        env=build_env(cfg),
-        policy_init=_initial_policy(family),
-        episodes=cfg.episodes,
-        seed=seed,
-        gamma=cfg.gamma,
-        epsilon_clip=cfg.epsilon_clip,
-        step_rule=cfg.step_rule,
-        update_rule=cfg.update_rule,
-        q_mode=cfg.q_mode,
-        symmetric_clip=cfg.symmetric_clip,
-    )
+    return TrainConfig(env=cfg.env, policy_init=_initial_policy(family), seed=seed,
+                       step_rule=cfg.step_rule, update_rule=cfg.update_rule,
+                       **{key: getattr(cfg, key) for key in _TRAIN_DEFAULTS})
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -337,8 +334,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     def assign(key: str, value) -> str:
         return f"{key} = {json.dumps(value)}"
 
-    out = [assign("name", cfg.name), "", "[env]", assign("kind", cfg.env_kind)]
-    out += [assign(key, value) for key, value in cfg.env_overrides]
+    kind = next(kind for kind, cls in _ENV_KINDS.items() if isinstance(cfg.env, cls))
+    out = [assign("name", cfg.name), "", "[env]", assign("kind", kind)]
+    out += [assign(key, value) for key, value in _env_keys(cfg.env).items()]
     for fam in cfg.families:
         out += ["", f"[policy.{fam.name}]"]
         out += [assign(key, getattr(fam, key)) for key in _FAMILY_DEFAULTS]

@@ -270,9 +270,6 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     spec = env.spec
     clamp, advance, reward = spec.clamp_action, env.advance, env.reward
     budget = max(spec.max_steps - state.step_count, 1)
-    # Index of the transition after which no action is drawn; past the
-    # end (never reached) when the walk is cut by ``steps``.
-    last = budget - 1 if steps >= budget else steps
     feats = np.array((0.0, 0.0, 1.0))
     feats_w = memoryview(feats)
     mode_dot = theta.dot
@@ -288,7 +285,7 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
         x, v = advance(x, v, a)
         r, at_goal = reward(x)
         rewards.append(r)
-        if at_goal or i == last:
+        if at_goal or i == budget - 1:
             break
         feats_w[0], feats_w[1] = x, v
         _check_scale(scale)

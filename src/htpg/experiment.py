@@ -123,12 +123,14 @@ def _read_moving_avg(path: Path) -> list[float]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if {"episode", "avg_return_100"} <= set(reader.fieldnames or ()):
-                return [float(r["avg_return_100"])
-                        for r in reader if r["episode"] != "diverged"]
+                averages = [float(r["avg_return_100"])
+                            for r in reader if r["episode"] != "diverged"]
+                if all(map(math.isfinite, averages)):
+                    return averages
     except (ValueError, TypeError, csv.Error):
         pass
     raise ParameterError(f"{path} is not a run CSV: it needs an episode column "
-                         "and numbers in an avg_return_100 column")
+                         "and finite numbers in an avg_return_100 column")
 
 
 def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
@@ -143,8 +145,6 @@ def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / count
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -259,7 +259,6 @@ class _Curves:
         self.moving: list[float] = []
         self.norms: list[float] = []
         self.counts: list[int] = []
-        self._window: list[float] = []
         self._window_sum = 0.0
         self.terminal_episodes = 0
         self.first_exit: int | None = None
@@ -269,12 +268,12 @@ class _Curves:
             positions) -> None:
         """Record one finished episode; ``positions`` are the positions it
         visited, final one included."""
-        self.returns.append(ret)
-        self._window.append(ret)
+        returns = self.returns
+        returns.append(ret)
         self._window_sum += ret
-        if len(self._window) > 100:
-            self._window_sum -= self._window.pop(0)
-        self.moving.append(self._window_sum / len(self._window))
+        if len(returns) > 100:
+            self._window_sum -= returns[-101]
+        self.moving.append(self._window_sum / min(len(returns), 100))
         self.norms.append(norm)
         self.counts.append(updates)
         self.terminal_episodes += at_goal

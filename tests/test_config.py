@@ -72,7 +72,7 @@ out = "results/custom"
 def test_minimal_config_fills_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.name == "experiment"
-    assert cfg.env_kind == "trapped_car"
+    assert cfg.env == TrappedCar()
     assert [f.name for f in cfg.families] == ["cauchy"]
     assert cfg.families[0].alpha == 1.0
     assert cfg.families[0].scale_mode == "adaptive"
@@ -89,12 +89,13 @@ def test_minimal_config_fills_defaults():
 def test_full_config_roundtrip():
     cfg = parse_config(FULL)
     assert cfg.name == "fig3"
-    assert dict(cfg.env_overrides) == {"max_steps": 400, "false_reward": 0.2}
     assert len(cfg.families) == 2
     assert cfg.families[1].sigma0 == 1.5
     assert cfg.seeds == (3, 1, 2)
     assert cfg.out_dir == "results/custom"
-    env = build_env(cfg)
+    env = cfg.env
+    assert env == replace(TrappedCar(), spec=replace(TrappedCar().spec, max_steps=400),
+                          false_reward=0.2)
     assert isinstance(env, TrappedCar)
     assert env.spec.max_steps == 400
     assert env.false_reward == 0.2
@@ -343,13 +344,14 @@ _UNIT = st.floats(0.01, 0.99)
 
 @st.composite
 def experiment_configs(draw):
-    kind = draw(st.sampled_from(["trapped_car", "mountain_car"]))
-    keys = {"max_steps": st.integers(1, 1000), "thrust_gain": _UNIT,
-            "reward_bound": st.floats(0.1, 1e3)}
-    keys.update({"trapped_car": {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7),
-                                 "start_at_false_goal": st.booleans()},
-                 "mountain_car": {"goal_position": st.floats(0.0, 0.6)}}[kind])
-    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+    env_cls = draw(st.sampled_from([TrappedCar, MountainCar]))
+    spec = replace(env_cls().spec, **draw(st.fixed_dictionaries({}, optional={
+        "max_steps": st.integers(1, 1000), "reward_bound": st.floats(0.1, 1e3)})))
+    car_keys = {TrappedCar: {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7),
+                             "start_at_false_goal": st.booleans()},
+                MountainCar: {"goal_position": st.floats(0.0, 0.6)}}[env_cls]
+    env = env_cls(spec=spec, **draw(st.fixed_dictionaries(
+        {}, optional={"thrust_gain": _UNIT, **car_keys})))
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True),
                           min_size=1, max_size=3, unique=True))
     families = tuple(
@@ -367,8 +369,7 @@ def experiment_configs(draw):
                                  _UNIT.map(lambda f: LipschitzAware(f * ceiling))))
     return ExperimentConfig(
         name=draw(_NAMES),
-        env_kind=kind,
-        env_overrides=tuple((k, draw(keys[k])) for k in chosen),
+        env=env,
         families=families,
         episodes=episodes,
         gamma=draw(_UNIT),
@@ -378,7 +379,7 @@ def experiment_configs(draw):
         q_mode=draw(st.sampled_from(["shared", "fresh"])),
         symmetric_clip=draw(st.booleans()),
         seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True))),
-        out_dir=draw(_NAMES),
+        out_dir=draw(_NAMES.filter(lambda out: "\0" not in out)),
     )
 
 

@@ -4,7 +4,7 @@ the CLI subcommands."""
 import csv
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from htpg.cli import main
 from htpg.config import parse_config
 from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
+from htpg.envs import EnvSpec
 from htpg.experiment import RUN_CSV_COLUMNS, run_experiment, replot
 from htpg.training import PlainAscent, PowerDecay
 
@@ -165,12 +166,18 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["first-exit", "--episodes", "-1"], {}),
     (["first-exit", "--seeds", "1,1"], {}),
     (["first-exit", "--out", ""], {}),
+    (["train", "--config", "slash.toml"], {}),
+    (["train", "--config", "nul-family.toml"], {}),
+    (["train", "--config", "nul-name.toml"], {}),
+    (["train", "--out", "x\0y"], {}),
+    (["first-exit", "--out", "x\0y"], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
         "bound-y1-inf", "bound-y1-1e308", "dist-seed-negative",
         "first-exit-episodes-negative",
-        "first-exit-seeds-repeated", "first-exit-out-empty"])
+        "first-exit-seeds-repeated", "first-exit-out-empty", "family-slash", "family-nul",
+        "name-nul", "out-nul", "first-exit-out-nul"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -178,6 +185,11 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     if argv[0] == "train":
         Path("exp.toml").write_text(SMALL_SWEEP)
         Path("latin1.toml").write_bytes("[policy.caf\xe9]\n".encode("latin-1"))
+        Path("slash.toml").write_text(SMALL_SWEEP.replace("[policy.gaussian]", "[policy.a/b]"))
+        Path("nul-family.toml").write_text(
+            SMALL_SWEEP.replace("[policy.gaussian]", "[policy.a\0b]"))
+        # A name sets the default out, results/<name>.
+        Path("nul-name.toml").write_text(SMALL_SWEEP.replace('"smoke"', '"x\\u0000y"'))
         for flag, value in (("--config", "exp.toml"), ("--out", "out")):
             if flag not in argv:
                 argv = argv + [flag, value]
@@ -188,14 +200,36 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     assert sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check-bound", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["first-exit", "--episodes", "1.5"], "argument --episodes: invalid int value: '1.5'"),
+    (["train"], "the following arguments are required: --config"),
+], ids=["bound-n-not-int", "first-exit-episodes-not-int", "train-without-config"])
+def test_cli_usage_error_is_one_line_with_exit_2(argv, message, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-bound", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: htpg check-bound")
+
+
 @pytest.mark.parametrize("header, row", [
     ("episode,return", "0,1.0"),
     ("return,avg_return_100", "1.0,1.0"),
     ("episode,return,avg_return_100,update_count", "0,1.0,abc,3"),
     ("episode,return,avg_return_100,update_count", "0,1.0"),
     ("", ""),
+    ("episode,return,avg_return_100,update_count", "0,1.0,nan,3"),
+    ("episode,return,avg_return_100,update_count", "0,1.0,inf,3"),
 ], ids=["no-average-column", "no-episode-column", "average-not-a-number", "short-row",
-        "empty-file"])
+        "empty-file", "average-nan", "average-inf"])
 def test_cli_replot_of_a_malformed_csv_is_one_line_with_exit_2(header, row, tmp_path,
                                                                   capsys):
     cfg_file = tmp_path / "exp.toml"
@@ -229,6 +263,20 @@ def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: [run] seed must be non-negative, got -1\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["trapped_car", "mountain_car"])
+def test_sweep_config_txt_names_every_env_key(kind, tmp_path):
+    text = SMALL_SWEEP.replace('"trapped_car"', f'"{kind}"').replace("[1, 2, 3]", "[1]")
+    cfg = replace(parse_config(text), out_dir=str(tmp_path / "out"))
+    run_experiment(cfg, max_workers=1)
+    written = (tmp_path / "out" / "config.txt").read_text(encoding="utf-8")
+    env_lines = written.split("[env]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    # Every constant of the car: its spec's fields but the unused gamma, and its own.
+    want = ({f.name for f in fields(EnvSpec)} - {"gamma"}
+            | {f.name for f in fields(cfg.env)} - {"spec"} | {"kind"})
+    assert sorted(line.split(" = ")[0] for line in env_lines) == sorted(want)
+    assert parse_config(written) == cfg
 
 
 def test_cli_first_exit_out_path_is_escaped(tmp_path, monkeypatch, capsys):
