@@ -69,6 +69,13 @@ def cmd_train(args) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except (ParameterError, ArithmeticError) as err:
+        # A ConfigError comes before anything is written; the rest come from
+        # training or its outputs, after config.txt is.
+        if args.replot or isinstance(err, ConfigError):
+            raise
+        print(f"error: training failed: {err}", file=sys.stderr)
+        return 1
     for name, runs in by_family.items():
         finals = [m.moving_avg_100[-1] if m.moving_avg_100 else float("nan") for m in runs]
         diverged = sum(m.diverged for m in runs)

@@ -132,6 +132,10 @@ class ExperimentConfig:
         for name in names:
             if _NOT_IN_FAMILY_NAMES.intersection(name):
                 raise ConfigError(f"family name {name!r} holds a path separator or NUL")
+            # config.txt must read it back from its [policy.<name>] line.
+            if "#" in name or name.splitlines() != [name] or name != name.strip():
+                raise ConfigError(f"family name {name!r} holds '#', a line break, or "
+                                  "leading or trailing whitespace")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("[run] seeds must be a non-empty list of distinct integers")
         if not self.out_dir or "\0" in self.out_dir:

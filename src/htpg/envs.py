@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EnvUsageError, ParameterError
 from .policy import PolicyParams, features, sample_action
-from .sas import _check_scale, _standard_sas
+from .sas import _check_scale
 
 __all__ = [
     "EnvSpec",
@@ -248,15 +248,24 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
 def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
               state: EnvState, action: float, steps: int):
     """:func:`walk` on a car over Python floats, for a policy with mode
-    ``theta . (x, v, 1)`` and draw ``mode + scale * _standard_sas(tail, rng)``.
+    ``theta . (x, v, 1)`` and draw ``mode + scale * _standard_sas(tail, rng)``,
+    ``tail`` 1 (Cauchy) or 2 (Gaussian).
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
     the final position and whether it is at the goal.  ``steps`` must be at
-    least 1.  Like :func:`walk`, each draw first checks the scale, so a
-    scale that is not positive raises the sampler's ``scale must be
-    positive`` at the first draw and a walk done before any draw raises
-    nothing.
+    least 1.  Like :func:`walk`, a scale that is not positive raises the
+    sampler's ``scale must be positive`` at the first draw, and a walk done
+    before any draw raises nothing.
+
+    The noise comes in one block.  At the first draw the walk checks the
+    scale, saves the generator's state and draws the most values it can use
+    in one call, ``rng.random`` for Cauchy or ``rng.standard_normal`` for
+    Gaussian: the same stream as that many calls of ``_standard_sas``, whose
+    map each draw applies (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``).  A
+    walk that uses fewer (the goal ends it, or it raises) rewinds the
+    generator and redraws the used count, so the stream goes on where
+    :func:`walk` leaves it.
 
     The mode is ``theta.dot`` on a 3-array written through a memoryview, the
     same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
@@ -270,6 +279,11 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     spec = env.spec
     clamp, advance, reward = spec.clamp_action, env.advance, env.reward
     budget = max(spec.max_steps - state.step_count, 1)
+    # A draw follows every transition but the budget's last.
+    most = steps if steps < budget else budget - 1
+    cauchy = tail != 2.0
+    draw = rng.random if cauchy else rng.standard_normal
+    root2 = math.sqrt(2.0)
     feats = np.array((0.0, 0.0, 1.0))
     feats_w = memoryview(feats)
     mode_dot = theta.dot
@@ -278,18 +292,31 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     vs: list[float] = []
     actions: list[float] = []
     rewards: list[float] = []
-    for i in range(min(steps, budget)):
-        xs.append(x)
-        vs.append(v)
-        actions.append(a)
-        x, v = advance(x, v, a)
-        r, at_goal = reward(x)
-        rewards.append(r)
-        if at_goal or i == budget - 1:
-            break
-        feats_w[0], feats_w[1] = x, v
-        _check_scale(scale)
-        a = clamp(float(mode_dot(feats)) + scale * _standard_sas(tail, rng))
+    noise: list[float] = []
+    used = 0
+    try:
+        for i in range(min(steps, budget)):
+            xs.append(x)
+            vs.append(v)
+            actions.append(a)
+            x, v = advance(x, v, a)
+            r, at_goal = reward(x)
+            rewards.append(r)
+            if at_goal or i == budget - 1:
+                break
+            if not noise:
+                _check_scale(scale)
+                saved = rng.bit_generator.state
+                noise = draw(most).tolist()
+            z = noise[used]
+            used += 1
+            feats_w[0], feats_w[1] = x, v
+            a = clamp(float(mode_dot(feats))
+                      + scale * (math.tan(math.pi * (z - 0.5)) if cauchy else root2 * z))
+    finally:
+        if used < len(noise):
+            rng.bit_generator.state = saved
+            draw(used)
     return xs, vs, actions, rewards, x, at_goal
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -33,6 +34,8 @@ AGGREGATE_COLUMNS = (
     "family", "seed", "episodes", "final_avg_return_100", "first_exit_episode",
     "terminal_episodes", "wall_updates", "diverged",
 )
+
+_FLOAT_MAX = sys.float_info.max
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -145,7 +148,7 @@ def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    raw = (hi - lo) / count
+    raw = (hi / 2 - lo / 2) / count * 2  # (hi - lo) / count, without overflow
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * power:
@@ -154,8 +157,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     start = math.ceil(lo / step) * step
     ticks = []
     t = start
-    while t <= hi + 1e-12 * step:
+    stop = min(hi + 1e-12 * step, _FLOAT_MAX)  # a tick past the float range is inf
+    while t <= stop:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # the step is below t's precision
+            break
         t += step
     return ticks
 
@@ -180,26 +186,33 @@ def render_chart(series: dict) -> str:
         mean, lo, hi = [], [], []
         for i in range(n):
             vals = [r[i] for r in runs]
-            mean.append(sum(vals) / len(vals))
             lo.append(min(vals))
             hi.append(max(vals))
+            m = sum(vals) / len(vals)
+            if math.isinf(m):  # the sum overflowed
+                m = min(max(sum(v / len(vals) for v in vals), lo[-1]), hi[-1])
+            mean.append(m)
         stats[name] = (mean, lo, hi)
         x_max = max(x_max, n - 1)
         y_lo = min(y_lo, min(lo))
         y_hi = max(y_hi, max(hi))
     if y_lo > y_hi:
         y_lo, y_hi = 0.0, 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    span = y_hi - y_lo
-    y_lo -= 0.05 * span
-    y_hi += 0.05 * span
+    if y_hi - y_lo < 1e-300:  # flat, or too narrow for a tick step
+        # From 2**53 on, + 1.0 rounds away: widen toward 0 by half instead.
+        y_lo, y_hi = (y_lo, y_lo + 1.0) if abs(y_lo) < 2.0**53 else sorted((y_lo / 2, y_lo))
+    # Halves keep the span finite for averages near +-1e308, and the margin
+    # stays inside the float range.
+    margin = 0.1 * (y_hi / 2 - y_lo / 2)
+    y_lo = max(y_lo - margin, -_FLOAT_MAX)
+    y_hi = min(y_hi + margin, _FLOAT_MAX)
+    half_span = y_hi / 2 - y_lo / 2
 
     def sx(i: float) -> float:
         return pad_l + plot_w * (i / x_max if x_max else 0.0)
 
     def sy(v: float) -> float:
-        return pad_t + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return pad_t + plot_h * (1.0 - (v / 2 - y_lo / 2) / half_span)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -6,9 +6,11 @@ expectation of the weighted sum telescopes to the ordinary discounted Q.
 
 :func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
 3-weight policy it runs ``envs._car_walk``, a loop over Python floats with
-no state, step-result or trajectory objects; every other input runs
-:func:`htpg.envs.walk`, the generic loop.  ``walk`` is the oracle: both give
-the same value, horizon, random stream and errors (``tests/test_kernel.py``).
+no state, step-result or trajectory objects, which draws the walk's noise
+in one block and rewinds the generator past the draws it used; every other
+input runs :func:`htpg.envs.walk`, the generic loop.  ``walk`` is the
+oracle: both give the same value, horizon, random stream and errors
+(``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
 
     On a car with a 3-weight policy the walk is the float loop; otherwise it
     is :func:`htpg.envs.walk`.  Either way a terminal ``s0`` raises
-    ``EnvUsageError``, each draw is ``mode + scale * z`` with ``z`` from
-    ``sas._standard_sas``, and a scale that is not positive raises the
+    ``EnvUsageError``, each draw is ``mode + scale * z`` with ``z`` as
+    ``sas._standard_sas`` draws it, and a scale that is not positive raises the
     sampler's ``scale must be positive`` only when a draw comes: a walk done
     after its first transition raises nothing.
     """

@@ -16,9 +16,13 @@ roughly the mean horizon times more environment steps).
 The loop has two implementations.  ``_train_reference`` works on
 ``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
 ``_train_car_shared`` runs shared-Q training on the two cars as one loop
-over Python floats and is what :func:`train` uses for those inputs.  The
-reference is the oracle: the fast loop must reproduce its metrics and final
-parameters bit for bit (``tests/test_kernel.py``).
+over Python floats and is what :func:`train` uses for those inputs.  Under
+``LinearRange`` it also skips the updates of an episode whose Q estimate is
+exactly 0 when a per-episode bound proves that none of them can change a
+bit (``_zero_q_is_noop``); on the trapped car, whose start well pays
+nothing, that is most episodes.  The reference is the oracle: the fast loop
+must reproduce its metrics and final parameters bit for bit
+(``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -300,6 +304,54 @@ def _warn_diverged(episode: int, updates: int) -> None:
                 episode, updates)
 
 
+def _divisor_at(rule: LipschitzAware, alpha_k: float, update: int) -> float:
+    """:func:`_lipschitz_divisor`, whose error names the update it stopped."""
+    try:
+        return _lipschitz_divisor(rule, alpha_k)
+    except ScheduleError as err:
+        raise ScheduleError(f"{err} (update {update})") from None
+
+
+# Far below overflow: a product of three numbers under it is finite.
+_FAR_BELOW_OVERFLOW = 1e100
+
+
+def _zero_q_is_noop(env, params: tuple, sigma: float, alpha: float, xs: list, vs: list,
+                    actions: list) -> bool:
+    """Whether an episode's updates with ``q_hat == 0`` provably leave every
+    parameter's bits as they are, at step size ``alpha`` and policy scale
+    ``sigma`` (``params`` are the updated parameters, mode weights first).
+
+    Each update adds ``alpha * (0 * g)`` (or ``0 * g / inv``), which is
+    +-0.0 when ``alpha`` and every score component ``g`` are finite; and
+    ``p + +-0.0`` is ``p`` unless ``p`` is -0.0 (``-0.0 + 0.0`` is +0.0).  A
+    score component that is not finite makes the update NaN, a divergence.
+    So this asks for finite parameters without a -0.0, and for a bound under
+    which every score component is finite: with ``u = (a - mode) / sigma``,
+    a mode component is at most ``2|u| / sigma`` times its feature (x, v or
+    1) and a scale component at most ``u**2 + 1``.  After its first state a
+    finite walk stays inside the walls, so with ``b`` the largest of the
+    wall positions and the first state's ``|x|`` and ``|v|``, every ``|x|``
+    is at most ``b`` and every ``|v|`` (which kept the car inside) at most
+    ``2b``; every ``|a|`` is at most ``|a|max`` (the clamp).  That bounds
+    ``|u|`` by ``(|a|max + 2|mode|max) / sigma``, with
+    ``|mode|max = (|t0| + 2|t1|) b + |t2|`` and the 2 covering rounding.
+    """
+    if not (math.isfinite(alpha) and sigma > 0.0
+            and math.isfinite(sum(xs) + sum(vs) + sum(actions))
+            and all(math.isfinite(p) and (p != 0.0 or math.copysign(1.0, p) > 0.0)
+                    for p in params)):
+        return False
+    spec = env.spec
+    b = max(abs(spec.state_low), abs(spec.state_high), abs(xs[0]), abs(vs[0]))
+    a_max = max(abs(spec.action_low), abs(spec.action_high))
+    t0, t1, t2 = params[:3]
+    inv_sigma = 1.0 / sigma
+    u_max = (a_max + 2.0 * ((abs(t0) + 2.0 * abs(t1)) * b + abs(t2))) * inv_sigma
+    limit = _FAR_BELOW_OVERFLOW
+    return b < limit and inv_sigma < limit and u_max < limit
+
+
 # Heavy-tailed q_hat * score products may overflow; that is exactly what the
 # divergence guard in both loops is for, so numpy stays quiet while they run.
 @np.errstate(over="ignore", invalid="ignore")
@@ -371,6 +423,12 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     operation order per component.  The rollout is ``envs._car_walk``, the
     float walk that fresh-Q estimation also runs, after a first action from
     ``sas.sample_sas``; the score is the shared ``policy._score_coefs``.
+
+    Under ``LinearRange`` the step size is fixed within an episode, so an
+    episode with ``q == 0.0`` that :func:`_zero_q_is_noop` proves a no-op
+    skips its per-step updates: it adds its length to the update count,
+    runs the Lipschitz check once (which fails at the episode's first update
+    or never, with that update's number) and records a zero update norm.
     """
     env = config.env
     rng = np.random.default_rng(config.seed)
@@ -412,10 +470,20 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
             env, theta, scale, tail, rng, start, a, env.spec.max_steps)
 
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
+        pairs = zip(xs, vs, actions)
         if per_episode_rule:
             alpha = step_size(rule, episode + 1)
+            if q == 0.0 and _zero_q_is_noop(
+                    env, (t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2),
+                    sigma, alpha, xs, vs, actions):
+                # No update of the episode can change a bit: count them and
+                # run their Lipschitz check, which fails at the first or never.
+                if lipschitz is not None:
+                    _divisor_at(lipschitz, alpha, updates + 1)
+                updates += len(xs)
+                pairs = ()
         vec_before = vec
-        for xk, vk, ak in zip(xs, vs, actions):
+        for xk, vk, ak in pairs:
             feats_w[0], feats_w[1] = xk, vk
             if adaptive:
                 sigma = float(np.exp((c0 + c1) + c2))
@@ -434,10 +502,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
                 n0, n1, n2 = t0 + alpha * (q * g0), t1 + alpha * (q * g1), t2 + alpha * (q * g2)
                 ds = alpha * (q * gs)
             else:
-                try:
-                    inv = _lipschitz_divisor(lipschitz, alpha)
-                except ScheduleError as err:
-                    raise ScheduleError(f"{err} (update {updates})") from None
+                inv = _divisor_at(lipschitz, alpha, updates)
                 n0, n1, n2 = t0 + q * g0 / inv, t1 + q * g1 / inv, t2 + q * g2 / inv
                 ds = q * gs / inv
             if adaptive:

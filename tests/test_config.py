@@ -390,6 +390,25 @@ def test_config_text_roundtrip(cfg):
     assert parse_config(config_to_text(cfg)) == cfg
 
 
+@pytest.mark.parametrize("name", ["a#b", "#", "a\nb", "a\r", "a\x1cb", "a\u2028b", " a", "a ",
+                                  "\ta"])
+def test_rejects_family_names_with_a_hash_a_line_break_or_outer_whitespace(name):
+    with pytest.raises(ConfigError, match=r"^family name .* holds '#', a line break, "
+                                          r"or leading or trailing whitespace$"):
+        replace(parse_config(MINIMAL), families=(FamilyConfig(name, 1.0),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from('a .#[]="\\\t\n\r\x0b\x1c\x85\u2028') | st.characters()))
+@example("a]b")
+def test_family_names_are_rejected_or_read_back(name):
+    try:
+        cfg = replace(parse_config(MINIMAL), families=(FamilyConfig(name, 2.0),))
+    except ConfigError:
+        return
+    assert parse_config(config_to_text(cfg)) == cfg
+
+
 # Per value: a strategy of valid values and one of edge values, which may
 # or may not be valid.  Each example breaks at most one value.
 _EDGE = st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0])

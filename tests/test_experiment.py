@@ -3,18 +3,22 @@ the CLI subcommands."""
 
 import csv
 import math
+import re
+import signal
 import statistics
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htpg.cli import main
 from htpg.config import parse_config
 from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
 from htpg.envs import EnvSpec
-from htpg.experiment import RUN_CSV_COLUMNS, run_experiment, replot
+from htpg.experiment import RUN_CSV_COLUMNS, render_chart, run_experiment, replot
 from htpg.training import PlainAscent, PowerDecay
 
 SMALL_SWEEP = """
@@ -263,6 +267,137 @@ def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: [run] seed must be non-negative, got -1\n"
     assert not out_dir.exists()
+
+
+def test_cli_family_name_with_leading_space_is_one_line_with_exit_2(tmp_path, capsys):
+    # Only a leading space reaches a name from a file.  Names are rejected with
+    # leading or trailing whitespace alike; a trailing one would not read back.
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(SMALL_SWEEP.replace("[policy.gaussian]", "[policy. gaussian]"))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: family name ' gaussian' holds '#', a line break, "
+                   "or leading or trailing whitespace\n")
+    assert not out_dir.exists()
+
+
+# Every return is 1e20 (the false-start reward on one-step episodes).  The
+# default schedule's updates drive sigma to 0, so a later draw fails; a
+# constant step of 1e-40 keeps the policy put.
+HUGE_RETURNS = """
+name = "huge"
+
+[env]
+kind = "trapped_car"
+false_reward = 1e20
+start_at_false_goal = true
+max_steps = 1
+
+[policy.cauchy]
+alpha = 1
+
+[train]
+episodes = 3
+"""
+
+
+# Steps of 1000 from the false start: sigma underflows to 0 and the score
+# divides by it.
+SIGMA_UNDERFLOWS = """
+name = "underflow"
+
+[env]
+kind = "trapped_car"
+max_steps = 80
+start_at_false_goal = true
+
+[policy.cauchy]
+alpha = 1
+
+[train]
+episodes = 6
+step_rule = "constant"
+alpha = 1000
+
+[run]
+seeds = [11]
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (HUGE_RETURNS, "scale must be positive, got 0.0"),
+    (SIGMA_UNDERFLOWS, "float division by zero"),
+], ids=["scale-zero-at-a-draw", "sigma-underflows-in-the-score"])
+def test_cli_training_error_is_one_line_with_exit_1(text, message, tmp_path, capsys):
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: training failed: {message}\n"
+    assert (out_dir / "config.txt").exists()
+
+
+def test_cli_train_charts_flat_huge_returns(tmp_path):
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(HUGE_RETURNS + 'step_rule = "constant"\nalpha = 1e-40\n')
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
+    assert _chart_problems((out_dir / "returns.svg").read_text()) == []
+
+
+@contextmanager
+def _cpu_deadline(seconds: float):
+    """Fail instead of hanging: a tick loop that makes no progress never
+    ends, and grows its list all the while."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+def _chart_problems(svg: str) -> list:
+    """Numbers in a chart that are not finite, and points off the canvas."""
+    problems = [word for word in ("inf", "nan") if word in svg]
+    for points in re.findall(r'points="([^"]*)"', svg):
+        for pair in points.split():
+            x, y = map(float, pair.split(","))
+            if not (0.0 <= x <= 800.0 and 0.0 <= y <= 480.0):
+                problems.append(pair)
+    return problems
+
+
+@pytest.mark.parametrize("series", [
+    {"c": [[1e20] * 4]},
+    {"c": [[1e308] * 4]},
+    {"c": [[-1e308] * 4]},
+    {"c": [[1.5e308] * 3, [1.5e308] * 3]},  # the seeds' sum overflows
+    {"c": [[-1e308, 1e308]], "g": [[1e308, -1e308]]},
+    {"c": [[-1.7976931348623157e308] * 2, [1.7976931348623157e308] * 2]},
+    {"c": [[5e-324, 0.0]]},
+    {"c": [[1e20, 1e20 + 16384]]},  # a tick step below the precision of 1e20
+], ids=["flat-1e20", "flat-1e308", "flat-minus-1e308", "mean-overflows",
+        "range-1e308", "range-float-max", "subnormal-range", "narrow-at-1e20"])
+def test_render_chart_on_flat_and_huge_ranges(series):
+    with _cpu_deadline(0.5):
+        svg = render_chart(series)
+    assert _chart_problems(svg) == []
+    assert re.findall(r'text-anchor="end">([^<]*)<', svg)  # y ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=5), min_size=1, max_size=3))
+def test_render_chart_draws_any_finite_averages(runs):
+    with _cpu_deadline(0.5):
+        svg = render_chart({"c": runs})
+    assert _chart_problems(svg) == []
 
 
 @pytest.mark.parametrize("kind", ["trapped_car", "mountain_car"])

@@ -1,13 +1,14 @@
 """The float paths against the object paths they must reproduce bit for bit.
 
-``train`` runs shared-Q training on a car as one loop over Python floats;
+``train`` runs shared-Q training on a car as one loop over Python floats,
+which skips the updates of a zero-Q episode it proves no-ops;
 ``_train_reference`` is the object-level loop it must reproduce: every field
 of the metrics, the final parameter bytes, and, where the reference raises,
 the same exception with the same message.  ``estimate_q`` on a car walks
 over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
-runs); ``walk`` + ``discounted_partial_return`` is its oracle: the same
-value and horizon bytes, the same next draw of the random stream, the same
-errors.  ``synthetic_sga_run`` on a 2-D ``SmoothBump`` ascends over floats
+runs, drawing its noise in one block); ``walk`` +
+``discounted_partial_return`` is its oracle: the same value and horizon
+bytes, the same next draw of the random stream, the same errors.  ``synthetic_sga_run`` on a 2-D ``SmoothBump`` ascends over floats
 too; ``diagnostics._synthetic_sga_reference``, the generic loop, is its
 oracle on the same three counts: norms bytes, errors, next draw.
 """
@@ -97,6 +98,12 @@ def _config(env, alpha, seed, scale_mode=ADAPTIVE, sigma0=1.0, **kw):
                        seed=seed, **kw)
 
 
+def _zero_q_config(env, alpha=2.0, scale_mode=FIXED, sigma0=1.0, theta_x0=(0.0, 0.0, 0.0),
+                   theta_sigma=(0.0, 0.0, 0.0), **kw):
+    policy = PolicyParams(np.array(theta_x0), np.array(theta_sigma), alpha, scale_mode, sigma0)
+    return TrainConfig(env=env, policy_init=policy, episodes=3, seed=19, **kw)
+
+
 CASES = {
     "cauchy-default": _config(_TRAPPED, 1.0, 1, episodes=5),
     "gaussian-default": _config(_TRAPPED, 2.0, 2, episodes=5),
@@ -132,6 +139,45 @@ CASES = {
         TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=5)), 1.0, 16, episodes=3,
         step_rule=LinearRange(0.00026362359173243805, 0.00026362359173243805, 3),
         update_rule=LipschitzAware(3793.2872146546697)),
+    # Zero-Q episodes (no reward in the start well), whose updates the kernel
+    # skips only where it can prove them no-ops.  A scale this small makes
+    # a score component infinite, and 0 * inf is NaN: the reference diverges.
+    "zero-q-tiny-sigma": _config(_TRAPPED, 2.0, 17, FIXED, 1e-310, episodes=3),
+    # -0.0 + 0.0 is +0.0, so zero updates still flip the sign bits.
+    "zero-q-negative-zero": TrainConfig(
+        env=_TRAPPED, policy_init=PolicyParams(np.array([0.0, -0.0, 0.0]),
+                                               np.array([0.0, 0.0, -0.0]), 2.0),
+        episodes=3, seed=18),
+    # The ceiling-rounding error of the case above, at the first update of a
+    # zero-Q episode 80 updates long.
+    "zero-q-lipschitz-ceiling-rounding": _config(
+        _TRAPPED, 2.0, 16, episodes=3,
+        step_rule=LinearRange(0.00026362359173243805, 0.00026362359173243805, 3),
+        update_rule=LipschitzAware(3793.2872146546697)),
+    # One bound of the no-op proof each, which alone refuses a zero-Q episode
+    # where the reference diverges: a start far past the walls, walls far
+    # apart, dynamics that give NaN, a 1/sigma that overflows on its own, a
+    # mode far from every action, an infinite step size and an infinite
+    # scale weight.
+    "zero-q-far-start": _zero_q_config(TrappedCar(
+        spec=_SHORT_TRAPPED, start_at_false_goal=True, false_start=1e305,
+        true_goal=math.inf), theta_x0=(0.0, 0.0, 1e9)),
+    "zero-q-far-walls": _zero_q_config(TrappedCar(
+        spec=replace(_SHORT_TRAPPED, state_low=-1e300, state_high=1e300), thrust_gain=1e298,
+        max_speed=1e300, true_goal=math.inf, false_reward=0.0), theta_x0=(0.0, 0.0, 1e9)),
+    "zero-q-nan-dynamics": _zero_q_config(
+        TrappedCar(spec=_SHORT_TRAPPED, thrust_gain=math.inf, gravity=math.inf),
+        theta_x0=(0.0, 0.0, 10.0)),
+    "zero-q-narrow-actions": _zero_q_config(
+        TrappedCar(spec=replace(_SHORT_TRAPPED, action_low=-1e-210, action_high=1e-210)),
+        sigma0=1e-308),
+    "zero-q-far-mode": _zero_q_config(
+        TrappedCar(spec=_SHORT_TRAPPED, true_goal=math.inf), alpha=1.0, scale_mode=ADAPTIVE,
+        theta_x0=(0.0, 0.0, 1e200)),
+    "zero-q-infinite-step": _zero_q_config(_TRAPPED,
+                                           step_rule=LinearRange(math.inf, 5e-9, 3)),
+    "zero-q-infinite-scale-weight": _zero_q_config(_TRAPPED, scale_mode=ADAPTIVE,
+                                                   theta_sigma=(math.inf, 0.0, 0.0)),
 }
 
 
@@ -149,6 +195,32 @@ def test_fixed_cases_reach_divergence_and_errors():
     with pytest.raises(ScheduleError, match=r"^1/alpha - L = 0\.0 is not positive .*"
                                             r" \(update 6\)$"):
         _train_reference(CASES["lipschitz-ceiling-rounding"])
+
+
+def test_zero_q_cases_reach_what_they_test(monkeypatch):
+    # Per zero-Q episode: did the kernel prove its updates no-ops?
+    proofs = []
+    prove = training._zero_q_is_noop
+    monkeypatch.setattr(training, "_zero_q_is_noop",
+                        lambda *args: proofs.append(prove(*args)) or proofs[-1])
+    assert train(CASES["zero-q-tiny-sigma"]).diverged
+    assert proofs == [False]
+    proofs.clear()
+    init = CASES["zero-q-negative-zero"].policy_init
+    final = param_vector(train(CASES["zero-q-negative-zero"]).final_policy)
+    assert proofs == [False, True, True]
+    assert (final == param_vector(init)).all()
+    assert final.tobytes() != param_vector(init).tobytes()
+    proofs.clear()
+    with pytest.raises(ScheduleError, match=r" \(update 81\)$"):
+        train(CASES["zero-q-lipschitz-ceiling-rounding"])
+    assert proofs == [True, True]
+    for name in ("zero-q-far-start", "zero-q-far-walls", "zero-q-nan-dynamics",
+                 "zero-q-narrow-actions", "zero-q-far-mode", "zero-q-infinite-step",
+                 "zero-q-infinite-scale-weight"):
+        proofs.clear()
+        assert train(CASES[name]).diverged, name
+        assert proofs == [False], name
 
 
 def test_zero_scale_at_a_draw_raises_the_samplers_error(monkeypatch):
@@ -220,6 +292,40 @@ def _configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_configs())
 def test_kernel_matches_reference_on_drawn_configs(config, monkeypatch):
+    _assert_kernel_matches_reference(config, monkeypatch)
+
+
+@st.composite
+def _zero_q_configs(draw):
+    """Shared Q on the trapped car under ``LinearRange``: from the start well
+    Q is mostly exactly 0, so most episodes reach the kernel's no-op proof,
+    at weights and scales on both sides of its bounds."""
+    env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=draw(st.integers(1, 80))),
+                     true_goal=draw(st.sampled_from([2.3, 3.6])))
+    weights = st.lists(st.sampled_from([0.0, -0.0, 1e-300, 1e300]) | st.floats(-2.0, 2.0),
+                       min_size=3, max_size=3)
+    # Sums of the log scales from exp underflow (-720) to overflow (720).
+    log_scales = st.lists(st.sampled_from([0.0, -0.0, -240.0, 240.0]) | st.floats(-5.0, 5.0),
+                          min_size=3, max_size=3)
+    policy = PolicyParams(draw(weights), draw(log_scales), draw(st.sampled_from([1.0, 2.0])),
+                          draw(st.sampled_from([FIXED, ADAPTIVE])),
+                          draw(st.sampled_from([1e-310, 1e-101, 1e-99, 0.3, 1.0, 1e250])))
+    episodes = draw(st.integers(1, 6))
+    alpha_start = draw(st.sampled_from([5e-3, 0.5, 1e3]))
+    step_rule = LinearRange(alpha_start, draw(st.sampled_from([5e-9, alpha_start])), episodes)
+    update_rule = draw(st.sampled_from([PlainAscent(), LipschitzAware(0.5 / alpha_start)]))
+    return TrainConfig(env=env, policy_init=policy, episodes=episodes,
+                       seed=draw(st.integers(0, 2**32)),
+                       gamma=draw(st.sampled_from([0.5, 0.97])),
+                       epsilon_clip=draw(st.sampled_from([0.01, 0.2, 0.9])),
+                       step_rule=step_rule, update_rule=update_rule,
+                       symmetric_clip=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_zero_q_configs())
+def test_kernel_matches_reference_on_mostly_zero_q(config, monkeypatch):
     _assert_kernel_matches_reference(config, monkeypatch)
 
 
@@ -343,6 +449,62 @@ def test_float_walk_records_what_walk_records(inputs):
         return _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)
 
     assert _walk_outcome(by_floats, seed) == _walk_outcome(by_walk, seed)
+
+
+def _walk_records(env, policy, s0, a0, steps, rng):
+    """What ``_car_walk`` returns, taken from ``walk``'s trajectory."""
+    traj = walk(env, policy, rng, s0, a0, steps)
+    return ([s.position for s in traj.states], [s.velocity for s in traj.states],
+            list(traj.actions), list(traj.rewards), traj.final_state.position,
+            env.at_goal(traj.final_state))
+
+
+def _float_walk(env, policy, s0, a0, steps, rng):
+    scale = _stable_scale(policy.alpha, policy_scale(policy))
+    return _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)
+
+
+def _walk_or_error(walker, seed, *args):
+    """A walk's records or the error it raised, and the stream's next draw."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = walker(*args, rng)
+    except Exception as err:  # the comparison is on type and message
+        result = ("raised", type(err), str(err))
+    return repr(result), rng.random()
+
+
+def test_float_walk_rewinds_a_block_the_goal_cuts_short():
+    # Full thrust from just left of the near goal: the walk draws its block
+    # of 79 and the goal ends it after 4 transitions and 3 draws.
+    for alpha in (1.0, 2.0):
+        policy = PolicyParams(np.array([0.0, 0.0, 20.0]), np.zeros(3), alpha, FIXED, 0.5)
+        for seed in range(4):
+            args = (_NEAR_GOAL, policy, EnvState(1.9, 0.05), 0.0, _SHORT_TRAPPED.max_steps)
+            got = _walk_or_error(_float_walk, seed, *args)
+            assert got == _walk_or_error(_walk_records, seed, *args)
+            records = _float_walk(*args, np.random.default_rng(seed))
+            assert records[5] and len(records[2]) == 4
+
+
+@pytest.mark.parametrize("log_scale", [-800.0, math.nan])
+def test_float_walk_checks_the_scale_at_the_first_draw_only(log_scale):
+    spec = _SHORT_TRAPPED
+    for alpha in (1.0, 2.0):
+        policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([log_scale, 0.0, 0.0]),
+                              alpha)
+        # One transition, then the first draw fails: nothing is drawn.
+        for steps in (1, 5, spec.max_steps):
+            args = (_NEAR_GOAL, policy, EnvState(1.5, 0.0), 0.0, steps)
+            got = _walk_or_error(_float_walk, 5, *args)
+            assert got == _walk_or_error(_walk_records, 5, *args)
+            assert got[0].startswith("('raised', <class 'htpg.errors.ParameterError'>")
+        # Done by the budget or at the goal before any draw: nothing raised.
+        for s0 in (EnvState(1.5, 0.0, spec.max_steps - 1), EnvState(2.05, 0.1, 7)):
+            args = (_NEAR_GOAL, policy, s0, 0.0, spec.max_steps)
+            got = _walk_or_error(_float_walk, 6, *args)
+            assert got == _walk_or_error(_walk_records, 6, *args)
+            assert not got[0].startswith("('raised'")
 
 
 def test_float_q_walk_refuses_a_terminal_state(monkeypatch):
