@@ -24,8 +24,6 @@ from .errors import ParameterError
 from .envs import EnvSpec, MountainCar, TrappedCar
 from .policy import PolicyParams
 from .training import (
-    DEFAULT_ALPHA_END,
-    DEFAULT_ALPHA_START,
     Constant,
     LinearRange,
     LipschitzAware,
@@ -48,17 +46,11 @@ __all__ = [
 # Features are [position, velocity, bias].
 FEATURE_DIM = 3
 
-# Name -> class tables.  Each rule's entry also maps its config keys to their
-# defaults; only the selected rules' keys may appear in [train].
-# LinearRange's ``total`` is the episode budget, not a key.
+# Name -> class tables.  A rule's config keys are its fields (see
+# _rule_keys); only the selected rules' keys may appear in [train].
 _ENV_KINDS = {"trapped_car": TrappedCar, "mountain_car": MountainCar}
-_STEP_RULES = {
-    "linear_range": (LinearRange, {"alpha_start": DEFAULT_ALPHA_START,
-                                   "alpha_end": DEFAULT_ALPHA_END}),
-    "power_decay": (PowerDecay, {"b": 0.75}),
-    "constant": (Constant, {"alpha": 0.001}),
-}
-_UPDATE_RULES = {"plain": (PlainAscent, {}), "lipschitz": (LipschitzAware, {"l1j": 1.0})}
+_STEP_RULES = {"linear_range": LinearRange, "power_decay": PowerDecay, "constant": Constant}
+_UPDATE_RULES = {"plain": PlainAscent, "lipschitz": LipschitzAware}
 
 # The keys that map one to one onto FamilyConfig and ExperimentConfig fields,
 # with the defaults of the PolicyParams and TrainConfig fields they set (the
@@ -102,8 +94,9 @@ class FamilyConfig:
 class ExperimentConfig:
     """A validated sweep: construction (including ``dataclasses.replace``)
     builds everything the sweep will build and raises ConfigError if any of
-    it is invalid.  ``env`` is the car every cell trains on; a
-    ``linear_range`` rule is re-spanned over ``max(episodes, 1)`` episodes."""
+    it is invalid.  ``env`` is the car every cell trains on, and
+    ``step_rule`` is the one its TrainConfigs hold (a ``linear_range`` rule
+    spans the episodes)."""
 
     name: str
     env: TrappedCar | MountainCar
@@ -119,9 +112,6 @@ class ExperimentConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
-        if isinstance(self.step_rule, LinearRange):
-            object.__setattr__(self, "step_rule",
-                               replace(self.step_rule, total=max(self.episodes, 1)))
         if not self.name:
             raise ConfigError("name must be a non-empty string")
         names = [f.name for f in self.families]
@@ -146,6 +136,7 @@ class ExperimentConfig:
                 _initial_policy(family)
         with _section("train"):
             train = build_train_config(self, self.families[0], 0)
+        object.__setattr__(self, "step_rule", train.step_rule)
         with _section("run"):
             for seed in self.seeds:
                 replace(train, seed=seed)
@@ -232,7 +223,7 @@ def _read(section, body: dict, defaults: dict) -> dict:
 
 
 def _lookup(table: dict, section: str, body: dict, key: str, default: str):
-    """(name, entry) of the ``table`` entry that ``body[key]`` names."""
+    """(name, class) of the ``table`` entry that ``body[key]`` names."""
     lineno, name = body.get(key, (0, default))
     if not isinstance(name, str) or name not in table:
         raise ConfigError(
@@ -245,6 +236,12 @@ def _env_keys(env) -> dict:
     values = {key: getattr(env.spec, key) for key in _SPEC_KEYS}
     values.update((f.name, getattr(env, f.name)) for f in fields(env) if f.name != "spec")
     return values
+
+
+def _rule_keys(rule) -> dict:
+    """The ``[train]`` keys of a step or update rule with their values: its
+    fields but LinearRange's ``total``, which is the episode budget."""
+    return {f.name: getattr(rule, f.name) for f in fields(rule) if f.name != "total"}
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -284,17 +281,13 @@ def parse_config(text) -> ExperimentConfig:
     )
 
     train_body = body("train")
-    step_name, (step_cls, step_keys) = _lookup(
-        _STEP_RULES, "train", train_body, "step_rule", "linear_range")
-    update_name, (update_cls, update_keys) = _lookup(
-        _UPDATE_RULES, "train", train_body, "update_rule", "plain")
+    step_name, step_cls = _lookup(_STEP_RULES, "train", train_body, "step_rule", "linear_range")
+    update_name, update_cls = _lookup(_UPDATE_RULES, "train", train_body, "update_rule", "plain")
+    step_keys, update_keys = _rule_keys(step_cls()), _rule_keys(update_cls())
     train = _read("train", train_body, {**_TRAIN_DEFAULTS, **step_keys, **update_keys,
                                         "step_rule": step_name, "update_rule": update_name})
-    step_params = {key: train[key] for key in step_keys}
-    if step_cls is LinearRange:
-        step_params["total"] = 1  # ExperimentConfig spans it over the episodes
     with _section("train"):
-        step_rule = step_cls(**step_params)
+        step_rule = step_cls(**{key: train[key] for key in step_keys})
         update_rule = update_cls(**{key: train[key] for key in update_keys})
 
     run = _read("run", body("run"), {"seeds": [0], "out": f"results/{name}"})
@@ -347,8 +340,8 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     out += ["", "[train]"] + [assign(key, getattr(cfg, key)) for key in _TRAIN_DEFAULTS]
     for key, table, rule in (("step_rule", _STEP_RULES, cfg.step_rule),
                              ("update_rule", _UPDATE_RULES, cfg.update_rule)):
-        name = next(name for name, (cls, _) in table.items() if isinstance(rule, cls))
+        name = next(name for name, cls in table.items() if isinstance(rule, cls))
         out.append(assign(key, name))
-        out += [assign(param, getattr(rule, param)) for param in table[name][1]]
+        out += [assign(param, value) for param, value in _rule_keys(rule).items()]
     out += ["", "[run]", assign("seeds", list(cfg.seeds)), assign("out", cfg.out_dir), ""]
     return "\n".join(out)

@@ -311,6 +311,8 @@ def tail_exploration_ratio(traj: Trajectory, policy: PolicyParams,
     Actions are recorded post-clamp, so the ratio reflects the executed
     stream; thresholds beyond the action bounds would undercount.
     """
+    if not threshold_sigmas > 0.0:
+        raise ParameterError(f"threshold must be positive, got {threshold_sigmas}")
     if len(traj) == 0:
         raise ParameterError("empty trajectory")
     sigma = policy_scale(policy)

@@ -44,7 +44,7 @@ def draw_horizon(gamma: float, rng, size: int | None = None):
     """Draw T with P(T = t) = (1 - sqrt(gamma)) * gamma**(t/2), t = 0, 1, ...
 
     ``size=None`` returns one int; an integer ``size`` returns an array of
-    draws (bulk path for diagnostics).
+    draws (the bulk path that acceptance criterion 3 checks the law on).
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")

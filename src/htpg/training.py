@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,17 +67,12 @@ log = logging.getLogger(__name__)
 Q_SHARED = "shared"
 Q_FRESH = "fresh"
 
-# The default step-size schedule: log-linear from 0.005 down to 5e-9 over
-# the episode budget.
-DEFAULT_ALPHA_START = 0.005
-DEFAULT_ALPHA_END = 5e-9
-
 
 @dataclass(frozen=True, slots=True)
 class PowerDecay:
     """alpha_k = k**(-b) with b in (0, 1)."""
 
-    b: float
+    b: float = 0.75
 
     def __post_init__(self) -> None:
         if not 0.0 < self.b < 1.0:
@@ -87,11 +82,12 @@ class PowerDecay:
 @dataclass(frozen=True, slots=True)
 class LinearRange:
     """Log-linear interpolation from alpha_start (k=1) down to alpha_end
-    (k=total), constant at alpha_end beyond."""
+    (k=total), constant at alpha_end beyond.  :class:`TrainConfig` sets
+    ``total`` to its episode budget."""
 
-    alpha_start: float
-    alpha_end: float
-    total: int
+    alpha_start: float = 0.005
+    alpha_end: float = 5e-9
+    total: int = 1
 
     def __post_init__(self) -> None:
         if not self.alpha_end > 0.0:
@@ -104,7 +100,7 @@ class LinearRange:
 
 @dataclass(frozen=True, slots=True)
 class Constant:
-    alpha: float
+    alpha: float = 0.001
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
@@ -144,7 +140,7 @@ class PlainAscent:
 class LipschitzAware:
     """theta + (1/alpha_k - L)**(-1) * g, valid while 1/alpha_k > L."""
 
-    l1j: float
+    l1j: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.l1j > 0.0:
@@ -173,9 +169,9 @@ def _lipschitz_divisor(rule: LipschitzAware, alpha_k: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run needs.  ``step_rule=None`` selects the
-    default log-linear range DEFAULT_ALPHA_START -> DEFAULT_ALPHA_END over
-    the episode budget."""
+    """Everything one training run needs.  A ``LinearRange`` step rule is
+    spanned over ``max(episodes, 1)`` episodes, also under
+    ``dataclasses.replace``; ``step_rule=None`` selects ``LinearRange()``."""
 
     env: object
     policy_init: PolicyParams
@@ -199,9 +195,10 @@ class TrainConfig:
             raise ParameterError(f"epsilon_clip must lie in (0, 1), got {self.epsilon_clip}")
         if self.q_mode not in (Q_SHARED, Q_FRESH):
             raise ParameterError(f"unknown q_mode {self.q_mode!r}")
-        if self.step_rule is None:
-            object.__setattr__(self, "step_rule", LinearRange(
-                DEFAULT_ALPHA_START, DEFAULT_ALPHA_END, max(self.episodes, 1)))
+        rule = LinearRange() if self.step_rule is None else self.step_rule
+        if isinstance(rule, LinearRange):
+            rule = replace(rule, total=max(self.episodes, 1))
+        object.__setattr__(self, "step_rule", rule)
         # The schedule never exceeds its first step size.
         if isinstance(self.update_rule, LipschitzAware):
             _lipschitz_divisor(self.update_rule, step_size(self.step_rule, 1))

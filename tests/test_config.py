@@ -11,7 +11,6 @@ from htpg.config import (
     ExperimentConfig,
     FEATURE_DIM,
     FamilyConfig,
-    build_env,
     build_train_config,
     config_to_text,
     parse_config,
@@ -123,9 +122,8 @@ alpha = 2
 [run]
 seeds = [1, 2]
 """)
-    env = build_env(cfg)
-    assert isinstance(env, MountainCar)
-    assert env.spec.max_steps == 500
+    assert isinstance(cfg.env, MountainCar)
+    assert cfg.env.spec.max_steps == 500
 
 
 def test_step_rule_variants():
@@ -133,6 +131,19 @@ def test_step_rule_variants():
     assert cfg.step_rule == PowerDecay(0.6)
     cfg = parse_config(MINIMAL + "\n[train]\nstep_rule = \"constant\"\nalpha = 0.25\n")
     assert cfg.step_rule == Constant(0.25)
+
+
+@pytest.mark.parametrize("key, name, rule", [
+    ("step_rule", "linear_range", LinearRange),
+    ("step_rule", "power_decay", PowerDecay),
+    ("step_rule", "constant", Constant),
+    ("update_rule", "plain", PlainAscent),
+    ("update_rule", "lipschitz", LipschitzAware),
+])
+def test_rule_name_alone_gives_the_type_defaults(key, name, rule):
+    # One episode, so that LinearRange's span is its default total of 1.
+    cfg = parse_config(MINIMAL + f'\n[train]\nepisodes = 1\n{key} = "{name}"\n')
+    assert getattr(cfg, key) == rule()
 
 
 def test_train_flags_plumb_through():

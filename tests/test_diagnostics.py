@@ -233,6 +233,14 @@ def test_tail_exploration_ratio_zero_for_tight_policy():
     assert tail_exploration_ratio(traj, pol, 5.0) == 0.0
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, -math.inf])
+def test_tail_exploration_ratio_rejects_non_positive_thresholds(threshold):
+    pol = PolicyParams.zeros(3, alpha=1.0)
+    traj = rollout(TrappedCar(), pol, np.random.default_rng(0), horizon=10)
+    with pytest.raises(ParameterError, match="threshold must be positive"):
+        tail_exploration_ratio(traj, pol, threshold)
+
+
 def test_tail_exploration_cauchy_vs_gaussian():
     env = TrappedCar()
     rng_c = np.random.default_rng(10)

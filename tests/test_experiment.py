@@ -492,8 +492,6 @@ def test_diverged_run_gets_marker_row(tmp_path):
 
 
 def test_start_at_false_goal_reaches_env(tmp_path):
-    from htpg.config import build_env
-
     cfg = parse_config("""
 [env]
 kind = "trapped_car"
@@ -508,7 +506,7 @@ episodes = 1
 [run]
 seeds = [1]
 """)
-    env = build_env(cfg)
+    env = cfg.env
     assert env.start_at_false_goal
     state = env.reset(__import__("numpy").random.default_rng(0))
     assert state.position == env.false_start

@@ -2,7 +2,7 @@
 on a single-transition environment, determinism, and the divergence guard."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -196,6 +196,20 @@ def test_train_deterministic():
     assert m1.moving_avg_100 == m2.moving_avg_100
     assert m1.update_norms == m2.update_norms
     assert np.array_equal(param_vector(m1.final_policy), param_vector(m2.final_policy))
+
+
+def test_replacing_episodes_respans_linear_range():
+    pol = PolicyParams.zeros(3, alpha=1.0)
+    long = TrainConfig(env=TrappedCar(), policy_init=pol, episodes=800, seed=3)
+    assert long.step_rule == LinearRange(0.005, 5e-9, 800)
+    short = replace(long, episodes=40)
+    fresh = TrainConfig(env=TrappedCar(), policy_init=pol, episodes=40, seed=3)
+    assert short.step_rule == fresh.step_rule == LinearRange(0.005, 5e-9, 40)
+    m_short, m_fresh = train(short), train(fresh)
+    assert m_short.returns == m_fresh.returns
+    assert m_short.update_norms == m_fresh.update_norms
+    assert param_vector(m_short.final_policy).tobytes() == \
+        param_vector(m_fresh.final_policy).tobytes()
 
 
 def test_train_fixed_scale_never_touches_sigma():
