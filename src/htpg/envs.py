@@ -3,6 +3,12 @@
 Both environments are value types: ``step`` never mutates, it maps
 (state, action) to a :class:`StepResult`.  Parallel episodes need nothing
 more than independent states and random streams.
+
+Each car states its reward rule once, as constants (``reward_rule()``).
+:func:`walk`, which steps through ``step``, is the oracle; :func:`_car_walk`,
+the walk training and Q estimation run, reads the car's constants once and
+steps the dynamics, the speed cap, the walls, the action clamp and the reward
+inline on Python floats.
 """
 
 from __future__ import annotations
@@ -121,7 +127,12 @@ class _Car:
     """Dynamics shared by both cars: thrust, the -gravity*cos(3x) force, the
     speed cap and inelastic walls.  Subclasses are dataclasses with the
     fields ``spec``, ``thrust_gain``, ``gravity`` and ``max_speed`` and
-    define ``reward(x) -> (reward, at_goal)`` for the position reached."""
+    define ``reward_rule()``, the constants of their reward (see
+    :meth:`reward`)."""
+
+    def __post_init__(self) -> None:
+        if not self.max_speed > 0.0:
+            raise ParameterError(f"max_speed must be positive, got {self.max_speed}")
 
     def reset(self, rng) -> EnvState:
         span = self.spec.init_high - self.spec.init_low
@@ -142,6 +153,18 @@ class _Car:
         if x >= spec.state_high:
             return spec.state_high, 0.0
         return x, v
+
+    def reward(self, x: float) -> tuple[float, bool]:
+        """``(reward, at_goal)`` for the position reached.  ``reward_rule()``
+        is ``(goal, goal_reward, band_low, band_high, band_reward, elsewhere)``:
+        the goal reward from the goal on, the band reward inside the closed
+        band, else the reward elsewhere (a NaN position too)."""
+        goal, goal_reward, band_low, band_high, band_reward, elsewhere = self.reward_rule()
+        if x >= goal:
+            return goal_reward, True
+        if band_low <= x <= band_high:
+            return band_reward, False
+        return elsewhere, False
 
     def step(self, state: EnvState, action: float) -> StepResult:
         if state.terminal:
@@ -192,12 +215,9 @@ class TrappedCar(_Car):
             return EnvState(self.false_start, 0.0)
         return super().reset(rng)
 
-    def reward(self, x: float) -> tuple[float, bool]:
-        if x >= self.true_goal:
-            return self.true_reward, True
-        if self.false_low <= x <= self.false_high:
-            return self.false_reward, False
-        return 0.0, False
+    def reward_rule(self) -> tuple[float, float, float, float, float, float]:
+        return (self.true_goal, self.true_reward, self.false_low, self.false_high,
+                self.false_reward, 0.0)
 
     def outside_basin(self, x: float) -> bool:
         return x >= self.basin_exit
@@ -214,9 +234,9 @@ class MountainCar(_Car):
     max_speed: float = 0.07
     goal_position: float = 0.45
 
-    def reward(self, x: float) -> tuple[float, bool]:
-        at_goal = x >= self.goal_position
-        return (0.0 if at_goal else -1.0), at_goal
+    def reward_rule(self) -> tuple[float, float, float, float, float, float]:
+        # No band: inf <= x <= -inf holds for no x.
+        return self.goal_position, 0.0, math.inf, -math.inf, 0.0, -1.0
 
 
 def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
@@ -258,14 +278,20 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     sampler's ``scale must be positive`` at the first draw, and a walk done
     before any draw raises nothing.
 
+    The car's constants are read once; each step then runs
+    :meth:`_Car.advance`, the action clamp and :meth:`_Car.reward` inline, in
+    their operation order.  ``min(max(y, lo), hi)`` is written as two ifs,
+    ``lo > y`` then ``hi < y``, which is what the builtins compute for NaN,
+    infinities, signed zeros and any pair of bounds.
+
     The noise comes in one block.  At the first draw the walk checks the
     scale, saves the generator's state and draws the most values it can use
     in one call, ``rng.random`` for Cauchy or ``rng.standard_normal`` for
     Gaussian: the same stream as that many calls of ``_standard_sas``, whose
-    map each draw applies (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``).  A
-    walk that uses fewer (the goal ends it, or it raises) rewinds the
-    generator and redraws the used count, so the stream goes on where
-    :func:`walk` leaves it.
+    map each draw applies (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``), times
+    ``scale``.  A walk that uses fewer (the goal ends it, or it raises)
+    rewinds the generator and redraws the used count, so the stream goes on
+    where :func:`walk` leaves it.
 
     The mode is ``theta.dot`` on a 3-array written through a memoryview, the
     same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
@@ -277,42 +303,67 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     if state.terminal:
         raise EnvUsageError("step() called on a terminal state")
     spec = env.spec
-    clamp, advance, reward = spec.clamp_action, env.advance, env.reward
+    low, high = spec.state_low, spec.state_high
+    a_low, a_high = spec.action_low, spec.action_high
+    gain, gravity = env.thrust_gain, env.gravity
+    cap = env.max_speed
+    neg_cap = -cap
+    goal, goal_reward, band_low, band_high, band_reward, elsewhere = env.reward_rule()
     budget = max(spec.max_steps - state.step_count, 1)
+    last = budget - 1
     # A draw follows every transition but the budget's last.
-    most = steps if steps < budget else budget - 1
+    most = steps if steps < budget else last
     cauchy = tail != 2.0
     draw = rng.random if cauchy else rng.standard_normal
-    root2 = math.sqrt(2.0)
+    cos, tan, pi, root2 = math.cos, math.tan, math.pi, math.sqrt(2.0)
     feats = np.array((0.0, 0.0, 1.0))
     feats_w = memoryview(feats)
     mode_dot = theta.dot
-    x, v, a = state.position, state.velocity, clamp(action)
+    x, v, a = state.position, state.velocity, spec.clamp_action(action)
     xs: list[float] = []
     vs: list[float] = []
     actions: list[float] = []
     rewards: list[float] = []
     noise: list[float] = []
+    add_x, add_v, add_a, add_r = xs.append, vs.append, actions.append, rewards.append
+    at_goal = False
     used = 0
     try:
-        for i in range(min(steps, budget)):
-            xs.append(x)
-            vs.append(v)
-            actions.append(a)
-            x, v = advance(x, v, a)
-            r, at_goal = reward(x)
-            rewards.append(r)
-            if at_goal or i == budget - 1:
+        for i in range(steps if steps < budget else budget):
+            add_x(x)
+            add_v(v)
+            add_a(a)
+            v = v + gain * a - gravity * cos(3.0 * x)
+            if neg_cap > v:
+                v = neg_cap
+            if cap < v:
+                v = cap
+            x = x + v
+            if x <= low:
+                x, v = low, 0.0
+            elif x >= high:
+                x, v = high, 0.0
+            if x >= goal:
+                add_r(goal_reward)
+                at_goal = True
+                break
+            add_r(band_reward if band_low <= x <= band_high else elsewhere)
+            if i == last:
                 break
             if not noise:
                 _check_scale(scale)
                 saved = rng.bit_generator.state
-                noise = draw(most).tolist()
-            z = noise[used]
+                block = draw(most).tolist()
+                noise = ([scale * tan(pi * (u - 0.5)) for u in block] if cauchy
+                         else [scale * (root2 * z) for z in block])
+            step_noise = noise[used]
             used += 1
             feats_w[0], feats_w[1] = x, v
-            a = clamp(float(mode_dot(feats))
-                      + scale * (math.tan(math.pi * (z - 0.5)) if cauchy else root2 * z))
+            a = float(mode_dot(feats)) + step_noise
+            if a_low > a:
+                a = a_low
+            if a_high < a:
+                a = a_high
     finally:
         if used < len(noise):
             rng.bit_generator.state = saved

@@ -5,7 +5,9 @@ Per-run CSVs are the source of truth: the aggregate CSV is written from
 the same runs, and the SVG is always drawn from the CSVs by ``replot``, so a
 sweep's chart and a rebuilt one are the same bytes.  Runs execute in
 parallel processes (capped by the HTPG_THREADS environment variable) and
-write only their own files; aggregation happens after the join.
+write only their own files; aggregation happens after the join.  Every file
+is written to a temp file beside it and then moved into place, so a killed
+or failing writer leaves the old file or none, never a truncated one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -58,8 +61,25 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text file to write that replaces ``path`` when the block ends.
+
+    It is ``.<name>.tmp`` beside ``path``, moved onto it by ``os.replace``; a
+    block that raises deletes it and leaves ``path`` as it was.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_run_csv(path: Path, metrics: RunMetrics) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_CSV_COLUMNS)
         for i, ret in enumerate(metrics.returns):
@@ -88,7 +108,8 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
     workers = worker_count(len(cells)) if max_workers is None else max_workers
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
+    with _replacing(out_dir / "config.txt") as fh:
+        fh.write(config_to_text(cfg))
 
     run_cell = partial(_run_cell, cfg)
     if workers > 1 and len(cells) > 1:
@@ -104,7 +125,7 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> dic
 
 
 def _write_aggregate(path: Path, cell_runs) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
         for (family, seed), metrics in cell_runs:
@@ -140,7 +161,8 @@ def replot(out_dir: Path, families: list[str], seeds: list[int]) -> None:
     """(Re)draw returns.svg from the per-run CSVs on disk."""
     series = {family: [_read_moving_avg(run_path(out_dir, family, seed)) for seed in seeds]
               for family in families}
-    (out_dir / "returns.svg").write_text(render_chart(series), encoding="utf-8")
+    with _replacing(out_dir / "returns.svg") as fh:
+        fh.write(render_chart(series))
 
 
 # ---------------------------------------------------------------------------

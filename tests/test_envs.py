@@ -43,6 +43,28 @@ def test_env_spec_validation():
         EnvSpec(0.0, 1.0, -1, 1, 0.2, 0.4, 1.5, 1.0, 10)
 
 
+
+@pytest.mark.parametrize("car", [TrappedCar, MountainCar])
+@pytest.mark.parametrize("max_speed", [0.0, -0.0, -0.5, math.nan])
+def test_cars_reject_a_max_speed_that_is_not_positive(car, max_speed):
+    with pytest.raises(ParameterError, match="max_speed must be positive"):
+        car(max_speed=max_speed)
+
+
+def test_reward_rule_places_goal_band_and_elsewhere():
+    trapped = TrappedCar()
+    # The band is closed at both edges; a NaN position earns the reward
+    # elsewhere and is not at the goal.
+    for x, want in [(3.6, (100.0, True)), (math.inf, (100.0, True)), (-4.0, (0.1, False)),
+                    (-2.2, (0.1, False)), (-2.1999, (0.0, False)), (math.nan, (0.0, False)),
+                    (-math.inf, (0.0, False))]:
+        assert trapped.reward(x) == want
+    mountain = MountainCar()
+    for x, want in [(0.45, (0.0, True)), (math.inf, (0.0, True)), (0.4499, (-1.0, False)),
+                    (-1.2, (-1.0, False)), (math.nan, (-1.0, False)),
+                    (-math.inf, (-1.0, False))]:
+        assert mountain.reward(x) == want
+
 def test_trapped_reset_interval_endpoints():
     env = TrappedCar()
     assert env.reset(FixedUniform(0.0)).position == 1.15

@@ -3,9 +3,12 @@ the CLI subcommands."""
 
 import csv
 import math
+import os
 import re
 import signal
 import statistics
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -14,11 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from htpg import experiment
 from htpg.cli import main
 from htpg.config import parse_config
 from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
 from htpg.envs import EnvSpec
-from htpg.experiment import RUN_CSV_COLUMNS, render_chart, run_experiment, replot
+from htpg.experiment import (
+    RUN_CSV_COLUMNS,
+    render_chart,
+    replot,
+    run_experiment,
+    write_run_csv,
+)
 from htpg.training import PlainAscent, PowerDecay
 
 SMALL_SWEEP = """
@@ -68,6 +78,8 @@ def test_run_experiment_outputs(sweep_cfg):
         "gaussian_seed1.csv", "gaussian_seed2.csv", "gaussian_seed3.csv",
     ]
     assert (out / "returns.svg").exists()
+    # Every file went through its temp file; none is left behind.
+    assert sorted(p.name for p in out.iterdir()) == sorted(csvs + ["config.txt", "returns.svg"])
     assert set(by_family) == {"cauchy", "gaussian"}
     assert all(len(runs) == 3 for runs in by_family.values())
 
@@ -468,7 +480,6 @@ def test_worker_count_env_cap(monkeypatch):
 
 
 def test_diverged_run_gets_marker_row(tmp_path):
-    from htpg.experiment import write_run_csv
     from htpg.policy import PolicyParams
     from htpg.training import RunMetrics
 
@@ -510,3 +521,79 @@ seeds = [1]
     assert env.start_at_false_goal
     state = env.reset(__import__("numpy").random.default_rng(0))
     assert state.position == env.false_start
+
+
+def _run_metrics(**changes):
+    from htpg.policy import PolicyParams
+    from htpg.training import RunMetrics
+
+    return replace(RunMetrics(
+        returns=[1.0, 2.0, 3.0], moving_avg_100=[1.0, 1.5, 2.0], update_norms=[0.1, 0.2, 0.3],
+        update_counts=[3, 6, 9], first_exit_episode=None, wall_updates=0,
+        terminal_episodes=0, diverged=False, final_policy=PolicyParams.zeros(3, alpha=1.0),
+    ), **changes)
+
+
+@pytest.mark.parametrize("old", [None, b"episode,return,avg_return_100,update_count\r\n"],
+                         ids=["no-old-file", "old-file"])
+def test_a_run_csv_writer_that_raises_midway_leaves_the_old_file(old, tmp_path):
+    path = tmp_path / "c_seed1.csv"
+    if old is not None:
+        path.write_bytes(old)
+    # One moving average short: the writer raises at the last row.
+    with pytest.raises(IndexError):
+        write_run_csv(path, _run_metrics(moving_avg_100=[1.0, 1.5]))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else [path.name])
+    assert old is None or path.read_bytes() == old
+
+
+def test_a_chart_that_fails_midway_leaves_the_old_svg(tmp_path, monkeypatch):
+    write_run_csv(tmp_path / "c_seed1.csv", _run_metrics())
+    replot(tmp_path, ["c"], [1])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # A lone surrogate has no UTF-8 encoding: the write fails once the file
+    # is open.
+    monkeypatch.setattr(experiment, "render_chart", lambda series: "<svg>\udc80</svg>\n")
+    with pytest.raises(UnicodeEncodeError):
+        replot(tmp_path, ["c"], [1])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+_KILLED_WRITER = """
+import os, signal, sys
+from pathlib import Path
+from htpg.experiment import write_run_csv
+from htpg.policy import PolicyParams
+from htpg.training import RunMetrics
+
+class KilledAtRow(list):
+    def __getitem__(self, i):
+        if i == 2:
+            sys.stdout.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return list.__getitem__(self, i)
+
+write_run_csv(Path(sys.argv[1]), RunMetrics(
+    returns=[5.0, 6.0, 7.0], moving_avg_100=KilledAtRow([5.0, 5.5, 6.0]),
+    update_norms=[0.0] * 3, update_counts=[1, 2, 3], first_exit_episode=None,
+    wall_updates=0, terminal_episodes=0, diverged=False,
+    final_policy=PolicyParams.zeros(3, alpha=1.0)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_a_killed_run_csv_writer_leaves_the_old_csv_for_replot(tmp_path):
+    path = tmp_path / "c_seed1.csv"
+    write_run_csv(path, _run_metrics())
+    old = path.read_bytes()
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    killed = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(path)], env=env)
+    assert killed.returncode == -signal.SIGKILL
+    # The kill came mid-file: the CSV is the old one, and at most the temp
+    # file is left beside it.
+    assert path.read_bytes() == old
+    assert {p.name for p in tmp_path.iterdir()} <= {path.name, f".{path.name}.tmp"}
+    replot(tmp_path, ["c"], [1])
+    assert "<polyline" in (tmp_path / "returns.svg").read_text(encoding="utf-8")

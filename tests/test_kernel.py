@@ -6,13 +6,14 @@ which skips the updates of a zero-Q episode it proves no-ops;
 of the metrics, the final parameter bytes, and, where the reference raises,
 the same exception with the same message.  ``estimate_q`` on a car walks
 over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
-runs, drawing its noise in one block); ``walk`` +
+runs, stepping the car inline and drawing its noise in one block); ``walk`` +
 ``discounted_partial_return`` is its oracle: the same value and horizon
 bytes, the same next draw of the random stream, the same errors.  ``synthetic_sga_run`` on a 2-D ``SmoothBump`` ascends over floats
 too; ``diagnostics._synthetic_sga_reference``, the generic loop, is its
 oracle on the same three counts: norms bytes, errors, next draw.
 """
 
+import copy
 import itertools
 import math
 import struct
@@ -363,12 +364,28 @@ def _assert_float_q_matches_walk(monkeypatch, *args):
     return want
 
 
+# Every constant the float walk reads differs from its default and from the
+# others on these two cars: both walls, the action bounds, thrust_gain,
+# gravity, a max_speed small enough that the cap binds, and (trapped car) the
+# goal, the band and their rewards.  A walk that reads one of them from the
+# wrong place leaves the oracle.
+_ODD_TRAPPED = TrappedCar(
+    spec=replace(DEFAULT_TRAPPED_SPEC, state_low=-3.5, state_high=3.2, action_low=-7.0,
+                 action_high=12.0, reward_bound=40.0, max_steps=60),
+    thrust_gain=0.004, gravity=0.003, max_speed=0.09, true_goal=2.9, true_reward=40.0,
+    false_low=-3.3, false_high=-2.0, false_reward=0.7)
+_ODD_MOUNTAIN = MountainCar(
+    spec=replace(DEFAULT_MOUNTAIN_SPEC, state_low=-1.5, state_high=0.8, action_low=-0.6,
+                 action_high=1.4, max_steps=70),
+    thrust_gain=0.002, gravity=0.0031, max_speed=0.03, goal_position=0.55)
 _Q_ENVS = (
     TrappedCar(spec=_SHORT_TRAPPED),
     _NEAR_GOAL,
     _MOUNTAIN,
     TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=1)),
     MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=3)),
+    _ODD_TRAPPED,
+    _ODD_MOUNTAIN,
 )
 _Q_POLICIES = (
     PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([0.1, 0.0, -0.3]), 1.0),
@@ -378,9 +395,26 @@ _Q_POLICIES = (
 )
 
 
+def _branches(env, records) -> set:
+    """The branches of a car step that a walk's records show taken."""
+    xs, vs, _, _, x, at_goal = records
+    spec = env.spec
+    band_low, band_high = env.reward_rule()[2:4]
+    reached = xs[1:] + [x]
+    taken = {
+        "cap": any(abs(v) == env.max_speed for v in vs[1:]),
+        "low wall": spec.state_low in reached,
+        "high wall": spec.state_high in reached,
+        "band": any(band_low <= p <= band_high for p in reached),
+        "goal": at_goal,
+    }
+    return {name for name, seen in taken.items() if seen}
+
+
 def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
     rng = np.random.default_rng(31)
     values = []
+    taken = {env: set() for env in (_ODD_TRAPPED, _ODD_MOUNTAIN)}
     for i in range(400):
         env = _Q_ENVS[i % len(_Q_ENVS)]
         spec = env.spec
@@ -389,12 +423,20 @@ def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
                       int(rng.integers(0, spec.max_steps)))
         a0 = (-30.0, 0.7, 30.0, math.nan)[i % 4]
         horizon = (None, None, 0, 1, 5, spec.max_steps - 1, spec.max_steps + 7)[i % 7]
+        policy = _Q_POLICIES[i % len(_Q_POLICIES)]
         want = _assert_float_q_matches_walk(
-            monkeypatch, env, _Q_POLICIES[i % len(_Q_POLICIES)], s0, a0,
-            (0.97, 0.5)[i % 2], i, horizon)
+            monkeypatch, env, policy, s0, a0, (0.97, 0.5)[i % 2], i, horizon)
         values.append(struct.unpack("<d", want[0])[0])
+        steps = spec.max_steps if horizon is None else horizon + 1
+        args = (env, policy, s0, a0, steps)
+        assert _walk_or_error(_float_walk, i, *args) == _walk_or_error(_walk_records, i, *args)
+        if env in taken:
+            taken[env] |= _branches(env, _walk_records(*args, np.random.default_rng(i)))
     # Goal, misleading-region and mountain rewards all occur.
     assert max(values) >= 100.0 and min(values) < 0.0 and any(0.0 < v < 100.0 for v in values)
+    # On the cars with no default constant, every branch of a step is taken.
+    assert taken[_ODD_TRAPPED] == {"cap", "low wall", "high wall", "band", "goal"}
+    assert taken[_ODD_MOUNTAIN] == {"cap", "low wall", "high wall", "goal"}
 
 
 @st.composite
@@ -504,6 +546,31 @@ def test_float_walk_checks_the_scale_at_the_first_draw_only(log_scale):
             args = (_NEAR_GOAL, policy, s0, 0.0, spec.max_steps)
             got = _walk_or_error(_float_walk, 6, *args)
             assert got == _walk_or_error(_walk_records, 6, *args)
+            assert not got[0].startswith("('raised'")
+
+
+def _unchecked(value, **changes):
+    """A copy of the frozen ``value`` with ``changes`` set past its checks."""
+    out = copy.copy(value)
+    for name, field_value in changes.items():
+        object.__setattr__(out, name, field_value)
+    return out
+
+
+@pytest.mark.parametrize("max_speed", [-0.05, 0.0])
+def test_float_walk_clamps_like_min_max_for_any_bounds(max_speed):
+    # The checks keep every bound pair ordered.  Past them, with the speed
+    # cap and the action range inverted, min(max(y, lo), hi) is hi; the walk's
+    # two ifs (not an if/elif) give the same.
+    for car in (_ODD_TRAPPED, _ODD_MOUNTAIN):
+        spec = car.spec
+        env = _unchecked(car, max_speed=max_speed, spec=_unchecked(
+            spec, action_low=spec.action_high, action_high=spec.action_low))
+        for alpha, seed, a0 in itertools.product((1.0, 2.0), range(3), (0.0, 50.0, math.nan)):
+            policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.zeros(3), alpha, FIXED, 0.5)
+            args = (env, policy, EnvState(0.1, 0.0), a0, spec.max_steps)
+            got = _walk_or_error(_float_walk, seed, *args)
+            assert got == _walk_or_error(_walk_records, seed, *args)
             assert not got[0].startswith("('raised'")
 
 
