@@ -43,7 +43,6 @@ def test_env_spec_validation():
         EnvSpec(0.0, 1.0, -1, 1, 0.2, 0.4, 1.5, 1.0, 10)
 
 
-
 @pytest.mark.parametrize("car", [TrappedCar, MountainCar])
 @pytest.mark.parametrize("max_speed", [0.0, -0.0, -0.5, math.nan])
 def test_cars_reject_a_max_speed_that_is_not_positive(car, max_speed):
@@ -64,6 +63,7 @@ def test_reward_rule_places_goal_band_and_elsewhere():
                     (-1.2, (-1.0, False)), (math.nan, (-1.0, False)),
                     (-math.inf, (-1.0, False))]:
         assert mountain.reward(x) == want
+
 
 def test_trapped_reset_interval_endpoints():
     env = TrappedCar()

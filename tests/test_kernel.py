@@ -415,14 +415,18 @@ def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
     rng = np.random.default_rng(31)
     values = []
     taken = {env: set() for env in (_ODD_TRAPPED, _ODD_MOUNTAIN)}
-    for i in range(400):
-        env = _Q_ENVS[i % len(_Q_ENVS)]
+    # The car and the horizon choice run independently, so every car meets
+    # every choice; each car gets 80 inputs.
+    cars = len(_Q_ENVS)
+    for i in range(80 * cars):
+        env = _Q_ENVS[i % cars]
         spec = env.spec
         s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
                       rng.uniform(-env.max_speed, env.max_speed),
                       int(rng.integers(0, spec.max_steps)))
         a0 = (-30.0, 0.7, 30.0, math.nan)[i % 4]
-        horizon = (None, None, 0, 1, 5, spec.max_steps - 1, spec.max_steps + 7)[i % 7]
+        horizon = (None, None, 0, 1, 5, spec.max_steps - 1,
+                   spec.max_steps + 7)[(i // cars) % 7]
         policy = _Q_POLICIES[i % len(_Q_POLICIES)]
         want = _assert_float_q_matches_walk(
             monkeypatch, env, policy, s0, a0, (0.97, 0.5)[i % 2], i, horizon)
@@ -460,7 +464,11 @@ def _q_inputs(draw):
     return env, policy, s0, a0, gamma, draw(st.integers(0, 2**32)), horizon
 
 
-@settings(max_examples=300, deadline=None,
+# About 60 drawn inputs per car.
+_Q_EXAMPLES = 60 * len(_Q_ENVS)
+
+
+@settings(max_examples=_Q_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_q_inputs())
 def test_float_q_walk_matches_walk_on_drawn_inputs(inputs, monkeypatch):
@@ -473,7 +481,7 @@ def _walk_outcome(walker, seed):
     return repr(walker(rng)), rng.random()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_Q_EXAMPLES, deadline=None)
 @given(inputs=_q_inputs())
 def test_float_walk_records_what_walk_records(inputs):
     # A Q value sees only rewards; the trajectory shows every action bit.
