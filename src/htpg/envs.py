@@ -8,7 +8,9 @@ Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`walk`, which steps through ``step``, is the oracle; :func:`_car_walk`,
 the walk training and Q estimation run, reads the car's constants once and
 steps the dynamics, the speed cap, the walls, the action clamp and the reward
-inline on Python floats.
+inline on Python floats.  Its mode is numpy's dot, as in :func:`walk`, unless
+all three weights are +0.0 (the zero-initialised policies of the paper's
+protocols): then it is ``0.0 * x + 0.0 * v + 0.0``, the same bits.
 """
 
 from __future__ import annotations
@@ -295,7 +297,13 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
 
     The mode is ``theta.dot`` on a 3-array written through a memoryview, the
     same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
-    rounds differently).  The budget is counted once, not per step: the walk
+    rounds differently), except when the three weights are all +0.0 (checked
+    on their bits once per walk, so a -0.0 takes the dot).  Then each step's
+    mode is ``0.0 * x + 0.0 * v + 0.0``, which is what the dot gives: for
+    finite ``x`` and ``v`` every product is a signed zero and the bias
+    product is +0.0, and a sum of signed zeros holding a +0.0 is +0.0 in any
+    order, with or without fused multiply-adds; a NaN or infinite ``x`` or
+    ``v`` makes both NaN.  The budget is counted once, not per step: the walk
     is done after ``max(max_steps - step_count, 1)`` transitions unless the
     goal ends it first, and one cut short by ``steps`` draws the next action
     like :func:`walk` does.
@@ -319,6 +327,7 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     feats = np.array((0.0, 0.0, 1.0))
     feats_w = memoryview(feats)
     mode_dot = theta.dot
+    zero_mode = theta.tobytes() == bytes(24)  # three float64 +0.0
     x, v, a = state.position, state.velocity, spec.clamp_action(action)
     xs: list[float] = []
     vs: list[float] = []
@@ -358,8 +367,11 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
                          else [scale * (root2 * z) for z in block])
             step_noise = noise[used]
             used += 1
-            feats_w[0], feats_w[1] = x, v
-            a = float(mode_dot(feats)) + step_noise
+            if zero_mode:
+                a = (0.0 * x + 0.0 * v + 0.0) + step_noise
+            else:
+                feats_w[0], feats_w[1] = x, v
+                a = float(mode_dot(feats)) + step_noise
             if a_low > a:
                 a = a_low
             if a_high < a:

@@ -524,6 +524,57 @@ def _walk_or_error(walker, seed, *args):
     return repr(result), rng.random()
 
 
+class _CountedDot(np.ndarray):
+    """Weights that count their ``dot`` calls, the float walk's mode dot."""
+
+    def dot(self, other):
+        self.dots += 1
+        return np.ndarray.dot(self, other)
+
+
+# Infinite thrust and gravity: inf - inf velocities, so NaN positions and
+# speeds as well as capped ones.
+_NAN_CAR = replace(_ODD_TRAPPED, thrust_gain=math.inf, gravity=math.inf)
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, -0.0),
+                                     (-0.0, -0.0, -0.0)])
+def test_float_walk_at_zero_weights_matches_walk(weights):
+    # Three +0.0 weights skip the mode dot; a -0.0 among them takes it.
+    skips = all(math.copysign(1.0, w) == 1.0 for w in weights)
+    rng = np.random.default_rng(17)
+    dots = nan_steps = 0
+    cases = itertools.product((_ODD_TRAPPED, _ODD_MOUNTAIN, _NAN_CAR), (1.0, 2.0),
+                              (-30.0, 0.7, 30.0, math.nan))
+    for seed, (env, alpha, a0) in enumerate(cases):
+        spec = env.spec
+        policy = PolicyParams(np.array(weights), np.zeros(3), alpha, FIXED, 0.5)
+        theta = np.array(weights).view(_CountedDot)
+        theta.dots = 0
+        scale = _stable_scale(alpha, policy_scale(policy))
+
+        def counted(env, policy, s0, a0, steps, rng):
+            return _car_walk(env, theta, scale, alpha, rng, s0, a0, steps)
+
+        for horizon in (None, 0, 1, spec.max_steps + 7):
+            steps = spec.max_steps if horizon is None else horizon + 1
+            s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
+                          rng.uniform(-env.max_speed, env.max_speed),
+                          int(rng.integers(0, spec.max_steps)))
+            args = (env, policy, s0, a0, steps)
+            got = _walk_or_error(counted, seed, *args)
+            assert got == _walk_or_error(_walk_records, seed, *args)
+            assert not got[0].startswith("('raised'")
+            if not math.isnan(a0):
+                actions = _walk_records(*args, np.random.default_rng(seed))[2]
+                nan_steps += sum(map(math.isnan, actions[1:]))
+        dots += theta.dots
+    assert (dots == 0) == skips
+    # Besides every walk from a NaN first action, the NaN car's dynamics lead
+    # finite ones to NaN states, so to NaN modes.
+    assert nan_steps > 100
+
+
 def test_float_walk_rewinds_a_block_the_goal_cuts_short():
     # Full thrust from just left of the near goal: the walk draws its block
     # of 79 and the goal ends it after 4 transitions and 3 draws.
