@@ -13,9 +13,11 @@ Covers three independent questions:
 The noisy-ascent loop has two implementations.  ``_synthetic_sga_reference``
 works on arrays and runs every objective; ``_smooth_bump_run`` runs the 2-D
 :class:`SmoothBump` (the ``check-bound`` testbed) as one loop over Python
-floats and is what :func:`synthetic_sga_run` uses there.  The reference is
-the oracle: the float loop must reproduce its norms, errors and random
-stream bit for bit (``tests/test_kernel.py``).
+floats and is what :func:`synthetic_sga_run` uses there; it sets up what is
+constant over a run (noise scale, schedule, dot output) once, so a step does
+only its own arithmetic.  The reference is the oracle: the float loop must
+reproduce its norms, errors and random stream bit for bit
+(``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .training import (
     _lipschitz_divisor,
     apply_update,
     step_size,
+    step_sizes,
 )
 
 __all__ = [
@@ -184,19 +187,30 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
     equivalent: both squared norms stay numpy's 2-vector dot (the BLAS dot
     may fuse multiply-adds, plain Python does not), the gradient is
     ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and the update keeps
-    ``apply_update``'s operation order.  The schedule and the Lipschitz check
-    are the training module's own.  Noise comes in blocks of
-    ``standard_normal(2 * m)``, the same stream as m calls of
+    ``apply_update``'s operation order.  The schedule is the training
+    module's :func:`step_sizes` and the Lipschitz check its own.  Noise comes
+    in blocks of ``standard_normal(2 * m)``, the same stream as m calls of
     ``standard_normal(2)``; a step draws only when its target is positive, as
     in the reference, and however the loop ends the generator is rewound to
     just past the last pair used.
+
+    What is constant over a run is set up once: the noise scale
+    ``sqrt(y1 / 2)``, reused by every step whose target equals ``y1`` (with
+    ``y2 = 0``, every step with a finite gradient; other targets take their
+    own root), the schedule iterator, and the 0-d array both dots write
+    into.  A step takes its size after its draw, so an unknown rule still
+    raises after the first draw.  The iterate check tests the coordinates
+    one by one only when their sum is not finite.
     """
     y1, y2 = noise.y1, noise.y2
+    y1_scale = math.sqrt(y1 / 2)
     lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
+    next_alpha = step_sizes(step_rule).__next__
     # ``theta`` and ``grad`` mirror (t0, t1) and (g0, g1) for the two dot
-    # products; both are written through memoryviews.
+    # products; both are written through memoryviews, and both products
+    # land in ``dot``.
     t0, t1 = theta.tolist()
-    theta, grad = np.array((t0, t1)), np.empty(2)
+    theta, grad, dot = np.array((t0, t1)), np.empty(2), np.empty(())
     theta_w, grad_w = memoryview(theta), memoryview(grad)
     theta_dot, grad_dot = theta.dot, grad.dot
     norms = np.empty(n)
@@ -205,10 +219,10 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
     block, used, block_state = [], 0, None
     try:
         for k in range(1, n + 1):
-            e = math.exp(-float(theta_dot(theta)))
+            e = math.exp(-float(theta_dot(theta, dot)))
             g0, g1 = (-2.0 * t0) * e, (-2.0 * t1) * e
             grad_w[0], grad_w[1] = g0, g1
-            g_sq = float(grad_dot(grad))
+            g_sq = float(grad_dot(grad, dot))
             norms_w[k - 1] = g_sq
             target = y1 + y2 * g_sq
             if target > 0.0:
@@ -216,16 +230,16 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
                     block_state = bit_generator.state
                     block = rng.standard_normal(2 * min(_NOISE_BLOCK, n - k + 1)).tolist()
                     used = 0
-                scale = math.sqrt(target / 2)
+                scale = y1_scale if target == y1 else math.sqrt(target / 2)
                 g0, g1 = g0 + scale * block[used], g1 + scale * block[used + 1]
                 used += 2
-            alpha = step_size(step_rule, k)
+            alpha = next_alpha()
             if lipschitz is None:
                 t0, t1 = t0 + alpha * g0, t1 + alpha * g1
             else:
                 inv = _lipschitz_divisor(lipschitz, alpha)
                 t0, t1 = t0 + g0 / inv, t1 + g1 / inv
-            if not (math.isfinite(t0) and math.isfinite(t1)):
+            if not math.isfinite(t0 + t1) and not (math.isfinite(t0) and math.isfinite(t1)):
                 raise DivergenceError(f"non-finite iterate at step {k}")
             theta_w[0], theta_w[1] = t0, t1
     finally:
@@ -297,8 +311,8 @@ def first_exit_statistics(metrics_by_family: dict) -> ExitSummary:
     if effective == 0:
         p = 1.0
     else:
-        p = sum(math.comb(effective, j) for j in range(wins, effective + 1))
-        p /= 2.0 ** effective
+        # Exact integer division: 2.0 ** effective overflows past 1023 pairs.
+        p = sum(math.comb(effective, j) for j in range(wins, effective + 1)) / 2 ** effective
     return ExitSummary(median_exit=medians, sign_test_p=float(p),
                        wins=wins, losses=losses, ties=ties)
 

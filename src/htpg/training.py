@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import count, repeat
 
 import numpy as np
 
@@ -56,6 +59,7 @@ __all__ = [
     "PlainAscent",
     "LipschitzAware",
     "step_size",
+    "step_sizes",
     "apply_update",
     "TrainConfig",
     "RunMetrics",
@@ -129,6 +133,16 @@ def step_size(rule: StepRule, k: int) -> float:
             + f * (math.log(rule.alpha_end) - math.log(rule.alpha_start))
         )
     raise ParameterError(f"unknown step rule {rule!r}")
+
+
+def step_sizes(rule: StepRule) -> Iterator[float]:
+    """``step_size(rule, k)`` for k = 1, 2, ... as one endless iterator, bit
+    for bit: ``PowerDecay`` maps ``pow(float(k), -b)`` (what ``**`` calls)
+    in C, every other rule maps :func:`step_size`, so an unknown rule raises
+    its error at the first value."""
+    if isinstance(rule, PowerDecay):
+        return map(pow, map(float, count(1)), repeat(-rule.b))
+    return map(partial(step_size, rule), count(1))
 
 
 @dataclass(frozen=True, slots=True)

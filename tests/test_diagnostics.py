@@ -3,6 +3,7 @@ symbolically), the noisy-ascent testbed, first-exit summaries, and the
 tail-exploration ratio."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,6 +216,14 @@ def test_first_exit_statistics_dominant_family():
     assert summary.median_exit["gaussian"] == math.inf
     assert summary.wins == 10
     assert summary.sign_test_p == pytest.approx(2.0 ** -10)
+    # Past 1023 untied pairs 2.0 ** pairs overflows; the tail stays exact.
+    a = [make_metrics(10)] * 600 + [make_metrics(None)] * 500 + [make_metrics(3)] * 7
+    b = [make_metrics(None)] * 600 + [make_metrics(10)] * 500 + [make_metrics(3)] * 7
+    summary = first_exit_statistics({"cauchy": a, "gaussian": b})
+    assert (summary.wins, summary.losses, summary.ties) == (600, 500, 7)
+    tail = sum(math.comb(1100, j) for j in range(600, 1101))
+    assert summary.sign_test_p == float(Fraction(tail, 2 ** 1100))
+    assert 0.0 < summary.sign_test_p < 0.01
 
 
 def test_first_exit_statistics_validation():

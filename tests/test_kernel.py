@@ -729,7 +729,10 @@ _SGA_UPDATES = (PlainAscent(), LipschitzAware(2.0))
 _SGA_NOISE = (NoiseModel(0.0), NoiseModel(0.1), NoiseModel(0.0, 0.5), NoiseModel(0.3, 2.0))
 # (0.5, 0.5) is the default start; the origin is stationary, so without a
 # noise floor nothing is drawn there.  A strided view checks the copy in.
-_SGA_STARTS = (None, (0.0, 0.0), (3.0, -1.0), np.arange(4.0)[::2])
+# From 1e308, -2.0 * t0 overflows and the first gradient is NaN: its target
+# is NaN, so step 1 draws nothing before it raises.
+_SGA_OVERFLOW = (1e308, 0.0)
+_SGA_STARTS = (None, (0.0, 0.0), (3.0, -1.0), np.arange(4.0)[::2], _SGA_OVERFLOW)
 
 
 @pytest.mark.parametrize("update_rule", _SGA_UPDATES, ids=["plain", "lipschitz"])
@@ -742,11 +745,20 @@ def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monk
                                                               (1, 3, 11))):
         want = _assert_float_sga_matches_reference(monkeypatch, 3, noise, step_rule,
                                                    update_rule, n, i, theta0)
-        outcomes.add(want[0][0] if isinstance(want[0], tuple) else "returned")
-    # Only a first step past the Lipschitz ceiling 1/L raises.
+        overflow = theta0 is _SGA_OVERFLOW
+        if overflow:
+            assert want[1] == struct.pack("<d", np.random.default_rng(i).random())
+        outcomes.add((overflow, want[0][1:] if isinstance(want[0], tuple) else "returned"))
+    # Only a first step past the Lipschitz ceiling 1/L raises, and the
+    # overflowing start, whose first iterate is NaN.
     lipschitz_fails = (isinstance(update_rule, LipschitzAware)
                        and 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j)
-    assert outcomes == ({"raised"} if lipschitz_fails else {"returned"})
+    if lipschitz_fails:
+        assert {(overflow, error[0]) for overflow, error in outcomes} == {
+            (False, ScheduleError), (True, ScheduleError)}
+    else:
+        assert outcomes == {(False, "returned"),
+                            (True, (DivergenceError, "non-finite iterate at step 1"))}
 
 
 def test_float_sga_matches_reference_at_the_real_block_size(monkeypatch):
@@ -789,7 +801,7 @@ def _sga_inputs(draw):
                        | st.builds(LipschitzAware, st.floats(0.01, 3.0)))
     y = st.just(0.0) | st.floats(1e-6, 10.0)
     noise = NoiseModel(draw(y), draw(y))
-    coordinate = st.floats(-30.0, 30.0) | st.sampled_from([0.0, 1e300, 1e-300])
+    coordinate = st.floats(-30.0, 30.0) | st.sampled_from([0.0, 1e300, 1e308, 1e-300])
     theta0 = draw(st.none() | st.tuples(coordinate, coordinate))
     return (draw(st.sampled_from([1, 2, 3, 4096])), noise, step_rule, update_rule,
             draw(st.integers(1, 40)), draw(st.integers(0, 2**32)), theta0)

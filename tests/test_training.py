@@ -1,6 +1,7 @@
 """Trainer checks: schedules, update rules, an exact hand-trace of one update
 on a single-transition environment, determinism, and the divergence guard."""
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,7 @@ from htpg.training import (
     TrainConfig,
     apply_update,
     step_size,
+    step_sizes,
     train,
 )
 
@@ -68,6 +70,26 @@ def test_step_size_linear_range_endpoints():
 
 def test_step_size_constant():
     assert step_size(Constant(0.25), 7) == 0.25
+
+
+# The linear ranges end at k = 1, 2, 1000 and 2999, so the 3000 values
+# compared run below, at and past total.
+@pytest.mark.parametrize("rule", [
+    PowerDecay(0.01), PowerDecay(1 / 3), PowerDecay(0.5), PowerDecay(0.75), PowerDecay(0.99),
+    Constant(0.25), Constant(1e308),
+    LinearRange(0.4, 1e-3, 1), LinearRange(0.4, 1e-3, 2), LinearRange(),
+    LinearRange(0.005, 5e-9, 1000), LinearRange(0.3, 0.3, 2999),
+], ids=repr)
+def test_step_sizes_give_step_size_bit_for_bit(rule):
+    got = list(itertools.islice(step_sizes(rule), 3000))
+    want = [step_size(rule, k) for k in range(1, 3001)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_step_sizes_of_an_unknown_rule_raise_at_the_first_value():
+    values = step_sizes(object())
+    with pytest.raises(ParameterError, match="^unknown step rule"):
+        next(values)
 
 
 @pytest.mark.parametrize("rule", [PowerDecay(0.75), LinearRange(0.1, 1e-6, 500)])
