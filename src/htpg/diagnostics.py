@@ -14,10 +14,12 @@ The noisy-ascent loop has two implementations.  ``_synthetic_sga_reference``
 works on arrays and runs every objective; ``_smooth_bump_run`` runs the 2-D
 :class:`SmoothBump` (the ``check-bound`` testbed) as one loop over Python
 floats and is what :func:`synthetic_sga_run` uses there; it sets up what is
-constant over a run (noise scale, schedule, dot output) once, so a step does
-only its own arithmetic.  The reference is the oracle: the float loop must
-reproduce its norms, errors and random stream bit for bit
-(``tests/test_kernel.py``).
+constant over a run (noise scale, schedule) once, so a step does only its
+own arithmetic.  The reference is the oracle: the float loop must reproduce
+its norms, errors and random stream bit for bit (``tests/test_kernel.py``).
+Every small dot product in htpg is a left-to-right sum of Python floats, so
+both loops take a squared norm as ``t0*t0 + t1*t1`` (:func:`_squared_norm`),
+on any CPU.
 """
 
 from __future__ import annotations
@@ -124,10 +126,18 @@ class SmoothBump:
     value_bound = 1.0
 
     def value(self, theta: np.ndarray) -> float:
-        return -(1.0 - math.exp(-float(theta @ theta)))
+        return -(1.0 - math.exp(-_squared_norm(theta)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return -2.0 * theta * math.exp(-float(theta @ theta))
+        return -2.0 * theta * math.exp(-_squared_norm(theta))
+
+
+def _squared_norm(vec: np.ndarray) -> float:
+    """``v0*v0 + v1*v1 + ...`` over Python floats, summed left to right."""
+    total = 0.0  # exact: 0.0 + c*c is c*c for every float c
+    for c in vec.tolist():
+        total += c * c
+    return total
 
 
 def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
@@ -161,7 +171,7 @@ def _synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
     norms = np.empty(n)
     for k in range(1, n + 1):
         g = objective.grad(theta)
-        g_sq = float(g @ g)
+        g_sq = _squared_norm(g)
         norms[k - 1] = g_sq
         target = noise.y1 + noise.y2 * g_sq
         if target > 0.0:
@@ -184,45 +194,37 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
     loop over Python floats.
 
     Bit-identity rests on doing the reference's arithmetic, not an
-    equivalent: both squared norms stay numpy's 2-vector dot (the BLAS dot
-    may fuse multiply-adds, plain Python does not), the gradient is
-    ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and the update keeps
-    ``apply_update``'s operation order.  The schedule is the training
-    module's :func:`step_sizes` and the Lipschitz check its own.  Noise comes
-    in blocks of ``standard_normal(2 * m)``, the same stream as m calls of
-    ``standard_normal(2)``; a step draws only when its target is positive, as
-    in the reference, and however the loop ends the generator is rewound to
-    just past the last pair used.
+    equivalent: both squared norms are :func:`_squared_norm` written inline,
+    the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
+    the update keeps ``apply_update``'s operation order.  The schedule is the
+    training module's :func:`step_sizes` and the Lipschitz check its own.
+    Noise comes in blocks of ``standard_normal(2 * m)``, the same stream as m
+    calls of ``standard_normal(2)``; a step draws only when its target is
+    positive, as in the reference, and however the loop ends the generator
+    is rewound to just past the last pair used.
 
     What is constant over a run is set up once: the noise scale
     ``sqrt(y1 / 2)``, reused by every step whose target equals ``y1`` (with
     ``y2 = 0``, every step with a finite gradient; other targets take their
-    own root), the schedule iterator, and the 0-d array both dots write
-    into.  A step takes its size after its draw, so an unknown rule still
-    raises after the first draw.  The iterate check tests the coordinates
-    one by one only when their sum is not finite.
+    own root) and the schedule iterator.  A step takes its size after its
+    draw, so an unknown rule still raises after the first draw.  The iterate
+    check tests the coordinates one by one only when their sum is not
+    finite.
     """
     y1, y2 = noise.y1, noise.y2
     y1_scale = math.sqrt(y1 / 2)
     lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
     next_alpha = step_sizes(step_rule).__next__
-    # ``theta`` and ``grad`` mirror (t0, t1) and (g0, g1) for the two dot
-    # products; both are written through memoryviews, and both products
-    # land in ``dot``.
     t0, t1 = theta.tolist()
-    theta, grad, dot = np.array((t0, t1)), np.empty(2), np.empty(())
-    theta_w, grad_w = memoryview(theta), memoryview(grad)
-    theta_dot, grad_dot = theta.dot, grad.dot
     norms = np.empty(n)
     norms_w = memoryview(norms)
     bit_generator = rng.bit_generator
     block, used, block_state = [], 0, None
     try:
         for k in range(1, n + 1):
-            e = math.exp(-float(theta_dot(theta, dot)))
+            e = math.exp(-(t0 * t0 + t1 * t1))
             g0, g1 = (-2.0 * t0) * e, (-2.0 * t1) * e
-            grad_w[0], grad_w[1] = g0, g1
-            g_sq = float(grad_dot(grad, dot))
+            g_sq = g0 * g0 + g1 * g1
             norms_w[k - 1] = g_sq
             target = y1 + y2 * g_sq
             if target > 0.0:
@@ -241,7 +243,6 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
                 t0, t1 = t0 + g0 / inv, t1 + g1 / inv
             if not math.isfinite(t0 + t1) and not (math.isfinite(t0) and math.isfinite(t1)):
                 raise DivergenceError(f"non-finite iterate at step {k}")
-            theta_w[0], theta_w[1] = t0, t1
     finally:
         if used < len(block):
             bit_generator.state = block_state

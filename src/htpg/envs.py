@@ -8,17 +8,15 @@ Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`walk`, which steps through ``step``, is the oracle; :func:`_car_walk`,
 the walk training and Q estimation run, reads the car's constants once and
 steps the dynamics, the speed cap, the walls, the action clamp and the reward
-inline on Python floats.  Its mode is numpy's dot, as in :func:`walk`, unless
-all three weights are +0.0 (the zero-initialised policies of the paper's
-protocols): then it is ``0.0 * x + 0.0 * v + 0.0``, the same bits.
+inline on Python floats.  Every small dot product in htpg is a left-to-right
+sum of Python floats, so both walks take the mode as ``(t0*x + t1*v) + t2``
+(:func:`htpg.policy.action_mode`) and agree bit for bit on any CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EnvUsageError, ParameterError
 from .policy import PolicyParams, features, sample_action
@@ -267,11 +265,12 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
     return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
 
 
-def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
+def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
               state: EnvState, action: float, steps: int):
-    """:func:`walk` on a car over Python floats, for a policy with mode
-    ``theta . (x, v, 1)`` and draw ``mode + scale * _standard_sas(tail, rng)``,
-    ``tail`` 1 (Cauchy) or 2 (Gaussian).
+    """:func:`walk` on a car over Python floats, for a policy with the three
+    mode weights ``theta`` (Python floats), mode ``t0 * x + t1 * v + t2`` and
+    draw ``mode + scale * _standard_sas(tail, rng)``, ``tail`` 1 (Cauchy) or
+    2 (Gaussian).
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
@@ -295,18 +294,10 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     rewinds the generator and redraws the used count, so the stream goes on
     where :func:`walk` leaves it.
 
-    The mode is ``theta.dot`` on a 3-array written through a memoryview, the
-    same BLAS dot as ``theta @ features(...)`` (plain Python arithmetic
-    rounds differently), except when the three weights are all +0.0 (checked
-    on their bits once per walk, so a -0.0 takes the dot).  Then each step's
-    mode is ``0.0 * x + 0.0 * v + 0.0``, which is what the dot gives: for
-    finite ``x`` and ``v`` every product is a signed zero and the bias
-    product is +0.0, and a sum of signed zeros holding a +0.0 is +0.0 in any
-    order, with or without fused multiply-adds; a NaN or infinite ``x`` or
-    ``v`` makes both NaN.  The budget is counted once, not per step: the walk
-    is done after ``max(max_steps - step_count, 1)`` transitions unless the
-    goal ends it first, and one cut short by ``steps`` draws the next action
-    like :func:`walk` does.
+    The budget is counted once, not per step: the walk is done after
+    ``max(max_steps - step_count, 1)`` transitions unless the goal ends it
+    first, and one cut short by ``steps`` draws the next action like
+    :func:`walk` does.
     """
     if state.terminal:
         raise EnvUsageError("step() called on a terminal state")
@@ -324,10 +315,7 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
     cauchy = tail != 2.0
     draw = rng.random if cauchy else rng.standard_normal
     cos, tan, pi, root2 = math.cos, math.tan, math.pi, math.sqrt(2.0)
-    feats = np.array((0.0, 0.0, 1.0))
-    feats_w = memoryview(feats)
-    mode_dot = theta.dot
-    zero_mode = theta.tobytes() == bytes(24)  # three float64 +0.0
+    t0, t1, t2 = theta
     x, v, a = state.position, state.velocity, spec.clamp_action(action)
     xs: list[float] = []
     vs: list[float] = []
@@ -367,11 +355,7 @@ def _car_walk(env: _Car, theta: np.ndarray, scale: float, tail: float, rng,
                          else [scale * (root2 * z) for z in block])
             step_noise = noise[used]
             used += 1
-            if zero_mode:
-                a = (0.0 * x + 0.0 * v + 0.0) + step_noise
-            else:
-                feats_w[0], feats_w[1] = x, v
-                a = float(mode_dot(feats)) + step_noise
+            a = (t0 * x + t1 * v + t2) + step_noise
             if a_low > a:
                 a = a_low
             if a_high < a:

@@ -98,11 +98,20 @@ def policy_scale(p: PolicyParams) -> float:
 
 
 def action_mode(p: PolicyParams, s: np.ndarray) -> float:
+    """``theta_x0 . s`` as ``w0*s0 + w1*s1 + ...`` over Python floats, summed
+    left to right: the arithmetic the float loops write inline, so every
+    path gives the same bits on any CPU.  For the cars' ``s = (x, v, 1)``
+    this is ``(t0*x + t1*v) + t2``, as ``t2 * 1.0`` is ``t2``."""
     if s.shape != p.theta_x0.shape:
         raise ParameterError(
             f"feature dimension {s.shape} does not match theta_x0 {p.theta_x0.shape}"
         )
-    return float(p.theta_x0 @ s)
+    # -0.0 is the identity of float addition (0.0 would turn a -0.0 term into
+    # +0.0, as builtin sum's int start does; sum also compensates on 3.12+).
+    mode = -0.0
+    for w, f in zip(p.theta_x0.tolist(), s.tolist()):
+        mode += w * f
+    return mode
 
 
 def action_distribution(p: PolicyParams, s: np.ndarray) -> StableSpec:

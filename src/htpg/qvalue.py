@@ -86,7 +86,8 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     steps = min(drawn, env.spec.max_steps) + 1
     if isinstance(env, _Car) and policy.dim == 3:
         scale = _stable_scale(policy.alpha, policy_scale(policy))
-        rewards = _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)[3]
+        rewards = _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0,
+                            steps)[3]
     else:
         rewards = walk(env, policy, rng, s0, a0, steps).rewards
     return QEstimate(discounted_partial_return(rewards, gamma, drawn), drawn)

@@ -22,7 +22,9 @@ exactly 0 when a per-episode bound proves that none of them can change a
 bit (``_zero_q_is_noop``); on the trapped car, whose start well pays
 nothing, that is most episodes.  The reference is the oracle: the fast loop
 must reproduce its metrics and final parameters bit for bit
-(``tests/test_kernel.py``).
+(``tests/test_kernel.py``).  Every small dot product in htpg is a
+left-to-right sum of Python floats, so both loops take the mode as
+``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`), on any CPU.
 """
 
 from __future__ import annotations
@@ -426,8 +428,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     Python floats: no policy, state, trajectory or score objects per step.
 
     Bit-identity with the reference rests on doing its arithmetic, not an
-    equivalent: the mode ``theta_x0 . s`` stays numpy's 3-vector dot (the
-    BLAS dot may fuse multiply-adds, plain Python does not), sigma stays
+    equivalent: the mode is ``t0 * x + t1 * v + t2``, sigma stays
     ``np.exp`` of ``(c0 + c1) + c2`` (numpy's sum order; ``math.exp`` rounds
     differently), the clip is ``hi if g > hi else g`` (NaN passes through,
     as through ``np.minimum``), and the update keeps the reference's
@@ -454,13 +455,9 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     lo = -hi if config.symmetric_clip else -math.inf
 
     # The parameters are t0..t2 (theta_x0) and c0..c2 (theta_sigma, inert in
-    # fixed scale mode).  ``theta`` mirrors t0..t2 for the dot product with
-    # ``feats`` = (x, v, 1); both are written through memoryviews.
-    t0, t1, t2 = map(float, init.theta_x0)
-    c0, c1, c2 = map(float, init.theta_sigma)
-    theta, feats = np.array((t0, t1, t2)), np.array((0.0, 0.0, 1.0))
-    theta_w, feats_w = memoryview(theta), memoryview(feats)
-    mode_dot = theta.dot
+    # fixed scale mode).
+    t0, t1, t2 = init.theta_x0.tolist()
+    c0, c1, c2 = init.theta_sigma.tolist()
 
     def param_vec():
         return np.array((t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2))
@@ -475,10 +472,10 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         start = env.reset(rng)
         sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
         scale = _stable_scale(tail, sigma)
-        feats_w[0], feats_w[1] = start.position, start.velocity
-        a = sample_sas(StableSpec(tail, float(mode_dot(feats)), scale), rng)
+        mode = t0 * start.position + t1 * start.velocity + t2
+        a = sample_sas(StableSpec(tail, mode, scale), rng)
         xs, vs, actions, rewards, x, at_goal = _car_walk(
-            env, theta, scale, tail, rng, start, a, env.spec.max_steps)
+            env, (t0, t1, t2), scale, tail, rng, start, a, env.spec.max_steps)
 
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
         pairs = zip(xs, vs, actions)
@@ -495,10 +492,9 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
                 pairs = ()
         vec_before = vec
         for xk, vk, ak in pairs:
-            feats_w[0], feats_w[1] = xk, vk
             if adaptive:
                 sigma = float(np.exp((c0 + c1) + c2))
-            mode_coef, sigma_coef = _score_coefs(tail, ak, float(mode_dot(feats)), sigma)
+            mode_coef, sigma_coef = _score_coefs(tail, ak, t0 * xk + t1 * vk + t2, sigma)
             g0, g1, g2 = mode_coef * xk, mode_coef * vk, mode_coef
             # clip_score, component by component.
             g0 = hi if g0 > hi else lo if g0 < lo else g0
@@ -529,7 +525,6 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
                 _warn_diverged(episode, updates)
                 break
             t0, t1, t2 = n0, n1, n2
-            theta_w[0], theta_w[1], theta_w[2] = n0, n1, n2
             if adaptive:
                 c0, c1, c2 = m0, m1, m2
         vec = param_vec()

@@ -496,7 +496,7 @@ def test_float_walk_records_what_walk_records(inputs):
                 env.at_goal(traj.final_state))
 
     def by_floats(rng):
-        return _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)
+        return _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps)
 
     assert _walk_outcome(by_floats, seed) == _walk_outcome(by_walk, seed)
 
@@ -511,7 +511,7 @@ def _walk_records(env, policy, s0, a0, steps, rng):
 
 def _float_walk(env, policy, s0, a0, steps, rng):
     scale = _stable_scale(policy.alpha, policy_scale(policy))
-    return _car_walk(env, policy.theta_x0, scale, policy.alpha, rng, s0, a0, steps)
+    return _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps)
 
 
 def _walk_or_error(walker, seed, *args):
@@ -524,14 +524,6 @@ def _walk_or_error(walker, seed, *args):
     return repr(result), rng.random()
 
 
-class _CountedDot(np.ndarray):
-    """Weights that count their ``dot`` calls, the float walk's mode dot."""
-
-    def dot(self, other):
-        self.dots += 1
-        return np.ndarray.dot(self, other)
-
-
 # Infinite thrust and gravity: inf - inf velocities, so NaN positions and
 # speeds as well as capped ones.
 _NAN_CAR = replace(_ODD_TRAPPED, thrust_gain=math.inf, gravity=math.inf)
@@ -540,36 +532,26 @@ _NAN_CAR = replace(_ODD_TRAPPED, thrust_gain=math.inf, gravity=math.inf)
 @pytest.mark.parametrize("weights", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, -0.0),
                                      (-0.0, -0.0, -0.0)])
 def test_float_walk_at_zero_weights_matches_walk(weights):
-    # Three +0.0 weights skip the mode dot; a -0.0 among them takes it.
-    skips = all(math.copysign(1.0, w) == 1.0 for w in weights)
+    # Signed zero weights: the sign of each zero product reaches the mode.
     rng = np.random.default_rng(17)
-    dots = nan_steps = 0
+    nan_steps = 0
     cases = itertools.product((_ODD_TRAPPED, _ODD_MOUNTAIN, _NAN_CAR), (1.0, 2.0),
                               (-30.0, 0.7, 30.0, math.nan))
     for seed, (env, alpha, a0) in enumerate(cases):
         spec = env.spec
         policy = PolicyParams(np.array(weights), np.zeros(3), alpha, FIXED, 0.5)
-        theta = np.array(weights).view(_CountedDot)
-        theta.dots = 0
-        scale = _stable_scale(alpha, policy_scale(policy))
-
-        def counted(env, policy, s0, a0, steps, rng):
-            return _car_walk(env, theta, scale, alpha, rng, s0, a0, steps)
-
         for horizon in (None, 0, 1, spec.max_steps + 7):
             steps = spec.max_steps if horizon is None else horizon + 1
             s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
                           rng.uniform(-env.max_speed, env.max_speed),
                           int(rng.integers(0, spec.max_steps)))
             args = (env, policy, s0, a0, steps)
-            got = _walk_or_error(counted, seed, *args)
+            got = _walk_or_error(_float_walk, seed, *args)
             assert got == _walk_or_error(_walk_records, seed, *args)
             assert not got[0].startswith("('raised'")
             if not math.isnan(a0):
                 actions = _walk_records(*args, np.random.default_rng(seed))[2]
                 nan_steps += sum(map(math.isnan, actions[1:]))
-        dots += theta.dots
-    assert (dots == 0) == skips
     # Besides every walk from a NaN first action, the NaN car's dynamics lead
     # finite ones to NaN states, so to NaN modes.
     assert nan_steps > 100

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from htpg import diagnostics
+from htpg.diagnostics import SmoothBump
 from htpg.errors import ParameterError
 from htpg.policy import (
     ADAPTIVE,
@@ -207,3 +209,55 @@ def test_param_vector_roundtrip():
     assert (q.alpha, q.scale_mode) == (p.alpha, p.scale_mode)
     with pytest.raises(ParameterError):
         with_param_vector(p, np.zeros(3))
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal, with the sign of a zero counted and NaN equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _left_to_right(terms) -> float:
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+# Signed zeros, infinities, NaN, and magnitudes up to 1e300 (whose products
+# overflow) as well as moderate ones (whose sums round).
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-1e300, 1e300),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _vectors(count: int):
+    """``count`` lists of one length in 1..5."""
+    return st.integers(1, 5).flatmap(
+        lambda d: st.tuples(*[st.lists(_COMPONENT, min_size=d, max_size=d)] * count))
+
+
+@given(pair=_vectors(2))
+@settings(max_examples=500, deadline=None)
+def test_action_mode_is_the_left_to_right_float_sum(pair):
+    weights, feats = pair
+    p = PolicyParams(np.array(weights), np.zeros(len(weights)))
+    want = _left_to_right([w * f for w, f in zip(weights, feats)])
+    assert _same_float(action_mode(p, np.array(feats)), want)
+
+
+@given(vectors=_vectors(1))
+@settings(max_examples=500, deadline=None)
+def test_smooth_bump_squared_norm_is_the_left_to_right_float_sum(vectors):
+    (theta,) = vectors
+    sq = _left_to_right([c * c for c in theta])
+    e = math.exp(-sq)
+    bump = SmoothBump(dim=len(theta))
+    assert _same_float(bump.value(np.array(theta)), -(1.0 - e))
+    with np.errstate(invalid="ignore"):
+        grad = bump.grad(np.array(theta)).tolist()
+    assert all(map(_same_float, grad, [(-2.0 * c) * e for c in theta]))
+    assert _same_float(diagnostics._squared_norm(np.array(theta)), sq)
