@@ -15,8 +15,12 @@ works on arrays and runs every objective; ``_smooth_bump_run`` runs the 2-D
 :class:`SmoothBump` (the ``check-bound`` testbed) as one loop over Python
 floats and is what :func:`synthetic_sga_run` uses there; it sets up what is
 constant over a run (noise scale, schedule) once, so a step does only its
-own arithmetic.  The reference is the oracle: the float loop must reproduce
-its norms, errors and random stream bit for bit (``tests/test_kernel.py``).
+own arithmetic.  The step-size schedule depends only on ``(rule, n)``, so it
+is built once and cached (:func:`_step_schedule`, one schedule held), and
+the 20 seeds of ``check-bound`` share it; a rule whose schedule cannot be
+built stays lazy, so its error still comes after step 1's draw.  The
+reference is the oracle: the float loop must reproduce its norms, errors
+and random stream bit for bit (``tests/test_kernel.py``).
 Every small dot product in htpg is a left-to-right sum of Python floats, so
 both loops take a squared norm as ``t0*t0 + t1*t1`` (:func:`_squared_norm`),
 on any CPU.
@@ -26,7 +30,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -157,9 +164,13 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
     theta = (
         np.full(objective.dim, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     )
-    if type(objective) is SmoothBump and theta.shape == (2,):
-        return _smooth_bump_run(noise, step_rule, update_rule, n, rng, theta)
-    return _synthetic_sga_reference(objective, noise, step_rule, update_rule, n, rng, theta)
+    try:
+        if type(objective) is SmoothBump and theta.shape == (2,):
+            return _smooth_bump_run(noise, step_rule, update_rule, n, rng, theta)
+        return _synthetic_sga_reference(objective, noise, step_rule, update_rule, n, rng,
+                                        theta)
+    except MemoryError as err:  # both loops allocate their n norms first
+        raise ParameterError(f"n={n} gradient norms do not fit in memory") from err
 
 
 # Like both training loops, the runs stay quiet on their way to DivergenceError.
@@ -187,6 +198,21 @@ def _synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
 _NOISE_BLOCK = 4096
 
 
+@lru_cache(maxsize=1)
+def _step_schedule(rule: StepRule, n: int) -> array:
+    """``step_size(rule, k)`` for k = 1..n as doubles, bit for bit, built
+    once per ``(rule, n)``; the cache holds one schedule, 8 bytes a step.
+
+    A rule whose step sizes are not Python floats (an int ``alpha``, a numpy
+    scalar) raises TypeError here rather than round its values into the
+    array: :func:`_smooth_bump_run` then calls ``step_size`` per step, which
+    keeps their own arithmetic and error messages.
+    """
+    if type(step_size(rule, 1)) is not float or type(step_size(rule, n)) is not float:
+        raise TypeError(f"step sizes of {rule!r} are not Python floats")
+    return array("d", islice(step_sizes(rule), n))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: UpdateRule,
                      n: int, rng, theta: np.ndarray) -> np.ndarray:
@@ -196,8 +222,8 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
     Bit-identity rests on doing the reference's arithmetic, not an
     equivalent: both squared norms are :func:`_squared_norm` written inline,
     the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
-    the update keeps ``apply_update``'s operation order.  The schedule is the
-    training module's :func:`step_sizes` and the Lipschitz check its own.
+    the update keeps ``apply_update``'s operation order.  The step sizes are
+    the training module's :func:`step_sizes` and the Lipschitz check its own.
     Noise comes in blocks of ``standard_normal(2 * m)``, the same stream as m
     calls of ``standard_normal(2)``; a step draws only when its target is
     positive, as in the reference, and however the loop ends the generator
@@ -206,45 +232,54 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
     What is constant over a run is set up once: the noise scale
     ``sqrt(y1 / 2)``, reused by every step whose target equals ``y1`` (with
     ``y2 = 0``, every step with a finite gradient; other targets take their
-    own root) and the schedule iterator.  A step takes its size after its
-    draw, so an unknown rule still raises after the first draw.  The iterate
-    check tests the coordinates one by one only when their sum is not
-    finite.
+    own root), and the schedule, which :func:`_step_schedule` builds once per
+    ``(rule, n)`` and keeps for the next run (one schedule held).  The norms
+    are allocated first, so an impossible ``n`` fails before any schedule
+    work.  A rule whose schedule cannot be built (an unknown or unhashable
+    rule, or step sizes that are not Python floats) stays lazy: each step
+    calls ``step_size`` after its draw, so the rule's error still comes after
+    step 1's draw, as in the reference.  The iterate check tests the
+    coordinates one by one only when their sum is not finite.
     """
-    y1, y2 = noise.y1, noise.y2
-    y1_scale = math.sqrt(y1 / 2)
-    lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
-    next_alpha = step_sizes(step_rule).__next__
-    t0, t1 = theta.tolist()
     norms = np.empty(n)
     norms_w = memoryview(norms)
-    bit_generator = rng.bit_generator
-    block, used, block_state = [], 0, None
     try:
-        for k in range(1, n + 1):
-            e = math.exp(-(t0 * t0 + t1 * t1))
+        steps = enumerate(_step_schedule(step_rule, n))
+    except (ParameterError, TypeError):  # unknown, unhashable or not floats: lazy
+        steps = zip(range(n), repeat(None))
+    exp, isfinite, sqrt = math.exp, math.isfinite, math.sqrt
+    y1, y2 = noise.y1, noise.y2
+    y1_scale = sqrt(y1 / 2)
+    lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
+    t0, t1 = theta.tolist()
+    bit_generator = rng.bit_generator
+    block, used, filled, block_state = [], 0, 0, None
+    try:
+        for i, alpha in steps:
+            e = exp(-(t0 * t0 + t1 * t1))
             g0, g1 = (-2.0 * t0) * e, (-2.0 * t1) * e
             g_sq = g0 * g0 + g1 * g1
-            norms_w[k - 1] = g_sq
+            norms_w[i] = g_sq
             target = y1 + y2 * g_sq
             if target > 0.0:
-                if used == len(block):
+                if used == filled:
                     block_state = bit_generator.state
-                    block = rng.standard_normal(2 * min(_NOISE_BLOCK, n - k + 1)).tolist()
-                    used = 0
-                scale = y1_scale if target == y1 else math.sqrt(target / 2)
+                    block = rng.standard_normal(2 * min(_NOISE_BLOCK, n - i)).tolist()
+                    used, filled = 0, len(block)
+                scale = y1_scale if target == y1 else sqrt(target / 2)
                 g0, g1 = g0 + scale * block[used], g1 + scale * block[used + 1]
                 used += 2
-            alpha = next_alpha()
+            if alpha is None:
+                alpha = step_size(step_rule, i + 1)
             if lipschitz is None:
                 t0, t1 = t0 + alpha * g0, t1 + alpha * g1
             else:
                 inv = _lipschitz_divisor(lipschitz, alpha)
                 t0, t1 = t0 + g0 / inv, t1 + g1 / inv
-            if not math.isfinite(t0 + t1) and not (math.isfinite(t0) and math.isfinite(t1)):
-                raise DivergenceError(f"non-finite iterate at step {k}")
+            if not isfinite(t0 + t1) and not (isfinite(t0) and isfinite(t1)):
+                raise DivergenceError(f"non-finite iterate at step {i + 1}")
     finally:
-        if used < len(block):
+        if used < filled:
             bit_generator.state = block_state
             rng.standard_normal(used)
     return norms

@@ -178,6 +178,7 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--y1", "nan"], {}),
     (["check-bound", "--y1", "inf"], {}),
     (["check-bound", "--y1", "1e308"], {}),
+    (["check-bound", "--n", "1000000000000000", "--seeds", "1"], {}),
     (["dist-tests", "--seed", "-1"], {}),
     (["first-exit", "--episodes", "-1"], {}),
     (["first-exit", "--seeds", "1,1"], {}),
@@ -190,7 +191,7 @@ def test_cli_train_invalid_config(tmp_path, capsys):
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
-        "bound-y1-inf", "bound-y1-1e308", "dist-seed-negative",
+        "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large", "dist-seed-negative",
         "first-exit-episodes-negative",
         "first-exit-seeds-repeated", "first-exit-out-empty", "family-slash", "family-nul",
         "name-nul", "out-nul", "first-exit-out-nul"])

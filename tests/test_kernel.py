@@ -765,11 +765,18 @@ def test_float_sga_matches_reference_on_errors(monkeypatch):
                                                PowerDecay(0.5), LipschitzAware(2.0), 9, 1,
                                                None)
     assert want[0][:2] == ("raised", ScheduleError)
-    # An unknown schedule fails in step_size, also after the first draw.
-    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), object(),
-                                               PlainAscent(), 9, 2, None)
-    assert want[0][:2] == ("raised", ParameterError)
-    assert want[0][2].startswith("unknown step rule")
+    # An unknown schedule fails in step_size, also after the first draw, and
+    # so does an unhashable one, which the schedule cache cannot take.
+    for seed, rule in ((2, object()), (4, [])):
+        want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), rule,
+                                                   PlainAscent(), 9, seed, None)
+        assert want[0][:2] == ("raised", ParameterError)
+        assert want[0][2].startswith("unknown step rule")
+    # An int alpha is not rounded into the cached schedule: the message says
+    # alpha=3, as the reference's does.
+    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), Constant(3),
+                                               LipschitzAware(1.0), 9, 3, None)
+    assert want[0][:2] == ("raised", ScheduleError) and "alpha=3," in want[0][2]
 
 
 @st.composite
@@ -803,3 +810,39 @@ def test_other_inputs_keep_the_generic_sga_loop(monkeypatch):
         norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule, PlainAscent(),
                                               20, np.random.default_rng(0))
         assert norms.shape == (20,) and np.isfinite(norms).all()
+
+
+_SCHEDULE_RULES = (st.builds(PowerDecay, st.floats(0.01, 0.99))
+                   | st.builds(Constant, st.floats(1e-3, 1e3))
+                   | st.builds(LinearRange, st.floats(0.1, 0.45), st.floats(1e-4, 0.1),
+                               st.integers(1, 400)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rule=_SCHEDULE_RULES, n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_step_schedule_is_step_size_built_once_per_rule_and_n(rule, n, seed, monkeypatch):
+    schedule = diagnostics._step_schedule(rule, n)
+    assert _floats(schedule) == _floats([training.step_size(rule, k) for k in range(1, n + 1)])
+    assert diagnostics._step_schedule(rule, n) is schedule
+    # One schedule is held: a new (rule, n) replaces it.
+    longer = diagnostics._step_schedule(rule, n + 1)
+    assert diagnostics._step_schedule(rule, n + 1) is longer
+    assert diagnostics._step_schedule(rule, n) is not schedule
+    # The first run builds the schedule, the second takes it from the cache.
+    diagnostics._step_schedule.cache_clear()
+    for hits in (0, 1):
+        _assert_float_sga_matches_reference(monkeypatch, 3, NoiseModel(0.1), rule,
+                                            PlainAscent(), n, seed, None)
+        assert diagnostics._step_schedule.cache_info()[:2] == (hits, 1)
+
+
+def test_an_impossible_n_fails_before_the_schedule(monkeypatch):
+    built = []
+    monkeypatch.setattr(diagnostics, "_step_schedule", lambda *args: built.append(args))
+    for dim in (2, 3):
+        with pytest.raises(ParameterError, match=r"^n=1000000000000000 "):
+            diagnostics.synthetic_sga_run(SmoothBump(dim=dim), NoiseModel(0.1),
+                                          PowerDecay(0.5), PlainAscent(), 10**15,
+                                          np.random.default_rng(0))
+    assert built == []

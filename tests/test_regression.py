@@ -1,4 +1,5 @@
-"""Regression pin: exact outputs of training and Q estimation on fixed seeds.
+"""Regression pin: exact outputs of training, Q estimation and the
+averaged-gradient testbed on fixed seeds.
 
 The digests below were recorded from the implementation and must not move
 under refactors that claim bit-identical behaviour.  Each covers every float
@@ -12,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from htpg.diagnostics import NoiseModel, SmoothBump, synthetic_sga_run
 from htpg.envs import (
     DEFAULT_MOUNTAIN_SPEC,
     DEFAULT_TRAPPED_SPEC,
@@ -22,7 +24,14 @@ from htpg.envs import (
 )
 from htpg.policy import FIXED, PolicyParams, param_vector
 from htpg.qvalue import estimate_q
-from htpg.training import Constant, LipschitzAware, TrainConfig, train
+from htpg.training import (
+    Constant,
+    LipschitzAware,
+    PlainAscent,
+    PowerDecay,
+    TrainConfig,
+    train,
+)
 
 # Starting in the misleading basin earns 0.1 per step, so shared-Q updates
 # are non-zero; the lowered basin exit lets some episodes leave it.
@@ -85,6 +94,7 @@ TRAIN_DIGESTS = {
         "6e9e706519bf78bb24252980ceb33a30fcf3d10005716815f06d5db007c0f473",
 }
 ESTIMATE_Q_DIGEST = "8fe67cb51a7cd015e7ad0718cd1131a2e570b7f60d2f492dc3c7a48d1160d347"
+SGA_DIGEST = "e5417326e444285a045dd6161139a6657bc46903058b1517c14f8b1f7c1e3995"
 
 
 def test_train_outputs_are_pinned():
@@ -117,6 +127,25 @@ def test_estimate_q_values_and_stream_are_pinned():
         parts += [est.value, est.horizon_drawn]
     parts.append(float(rng.random()))
     assert _digest(*parts) == ESTIMATE_Q_DIGEST
+
+
+def test_synthetic_sga_norms_and_stream_are_pinned():
+    # The check-bound case (PowerDecay(0.5), plain ascent, noise floor 0.1),
+    # the Lipschitz-aware update on a constant schedule, and noise that
+    # grows with the gradient; each from seeds 0-2.  Of the machine stack,
+    # only the C math library (exp, pow, the normal sampler's log) enters
+    # these bytes: no BLAS call and no numpy SIMD loop.
+    cases = ((NoiseModel(0.1), PowerDecay(0.5), PlainAscent()),
+             (NoiseModel(0.1), Constant(0.1), LipschitzAware(2.0)),
+             (NoiseModel(0.05, 0.5), PowerDecay(0.5), PlainAscent()))
+    parts = []
+    for noise, step_rule, update_rule in cases:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            parts += [synthetic_sga_run(SmoothBump(), noise, step_rule, update_rule, 2000,
+                                        rng),
+                      float(rng.random())]
+    assert _digest(*parts) == SGA_DIGEST
 
 
 def test_rollout_cut_at_horizon_is_a_prefix_of_the_full_rollout():
