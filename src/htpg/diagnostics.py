@@ -11,14 +11,14 @@ Covers three independent questions:
   (:func:`tail_exploration_ratio`).
 
 The noisy-ascent loop has two implementations.  ``_synthetic_sga_reference``
-works on arrays and runs every objective; ``_smooth_bump_run`` runs the 2-D
-:class:`SmoothBump` (the ``check-bound`` testbed) as one loop over Python
-floats and is what :func:`synthetic_sga_run` uses there; it sets up what is
-constant over a run (noise scale, schedule) once, so a step does only its
-own arithmetic.  The step-size schedule depends only on ``(rule, n)``, so it
-is built once and cached (:func:`_step_schedule`, one schedule held), and
-the 20 seeds of ``check-bound`` share it; a rule whose schedule cannot be
-built stays lazy, so its error still comes after step 1's draw.  The
+works on arrays and runs every input; ``_smooth_bump_run`` runs only what
+``check-bound`` runs, plain ascent on the 2-D :class:`SmoothBump` with a
+step rule whose schedule builds, as one loop over Python floats.  The
+step-size schedule depends only on ``(rule, n)``, so it is built once and
+cached (:func:`_step_schedule`, one schedule held), and the 20 seeds of
+``check-bound`` share it.  Everything else (the Lipschitz-aware update,
+other objectives and dimensions, rules whose schedule cannot be built) runs
+the reference, which raises the rule's own errors in its own order.  The
 reference is the oracle: the float loop must reproduce its norms, errors
 and random stream bit for bit (``tests/test_kernel.py``).
 Every small dot product in htpg is a left-to-right sum of Python floats, so
@@ -32,23 +32,14 @@ import math
 import statistics
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice, repeat
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
 from .policy import PolicyParams, action_mode, features, policy_scale
-from .training import (
-    LipschitzAware,
-    StepRule,
-    UpdateRule,
-    _lipschitz_divisor,
-    apply_update,
-    step_size,
-    step_sizes,
-)
+from .training import PlainAscent, StepRule, UpdateRule, apply_update, step_size
 
 __all__ = [
     "NoiseModel",
@@ -154,10 +145,10 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
     return the true squared gradient norms at every visited iterate.
 
     The noise is Gaussian, scaled so that E||w_k||^2 equals the NoiseModel
-    target exactly (equality, not just a bound).  A :class:`SmoothBump` from
-    a 2-D iterate runs :func:`_smooth_bump_run`, a loop over Python floats;
-    every other input runs :func:`_synthetic_sga_reference`, the generic loop
-    that is its oracle.
+    target exactly (equality, not just a bound).  Plain ascent on a 2-D
+    :class:`SmoothBump` with a schedule that builds runs :func:`_smooth_bump_run`,
+    a loop over Python floats; every other input runs
+    :func:`_synthetic_sga_reference`, the generic loop that is its oracle.
     """
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
@@ -165,22 +156,29 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
         np.full(objective.dim, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     )
     try:
-        if type(objective) is SmoothBump and theta.shape == (2,):
-            return _smooth_bump_run(noise, step_rule, update_rule, n, rng, theta)
-        return _synthetic_sga_reference(objective, noise, step_rule, update_rule, n, rng,
-                                        theta)
-    except MemoryError as err:  # both loops allocate their n norms first
+        norms = np.empty(n)  # first: an impossible n builds no schedule
+    except MemoryError as err:
         raise ParameterError(f"n={n} gradient norms do not fit in memory") from err
+    if (type(objective) is SmoothBump and theta.shape == (2,)
+            and type(update_rule) is PlainAscent):
+        try:
+            schedule = _step_schedule(step_rule, n)
+        except (ParameterError, TypeError, OverflowError):
+            pass  # an unknown or unhashable rule, or a step size no double holds
+        else:
+            return _smooth_bump_run(noise, schedule, rng, theta, norms)
+    return _synthetic_sga_reference(objective, noise, step_rule, update_rule, rng, theta,
+                                    norms)
 
 
 # Like both training loops, the runs stay quiet on their way to DivergenceError.
 @np.errstate(over="ignore", invalid="ignore")
 def _synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
-                             update_rule: UpdateRule, n: int, rng,
-                             theta: np.ndarray) -> np.ndarray:
-    """:func:`synthetic_sga_run` for any objective, from the iterate ``theta``."""
-    norms = np.empty(n)
-    for k in range(1, n + 1):
+                             update_rule: UpdateRule, rng, theta: np.ndarray,
+                             norms: np.ndarray) -> np.ndarray:
+    """:func:`synthetic_sga_run` for any objective, from the iterate
+    ``theta``, for ``norms.size`` steps; fills and returns ``norms``."""
+    for k in range(1, norms.size + 1):
         g = objective.grad(theta)
         g_sq = _squared_norm(g)
         norms[k - 1] = g_sq
@@ -201,61 +199,41 @@ _NOISE_BLOCK = 4096
 @lru_cache(maxsize=1)
 def _step_schedule(rule: StepRule, n: int) -> array:
     """``step_size(rule, k)`` for k = 1..n as doubles, bit for bit, built
-    once per ``(rule, n)``; the cache holds one schedule, 8 bytes a step.
-
-    A rule whose step sizes are not Python floats (an int ``alpha``, a numpy
-    scalar) raises TypeError here rather than round its values into the
-    array: :func:`_smooth_bump_run` then calls ``step_size`` per step, which
-    keeps their own arithmetic and error messages.
-    """
-    if type(step_size(rule, 1)) is not float or type(step_size(rule, n)) is not float:
-        raise TypeError(f"step sizes of {rule!r} are not Python floats")
-    return array("d", islice(step_sizes(rule), n))
+    once per ``(rule, n)``; the cache holds one schedule, 8 bytes a step."""
+    return array("d", map(partial(step_size, rule), range(1, n + 1)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: UpdateRule,
-                     n: int, rng, theta: np.ndarray) -> np.ndarray:
-    """:func:`_synthetic_sga_reference` for a 2-D :class:`SmoothBump`, as one
-    loop over Python floats.
+def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
+                     norms: np.ndarray) -> np.ndarray:
+    """:func:`_synthetic_sga_reference` under plain ascent for a 2-D
+    :class:`SmoothBump`, as one loop over Python floats, taking step k's size
+    from ``schedule[k - 1]``; fills and returns ``norms``.
 
     Bit-identity rests on doing the reference's arithmetic, not an
     equivalent: both squared norms are :func:`_squared_norm` written inline,
     the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
-    the update keeps ``apply_update``'s operation order.  The step sizes are
-    the training module's :func:`step_sizes` and the Lipschitz check its own.
-    Noise comes in blocks of ``standard_normal(2 * m)``, the same stream as m
-    calls of ``standard_normal(2)``; a step draws only when its target is
-    positive, as in the reference, and however the loop ends the generator
-    is rewound to just past the last pair used.
+    the update is ``apply_update``'s ``t + alpha * g``.  Noise comes in
+    blocks of ``standard_normal(2 * m)``, the same stream as m calls of
+    ``standard_normal(2)``; a step draws only when its target is positive, as
+    in the reference, and however the loop ends the generator is rewound to
+    just past the last pair used.
 
-    What is constant over a run is set up once: the noise scale
-    ``sqrt(y1 / 2)``, reused by every step whose target equals ``y1`` (with
-    ``y2 = 0``, every step with a finite gradient; other targets take their
-    own root), and the schedule, which :func:`_step_schedule` builds once per
-    ``(rule, n)`` and keeps for the next run (one schedule held).  The norms
-    are allocated first, so an impossible ``n`` fails before any schedule
-    work.  A rule whose schedule cannot be built (an unknown or unhashable
-    rule, or step sizes that are not Python floats) stays lazy: each step
-    calls ``step_size`` after its draw, so the rule's error still comes after
-    step 1's draw, as in the reference.  The iterate check tests the
-    coordinates one by one only when their sum is not finite.
+    The noise scale ``sqrt(y1 / 2)`` is computed once and reused by every
+    step whose target equals ``y1`` (with ``y2 = 0``, every step with a
+    finite gradient; other targets take their own root).  The iterate check
+    tests the coordinates one by one only when their sum is not finite.
     """
-    norms = np.empty(n)
+    n = len(schedule)
     norms_w = memoryview(norms)
-    try:
-        steps = enumerate(_step_schedule(step_rule, n))
-    except (ParameterError, TypeError):  # unknown, unhashable or not floats: lazy
-        steps = zip(range(n), repeat(None))
     exp, isfinite, sqrt = math.exp, math.isfinite, math.sqrt
     y1, y2 = noise.y1, noise.y2
     y1_scale = sqrt(y1 / 2)
-    lipschitz = update_rule if isinstance(update_rule, LipschitzAware) else None
     t0, t1 = theta.tolist()
     bit_generator = rng.bit_generator
     block, used, filled, block_state = [], 0, 0, None
     try:
-        for i, alpha in steps:
+        for i, alpha in enumerate(schedule):
             e = exp(-(t0 * t0 + t1 * t1))
             g0, g1 = (-2.0 * t0) * e, (-2.0 * t1) * e
             g_sq = g0 * g0 + g1 * g1
@@ -269,13 +247,7 @@ def _smooth_bump_run(noise: NoiseModel, step_rule: StepRule, update_rule: Update
                 scale = y1_scale if target == y1 else sqrt(target / 2)
                 g0, g1 = g0 + scale * block[used], g1 + scale * block[used + 1]
                 used += 2
-            if alpha is None:
-                alpha = step_size(step_rule, i + 1)
-            if lipschitz is None:
-                t0, t1 = t0 + alpha * g0, t1 + alpha * g1
-            else:
-                inv = _lipschitz_divisor(lipschitz, alpha)
-                t0, t1 = t0 + g0 / inv, t1 + g1 / inv
+            t0, t1 = t0 + alpha * g0, t1 + alpha * g1
             if not isfinite(t0 + t1) and not (isfinite(t0) and isfinite(t1)):
                 raise DivergenceError(f"non-finite iterate at step {i + 1}")
     finally:

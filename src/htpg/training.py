@@ -31,10 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import count, repeat
 
 import numpy as np
 
@@ -61,7 +58,6 @@ __all__ = [
     "PlainAscent",
     "LipschitzAware",
     "step_size",
-    "step_sizes",
     "apply_update",
     "TrainConfig",
     "RunMetrics",
@@ -137,16 +133,6 @@ def step_size(rule: StepRule, k: int) -> float:
     raise ParameterError(f"unknown step rule {rule!r}")
 
 
-def step_sizes(rule: StepRule) -> Iterator[float]:
-    """``step_size(rule, k)`` for k = 1, 2, ... as one endless iterator, bit
-    for bit: ``PowerDecay`` maps ``pow(float(k), -b)`` (what ``**`` calls)
-    in C, every other rule maps :func:`step_size`, so an unknown rule raises
-    its error at the first value."""
-    if isinstance(rule, PowerDecay):
-        return map(pow, map(float, count(1)), repeat(-rule.b))
-    return map(partial(step_size, rule), count(1))
-
-
 @dataclass(frozen=True, slots=True)
 class PlainAscent:
     """theta + alpha_k * g."""
@@ -215,7 +201,8 @@ class TrainConfig:
         if isinstance(rule, LinearRange):
             rule = replace(rule, total=max(self.episodes, 1))
         object.__setattr__(self, "step_rule", rule)
-        # The schedule never exceeds its first step size.
+        # Step 1 only: LinearRange(0.005, 0.005, 100) gives 0.005000000000000002
+        # at k = 2 (exp(log(0.005)) rounds up), so the updates check it again.
         if isinstance(self.update_rule, LipschitzAware):
             _lipschitz_divisor(self.update_rule, step_size(self.step_rule, 1))
 
@@ -251,8 +238,9 @@ def train(config: TrainConfig) -> RunMetrics:
     rule spans the episode budget instead: the step size is fixed within an
     episode and interpolated by episode number, which keeps the configured
     start/end range meaningful regardless of how many updates each episode
-    contributes.  Either way the alpha sequence seen by the updates is
-    non-increasing.
+    contributes.  Either way the alpha sequence does not grow, except that a
+    ``LinearRange`` with (nearly) equal ends can round up by an ulp after
+    k = 1, which is why each Lipschitz-aware update checks its divisor.
 
     Shared-Q training on either car with the cars' 3-feature policy runs
     as one loop over Python floats (:func:`_train_car_shared`); every other

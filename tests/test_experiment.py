@@ -441,6 +441,16 @@ def test_cli_check_bound(capsys):
     assert "holds=true" in out
 
 
+def test_cli_check_bound_that_fails_exits_1(capsys):
+    # A slow decay (b = 0.01) keeps the steps near 1: the average stays above
+    # the ceiling, which is a result, not an error.
+    rc = main(["check-bound", "--b", "0.01", "--n", "300", "--seeds", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.count("\n") == 1 and "holds=false" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("seeds, n", [(3, 300), (20, 1), (1, 50)])
 def test_cli_check_bound_reports_the_stacked_mean(seeds, n, capsys):
     # The CLI keeps a running sum; lhs, rhs and holds are those of the mean

@@ -8,9 +8,12 @@ the same exception with the same message.  ``estimate_q`` on a car walks
 over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
 runs, stepping the car inline and drawing its noise in one block); ``walk`` +
 ``discounted_partial_return`` is its oracle: the same value and horizon
-bytes, the same next draw of the random stream, the same errors.  ``synthetic_sga_run`` on a 2-D ``SmoothBump`` ascends over floats
-too; ``diagnostics._synthetic_sga_reference``, the generic loop, is its
-oracle on the same three counts: norms bytes, errors, next draw.
+bytes, the same next draw of the random stream, the same errors.
+``synthetic_sga_run`` ascends over floats only for plain ascent on a 2-D
+``SmoothBump`` with a step rule whose schedule builds;
+``diagnostics._synthetic_sga_reference``, the generic loop, is its oracle on
+the same three counts (norms bytes, errors, next draw) and runs every other
+input, which the tests check with the float loop patched to refuse.
 """
 
 import copy
@@ -681,7 +684,7 @@ def _sga_outcome(run, noise, step_rule, update_rule, n, seed, theta0):
 def _sga_by_reference(noise, step_rule, update_rule, n, rng, theta0):
     theta = np.full(2, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     return diagnostics._synthetic_sga_reference(SmoothBump(), noise, step_rule, update_rule,
-                                                n, rng, theta)
+                                                rng, theta, np.empty(n))
 
 
 def _sga_by_dispatch(noise, step_rule, update_rule, n, rng, theta0):
@@ -693,21 +696,32 @@ def _refuse_sga(*args):
     raise AssertionError("synthetic_sga_run took the other loop")
 
 
-def _assert_float_sga_matches_reference(monkeypatch, block, *args):
-    """``synthetic_sga_run`` must run the float loop, at noise block ``block``,
-    and reproduce the reference."""
+def _assert_sga_matches_reference(monkeypatch, refused, block, *args):
+    """``synthetic_sga_run`` must not run ``refused``, the other loop, and must
+    reproduce the reference, at noise block ``block``."""
     want = _sga_outcome(_sga_by_reference, *args)
     with monkeypatch.context() as patch:
         patch.setattr(diagnostics, "_NOISE_BLOCK", block)
-        patch.setattr(diagnostics, "_synthetic_sga_reference", _refuse_sga)
+        patch.setattr(diagnostics, refused, _refuse_sga)
         got = _sga_outcome(_sga_by_dispatch, *args)
     assert got == want
     return want
 
 
+def _assert_float_sga_matches_reference(monkeypatch, block, *args):
+    """``synthetic_sga_run`` must run the float loop and reproduce the
+    reference."""
+    return _assert_sga_matches_reference(monkeypatch, "_synthetic_sga_reference", block,
+                                         *args)
+
+
+def _assert_reference_sga_runs(monkeypatch, *args):
+    """``synthetic_sga_run`` must run the reference loop."""
+    return _assert_sga_matches_reference(monkeypatch, "_smooth_bump_run", 3, *args)
+
+
 _SGA_STEPS = (PowerDecay(0.5), PowerDecay(0.9), Constant(0.1), Constant(50.0),
               LinearRange(0.4, 1e-3, 6))
-_SGA_UPDATES = (PlainAscent(), LipschitzAware(2.0))
 _SGA_NOISE = (NoiseModel(0.0), NoiseModel(0.1), NoiseModel(0.0, 0.5), NoiseModel(0.3, 2.0))
 # (0.5, 0.5) is the default start; the origin is stationary, so without a
 # noise floor nothing is drawn there.  A strided view checks the copy in.
@@ -717,30 +731,34 @@ _SGA_OVERFLOW = (1e308, 0.0)
 _SGA_STARTS = (None, (0.0, 0.0), (3.0, -1.0), np.arange(4.0)[::2], _SGA_OVERFLOW)
 
 
-@pytest.mark.parametrize("update_rule", _SGA_UPDATES, ids=["plain", "lipschitz"])
-@pytest.mark.parametrize("step_rule", _SGA_STEPS, ids=repr)
-def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monkeypatch):
-    # A block of 3 pairs makes n = 3 one block and n = 11 several, with
-    # skipped draws and errors landing inside a block.
+def _sga_fixed_outcomes(assert_run, step_rule, update_rule):
+    """Run the fixed seeds through ``assert_run``; the set of outcomes, each
+    marked by whether its start overflows."""
     outcomes = set()
     for i, (noise, theta0, n) in enumerate(itertools.product(_SGA_NOISE, _SGA_STARTS,
                                                               (1, 3, 11))):
-        want = _assert_float_sga_matches_reference(monkeypatch, 3, noise, step_rule,
-                                                   update_rule, n, i, theta0)
+        want = assert_run(noise, step_rule, update_rule, n, i, theta0)
         overflow = theta0 is _SGA_OVERFLOW
         if overflow:
             assert want[1] == struct.pack("<d", np.random.default_rng(i).random())
         outcomes.add((overflow, want[0][1:] if isinstance(want[0], tuple) else "returned"))
-    # Only a first step past the Lipschitz ceiling 1/L raises, and the
-    # overflowing start, whose first iterate is NaN.
-    lipschitz_fails = (isinstance(update_rule, LipschitzAware)
-                       and 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j)
-    if lipschitz_fails:
-        assert {(overflow, error[0]) for overflow, error in outcomes} == {
-            (False, ScheduleError), (True, ScheduleError)}
-    else:
-        assert outcomes == {(False, "returned"),
-                            (True, (DivergenceError, "non-finite iterate at step 1"))}
+    return outcomes
+
+
+_SGA_RETURNS_OR_OVERFLOWS = {(False, "returned"),
+                             (True, (DivergenceError, "non-finite iterate at step 1"))}
+
+
+@pytest.mark.parametrize("update_rule", [PlainAscent()], ids=["plain"])
+@pytest.mark.parametrize("step_rule", _SGA_STEPS, ids=repr)
+def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monkeypatch):
+    # A block of 3 pairs makes n = 3 one block and n = 11 several, with
+    # skipped draws and errors landing inside a block.  Only the overflowing
+    # start raises: its first iterate is NaN.
+    outcomes = _sga_fixed_outcomes(
+        lambda *args: _assert_float_sga_matches_reference(monkeypatch, 3, *args),
+        step_rule, update_rule)
+    assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
 
 
 def test_float_sga_matches_reference_at_the_real_block_size(monkeypatch):
@@ -760,22 +778,30 @@ def test_float_sga_matches_reference_on_errors(monkeypatch):
     rng = np.random.default_rng(0)
     rng.standard_normal(14)
     assert want[1] == struct.pack("<d", rng.random())
-    # The Lipschitz ceiling fails at step 1, after its draw.
-    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1),
-                                               PowerDecay(0.5), LipschitzAware(2.0), 9, 1,
-                                               None)
+    # An int or numpy-scalar alpha runs the float loop from its schedule of
+    # doubles, with the reference's bits: plain ascent multiplies by it.
+    for seed, rule in ((5, Constant(3)), (6, Constant(np.float64(0.1)))):
+        _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), rule,
+                                            PlainAscent(), 9, seed, None)
+    # Everything else runs the reference.  The Lipschitz ceiling fails at
+    # step 1, after its draw.
+    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), PowerDecay(0.5),
+                                      LipschitzAware(2.0), 9, 1, None)
     assert want[0][:2] == ("raised", ScheduleError)
     # An unknown schedule fails in step_size, also after the first draw, and
-    # so does an unhashable one, which the schedule cache cannot take.
+    # so does an unhashable one, which the schedule cache cannot take, and a
+    # step size too large for a double.
     for seed, rule in ((2, object()), (4, [])):
-        want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), rule,
-                                                   PlainAscent(), 9, seed, None)
+        want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), rule, PlainAscent(),
+                                          9, seed, None)
         assert want[0][:2] == ("raised", ParameterError)
         assert want[0][2].startswith("unknown step rule")
-    # An int alpha is not rounded into the cached schedule: the message says
-    # alpha=3, as the reference's does.
-    want = _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), Constant(3),
-                                               LipschitzAware(1.0), 9, 3, None)
+    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), Constant(10**400),
+                                      PlainAscent(), 9, 7, None)
+    assert want[0][:2] == ("raised", OverflowError)
+    # An int alpha keeps its own arithmetic: the message says alpha=3.
+    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), Constant(3),
+                                      LipschitzAware(1.0), 9, 3, None)
     assert want[0][:2] == ("raised", ScheduleError) and "alpha=3," in want[0][2]
 
 
@@ -800,16 +826,34 @@ def _sga_inputs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_sga_inputs())
 def test_float_sga_matches_reference_on_drawn_inputs(inputs, monkeypatch):
-    _assert_float_sga_matches_reference(monkeypatch, *inputs)
+    block, *args = inputs
+    if isinstance(args[2], PlainAscent):
+        _assert_float_sga_matches_reference(monkeypatch, block, *args)
+    else:
+        _assert_reference_sga_runs(monkeypatch, *args)
 
 
 def test_other_inputs_keep_the_generic_sga_loop(monkeypatch):
-    monkeypatch.setattr(diagnostics, "_smooth_bump_run", _refuse_sga)
-    noise, rule = NoiseModel(0.1), PowerDecay(0.5)
-    for dim in (1, 3):
-        norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule, PlainAscent(),
-                                              20, np.random.default_rng(0))
-        assert norms.shape == (20,) and np.isfinite(norms).all()
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_smooth_bump_run", _refuse_sga)
+        noise, rule = NoiseModel(0.1), PowerDecay(0.5)
+        for dim in (1, 3):
+            norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule,
+                                                  PlainAscent(), 20, np.random.default_rng(0))
+            assert norms.shape == (20,) and np.isfinite(norms).all()
+    # The Lipschitz-aware update on the fixed seeds.  Only a first step past
+    # the Lipschitz ceiling 1/L raises, and the overflowing start, whose
+    # first iterate is NaN.
+    update_rule = LipschitzAware(2.0)
+    for step_rule in _SGA_STEPS:
+        outcomes = _sga_fixed_outcomes(
+            lambda *args: _assert_reference_sga_runs(monkeypatch, *args), step_rule,
+            update_rule)
+        if 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j:
+            assert {(overflow, error[0]) for overflow, error in outcomes} == {
+                (False, ScheduleError), (True, ScheduleError)}
+        else:
+            assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
 
 
 _SCHEDULE_RULES = (st.builds(PowerDecay, st.floats(0.01, 0.99))

@@ -1,13 +1,13 @@
 """Trainer checks: schedules, update rules, an exact hand-trace of one update
 on a single-transition environment, determinism, and the divergence guard."""
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from htpg import diagnostics
 from htpg.envs import EnvSpec, EnvState, StepResult, TrappedCar
 from htpg.errors import ParameterError, ScheduleError
 from htpg.policy import ADAPTIVE, FIXED, PolicyParams, clip_score, features, param_vector, score
@@ -20,7 +20,6 @@ from htpg.training import (
     TrainConfig,
     apply_update,
     step_size,
-    step_sizes,
     train,
 )
 
@@ -72,8 +71,9 @@ def test_step_size_constant():
     assert step_size(Constant(0.25), 7) == 0.25
 
 
-# The linear ranges end at k = 1, 2, 1000 and 2999, so the 3000 values
-# compared run below, at and past total.
+# The step sizes of a schedule built at once, as the SGA float loop takes
+# them (diagnostics._step_schedule).  The linear ranges end at k = 1, 2, 1000
+# and 2999, so the 3000 values compared run below, at and past total.
 @pytest.mark.parametrize("rule", [
     PowerDecay(0.01), PowerDecay(1 / 3), PowerDecay(0.5), PowerDecay(0.75), PowerDecay(0.99),
     Constant(0.25), Constant(1e308),
@@ -81,15 +81,22 @@ def test_step_size_constant():
     LinearRange(0.005, 5e-9, 1000), LinearRange(0.3, 0.3, 2999),
 ], ids=repr)
 def test_step_sizes_give_step_size_bit_for_bit(rule):
-    got = list(itertools.islice(step_sizes(rule), 3000))
+    got = diagnostics._step_schedule(rule, 3000).tolist()
     want = [step_size(rule, k) for k in range(1, 3001)]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
-def test_step_sizes_of_an_unknown_rule_raise_at_the_first_value():
-    values = step_sizes(object())
+def test_step_sizes_of_an_unknown_rule_raise_at_the_first_value(monkeypatch):
+    asked = []
+
+    def logged_step_size(rule, k):
+        asked.append(k)
+        return step_size(rule, k)
+
+    monkeypatch.setattr(diagnostics, "step_size", logged_step_size)
     with pytest.raises(ParameterError, match="^unknown step rule"):
-        next(values)
+        diagnostics._step_schedule(object(), 3000)
+    assert asked == [1]
 
 
 @pytest.mark.parametrize("rule", [PowerDecay(0.75), LinearRange(0.1, 1e-6, 500)])
