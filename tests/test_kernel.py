@@ -749,16 +749,28 @@ _SGA_RETURNS_OR_OVERFLOWS = {(False, "returned"),
                              (True, (DivergenceError, "non-finite iterate at step 1"))}
 
 
-@pytest.mark.parametrize("update_rule", [PlainAscent()], ids=["plain"])
+@pytest.mark.parametrize("update_rule", (PlainAscent(), LipschitzAware(2.0)),
+                         ids=["plain", "lipschitz"])
 @pytest.mark.parametrize("step_rule", _SGA_STEPS, ids=repr)
 def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monkeypatch):
     # A block of 3 pairs makes n = 3 one block and n = 11 several, with
-    # skipped draws and errors landing inside a block.  Only the overflowing
-    # start raises: its first iterate is NaN.
-    outcomes = _sga_fixed_outcomes(
-        lambda *args: _assert_float_sga_matches_reference(monkeypatch, 3, *args),
-        step_rule, update_rule)
-    assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
+    # skipped draws and errors landing inside a block.  Plain ascent runs the
+    # float loop; the Lipschitz-aware update runs the reference loop and must
+    # give the same outcomes.  Only a first step past the Lipschitz ceiling
+    # 1/L raises, and the overflowing start, whose first iterate is NaN.
+    if isinstance(update_rule, PlainAscent):
+        def assert_run(*args):
+            return _assert_float_sga_matches_reference(monkeypatch, 3, *args)
+    else:
+        def assert_run(*args):
+            return _assert_reference_sga_runs(monkeypatch, *args)
+    outcomes = _sga_fixed_outcomes(assert_run, step_rule, update_rule)
+    if (isinstance(update_rule, LipschitzAware)
+            and 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j):
+        assert {(overflow, error[0]) for overflow, error in outcomes} == {
+            (False, ScheduleError), (True, ScheduleError)}
+    else:
+        assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
 
 
 def test_float_sga_matches_reference_at_the_real_block_size(monkeypatch):
@@ -841,19 +853,6 @@ def test_other_inputs_keep_the_generic_sga_loop(monkeypatch):
             norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule,
                                                   PlainAscent(), 20, np.random.default_rng(0))
             assert norms.shape == (20,) and np.isfinite(norms).all()
-    # The Lipschitz-aware update on the fixed seeds.  Only a first step past
-    # the Lipschitz ceiling 1/L raises, and the overflowing start, whose
-    # first iterate is NaN.
-    update_rule = LipschitzAware(2.0)
-    for step_rule in _SGA_STEPS:
-        outcomes = _sga_fixed_outcomes(
-            lambda *args: _assert_reference_sga_runs(monkeypatch, *args), step_rule,
-            update_rule)
-        if 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j:
-            assert {(overflow, error[0]) for overflow, error in outcomes} == {
-                (False, ScheduleError), (True, ScheduleError)}
-        else:
-            assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
 
 
 _SCHEDULE_RULES = (st.builds(PowerDecay, st.floats(0.01, 0.99))
