@@ -10,20 +10,17 @@ Covers three independent questions:
 * how much of the action stream is genuinely extreme
   (:func:`tail_exploration_ratio`).
 
-The noisy-ascent loop has two implementations.  ``_synthetic_sga_reference``
-works on arrays and runs every input; ``_smooth_bump_run`` runs only what
-``check-bound`` runs, plain ascent on the 2-D :class:`SmoothBump` with a
-step rule whose schedule builds, as one loop over Python floats.  The
+The noisy-ascent loop is what ``check-bound`` runs, plain ascent on the 2-D
+:class:`SmoothBump` with a step rule, as one loop over Python floats
+(``_smooth_bump_run``); every other input is a ParameterError.  The
 step-size schedule depends only on ``(rule, n)``, so it is built once and
 cached (:func:`_step_schedule`, one schedule held), and the 20 seeds of
-``check-bound`` share it.  Everything else (the Lipschitz-aware update,
-other objectives and dimensions, rules whose schedule cannot be built) runs
-the reference, which raises the rule's own errors in its own order.  The
-reference is the oracle: the float loop must reproduce its norms, errors
-and random stream bit for bit (``tests/test_kernel.py``).
+``check-bound`` share it.  Its oracle is a generic array loop kept with the
+tests (``tests/oracles.py``): the float loop must reproduce its norms,
+errors and random stream bit for bit (``tests/test_kernel.py``).
 Every small dot product in htpg is a left-to-right sum of Python floats, so
-both loops take a squared norm as ``t0*t0 + t1*t1`` (:func:`_squared_norm`),
-on any CPU.
+the loop and its oracle take a squared norm as ``t0*t0 + t1*t1``
+(:func:`_squared_norm`), on any CPU.
 """
 
 from __future__ import annotations
@@ -39,7 +36,9 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
 from .policy import PolicyParams, action_mode, features, policy_scale
-from .training import PlainAscent, StepRule, UpdateRule, apply_update, step_size
+from .training import PlainAscent, StepRule, UpdateRule, step_size
+# apply_update goes unused here: the benchmark tracer patches it.
+from .training import apply_update  # noqa: F401
 
 __all__ = [
     "NoiseModel",
@@ -145,51 +144,29 @@ def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
     return the true squared gradient norms at every visited iterate.
 
     The noise is Gaussian, scaled so that E||w_k||^2 equals the NoiseModel
-    target exactly (equality, not just a bound).  Plain ascent on a 2-D
-    :class:`SmoothBump` with a schedule that builds runs :func:`_smooth_bump_run`,
-    a loop over Python floats; every other input runs
-    :func:`_synthetic_sga_reference`, the generic loop that is its oracle.
+    target exactly (equality, not just a bound).  The run is
+    :func:`_smooth_bump_run`: ``objective`` must be a 2-D :class:`SmoothBump`,
+    ``update_rule`` a :class:`PlainAscent`, ``theta0`` (default (0.5, 0.5))
+    two coordinates and ``step_rule`` a hashable step rule; anything else
+    raises ParameterError before any draw.
     """
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
-    theta = (
-        np.full(objective.dim, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
-    )
     try:
         norms = np.empty(n)  # first: an impossible n builds no schedule
     except MemoryError as err:
         raise ParameterError(f"n={n} gradient norms do not fit in memory") from err
-    if (type(objective) is SmoothBump and theta.shape == (2,)
-            and type(update_rule) is PlainAscent):
-        try:
-            schedule = _step_schedule(step_rule, n)
-        except (ParameterError, TypeError, OverflowError):
-            pass  # an unknown or unhashable rule, or a step size no double holds
-        else:
-            return _smooth_bump_run(noise, schedule, rng, theta, norms)
-    return _synthetic_sga_reference(objective, noise, step_rule, update_rule, rng, theta,
-                                    norms)
-
-
-# Like both training loops, the runs stay quiet on their way to DivergenceError.
-@np.errstate(over="ignore", invalid="ignore")
-def _synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
-                             update_rule: UpdateRule, rng, theta: np.ndarray,
-                             norms: np.ndarray) -> np.ndarray:
-    """:func:`synthetic_sga_run` for any objective, from the iterate
-    ``theta``, for ``norms.size`` steps; fills and returns ``norms``."""
-    for k in range(1, norms.size + 1):
-        g = objective.grad(theta)
-        g_sq = _squared_norm(g)
-        norms[k - 1] = g_sq
-        target = noise.y1 + noise.y2 * g_sq
-        if target > 0.0:
-            w = math.sqrt(target / theta.size) * rng.standard_normal(theta.size)
-            g = g + w
-        theta = apply_update(theta, g, update_rule, step_size(step_rule, k))
-        if not np.isfinite(theta).all():
-            raise DivergenceError(f"non-finite iterate at step {k}")
-    return norms
+    theta = np.full(2, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
+    if not (type(objective) is SmoothBump and objective.dim == 2 and theta.shape == (2,)
+            and type(update_rule) is PlainAscent and isinstance(step_rule, StepRule)):
+        raise ParameterError(
+            "the testbed runs plain ascent on the 2-D SmoothBump from 2 coordinates, got "
+            f"{objective!r}, {update_rule!r} and {step_rule!r} from shape {theta.shape}")
+    try:
+        schedule = _step_schedule(step_rule, n)
+    except TypeError:  # lru_cache hashes the rule
+        raise ParameterError(f"step rule {step_rule!r} is not hashable") from None
+    return _smooth_bump_run(noise, schedule, rng, theta, norms)
 
 
 # The most noise pairs the float loop draws in one generator call.
@@ -206,17 +183,17 @@ def _step_schedule(rule: StepRule, n: int) -> array:
 @np.errstate(over="ignore", invalid="ignore")
 def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
                      norms: np.ndarray) -> np.ndarray:
-    """:func:`_synthetic_sga_reference` under plain ascent for a 2-D
-    :class:`SmoothBump`, as one loop over Python floats, taking step k's size
-    from ``schedule[k - 1]``; fills and returns ``norms``.
+    """:func:`synthetic_sga_run` from the iterate ``theta``, as one loop over
+    Python floats, taking step k's size from ``schedule[k - 1]``; fills and
+    returns ``norms``.
 
-    Bit-identity rests on doing the reference's arithmetic, not an
+    Bit-identity with the generic oracle rests on doing its arithmetic, not an
     equivalent: both squared norms are :func:`_squared_norm` written inline,
     the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
     the update is ``apply_update``'s ``t + alpha * g``.  Noise comes in
     blocks of ``standard_normal(2 * m)``, the same stream as m calls of
     ``standard_normal(2)``; a step draws only when its target is positive, as
-    in the reference, and however the loop ends the generator is rewound to
+    in the oracle, and however the loop ends the generator is rewound to
     just past the last pair used.
 
     The noise scale ``sqrt(y1 / 2)`` is computed once and reused by every

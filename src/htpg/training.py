@@ -25,6 +25,10 @@ must reproduce its metrics and final parameters bit for bit
 (``tests/test_kernel.py``).  Every small dot product in htpg is a
 left-to-right sum of Python floats, so both loops take the mode as
 ``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`), on any CPU.
+
+The Lipschitz-aware update divides by ``1/alpha_k - L``.
+:class:`TrainConfig` checks that divisor once, at the largest step size the
+run can take, so neither loop has a per-update error path.
 """
 
 from __future__ import annotations
@@ -173,7 +177,9 @@ def _lipschitz_divisor(rule: LipschitzAware, alpha_k: float) -> float:
 class TrainConfig:
     """Everything one training run needs.  A ``LinearRange`` step rule is
     spanned over ``max(episodes, 1)`` episodes, also under
-    ``dataclasses.replace``; ``step_rule=None`` selects ``LinearRange()``."""
+    ``dataclasses.replace``; ``step_rule=None`` selects ``LinearRange()``.
+    A Lipschitz-aware update is checked here, at the largest step size of
+    the run, so no update of :func:`train` can fail it."""
 
     env: object
     policy_init: PolicyParams
@@ -198,13 +204,20 @@ class TrainConfig:
         if self.q_mode not in (Q_SHARED, Q_FRESH):
             raise ParameterError(f"unknown q_mode {self.q_mode!r}")
         rule = LinearRange() if self.step_rule is None else self.step_rule
+        if not isinstance(rule, StepRule):
+            raise ParameterError(f"unknown step rule {rule!r}")
+        if not isinstance(self.update_rule, UpdateRule):
+            raise ParameterError(f"unknown update rule {self.update_rule!r}")
         if isinstance(rule, LinearRange):
             rule = replace(rule, total=max(self.episodes, 1))
         object.__setattr__(self, "step_rule", rule)
-        # Step 1 only: LinearRange(0.005, 0.005, 100) gives 0.005000000000000002
-        # at k = 2 (exp(log(0.005)) rounds up), so the updates check it again.
+        # 1/alpha - L falls as alpha grows, so the largest step the run can
+        # take decides for every update.  That is step 1, except that a
+        # LinearRange with (nearly) equal ends can round up after it:
+        # LinearRange(0.005, 0.005, 100) gives 0.005000000000000002 at k = 2.
         if isinstance(self.update_rule, LipschitzAware):
-            _lipschitz_divisor(self.update_rule, step_size(self.step_rule, 1))
+            steps = range(1, rule.total + 1) if isinstance(rule, LinearRange) else (1,)
+            _lipschitz_divisor(self.update_rule, max(step_size(rule, k) for k in steps))
 
 
 @dataclass
@@ -238,9 +251,7 @@ def train(config: TrainConfig) -> RunMetrics:
     rule spans the episode budget instead: the step size is fixed within an
     episode and interpolated by episode number, which keeps the configured
     start/end range meaningful regardless of how many updates each episode
-    contributes.  Either way the alpha sequence does not grow, except that a
-    ``LinearRange`` with (nearly) equal ends can round up by an ulp after
-    k = 1, which is why each Lipschitz-aware update checks its divisor.
+    contributes.
 
     Shared-Q training on either car with the cars' 3-feature policy runs
     as one loop over Python floats (:func:`_train_car_shared`); every other
@@ -303,14 +314,6 @@ class _Curves:
 def _warn_diverged(episode: int, updates: int) -> None:
     log.warning("non-finite parameters at episode %d, update %d; aborting run",
                 episode, updates)
-
-
-def _divisor_at(rule: LipschitzAware, alpha_k: float, update: int) -> float:
-    """:func:`_lipschitz_divisor`, whose error names the update it stopped."""
-    try:
-        return _lipschitz_divisor(rule, alpha_k)
-    except ScheduleError as err:
-        raise ScheduleError(f"{err} (update {update})") from None
 
 
 # Far below overflow: a product of three numbers under it is finite.
@@ -391,10 +394,7 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
             alpha = alpha_episode if per_episode_rule else step_size(
                 config.step_rule, updates
             )
-            try:
-                vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
-            except ScheduleError as err:
-                raise ScheduleError(f"{err} (update {updates})") from None
+            vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
             # Cheap screen first; the squared norm is finite iff every
             # component is, unless it overflows, so confirm on trigger.
             if not math.isfinite(float(vec @ vec)) and not np.isfinite(vec).all():
@@ -426,9 +426,8 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
 
     Under ``LinearRange`` the step size is fixed within an episode, so an
     episode with ``q == 0.0`` that :func:`_zero_q_is_noop` proves a no-op
-    skips its per-step updates: it adds its length to the update count,
-    runs the Lipschitz check once (which fails at the episode's first update
-    or never, with that update's number) and records a zero update norm.
+    skips its per-step updates: it adds its length to the update count and
+    records a zero update norm.
     """
     env = config.env
     rng = np.random.default_rng(config.seed)
@@ -472,10 +471,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
             if q == 0.0 and _zero_q_is_noop(
                     env, (t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2),
                     sigma, alpha, xs, vs, actions):
-                # No update of the episode can change a bit: count them and
-                # run their Lipschitz check, which fails at the first or never.
-                if lipschitz is not None:
-                    _divisor_at(lipschitz, alpha, updates + 1)
+                # No update of the episode can change a bit: count them.
                 updates += len(xs)
                 pairs = ()
         vec_before = vec
@@ -497,7 +493,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
                 n0, n1, n2 = t0 + alpha * (q * g0), t1 + alpha * (q * g1), t2 + alpha * (q * g2)
                 ds = alpha * (q * gs)
             else:
-                inv = _divisor_at(lipschitz, alpha, updates)
+                inv = _lipschitz_divisor(lipschitz, alpha)
                 n0, n1, n2 = t0 + q * g0 / inv, t1 + q * g1 / inv, t2 + q * g2 / inv
                 ds = q * gs / inv
             if adaptive:

@@ -1,0 +1,39 @@
+"""Reference loops that the package's fast paths must reproduce bit for bit.
+
+``synthetic_sga_run`` runs only plain ascent on the 2-D ``SmoothBump``, as
+one loop over Python floats.  :func:`synthetic_sga_reference` is the
+generic array loop it replaced: any objective with a ``grad``, any
+dimension, either update rule, any step rule ``step_size`` knows.  It is
+the float loop's oracle (``tests/test_kernel.py``) and runs the inputs the
+package no longer accepts, such as the Lipschitz-aware case that
+``tests/test_regression.py`` pins.
+"""
+
+import math
+
+import numpy as np
+
+from htpg.diagnostics import NoiseModel, _squared_norm
+from htpg.errors import DivergenceError
+from htpg.training import StepRule, UpdateRule, apply_update, step_size
+
+
+# Like both training loops, the runs stay quiet on their way to DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
+def synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
+                            update_rule: UpdateRule, rng, theta: np.ndarray,
+                            norms: np.ndarray) -> np.ndarray:
+    """``synthetic_sga_run`` for any objective, from the iterate ``theta``,
+    for ``norms.size`` steps; fills and returns ``norms``."""
+    for k in range(1, norms.size + 1):
+        g = objective.grad(theta)
+        g_sq = _squared_norm(g)
+        norms[k - 1] = g_sq
+        target = noise.y1 + noise.y2 * g_sq
+        if target > 0.0:
+            w = math.sqrt(target / theta.size) * rng.standard_normal(theta.size)
+            g = g + w
+        theta = apply_update(theta, g, update_rule, step_size(step_rule, k))
+        if not np.isfinite(theta).all():
+            raise DivergenceError(f"non-finite iterate at step {k}")
+    return norms

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import sympy
 
-from htpg import diagnostics
 from htpg.diagnostics import (
     BoundParams,
     NoiseModel,
@@ -21,10 +20,12 @@ from htpg.diagnostics import (
     tail_exploration_ratio,
 )
 from htpg.envs import TrappedCar, rollout
-from htpg.errors import DivergenceError, ParameterError
+from htpg.errors import DivergenceError, ParameterError, ScheduleError
 from htpg.policy import FIXED, PolicyParams
 from htpg.training import Constant, LipschitzAware, PlainAscent, PowerDecay
 from htpg.training import RunMetrics
+
+from oracles import synthetic_sga_reference
 
 
 def make_metrics(first_exit):
@@ -148,12 +149,11 @@ def test_synthetic_run_stationary_start_stays_zero():
     assert np.all(norms == 0.0)
 
 
-def test_synthetic_noise_moment(monkeypatch):
+def test_synthetic_noise_moment():
     # E||w||^2 must equal y1 exactly in expectation (y2 = 0).  From the
     # stationary origin the first step is pure noise, theta_2 = alpha * w_1,
     # and ||grad J(theta_2)||^2 = 4 alpha^2 ||w_1||^2 exp(-2 alpha^2 ||w_1||^2)
     # gives ||w_1||^2 back to about 1e-8 relative.
-    monkeypatch.setattr(diagnostics, "_synthetic_sga_reference", None)  # the float loop runs
     obj = SmoothBump(dim=2)
     y1, alpha, runs = 0.37, 1e-4, 25_000
     rng = np.random.default_rng(3)
@@ -166,15 +166,22 @@ def test_synthetic_noise_moment(monkeypatch):
 
 
 def test_synthetic_run_with_lipschitz_update():
-    # The schedule maximum must satisfy 1/alpha > L for this update rule.
-    obj = SmoothBump(dim=2)
-    rng = np.random.default_rng(4)
-    norms = synthetic_sga_run(obj, NoiseModel(0.1, 0.0), Constant(0.2),
-                              LipschitzAware(obj.grad_lipschitz), 500, rng)
+    # The testbed runs plain ascent only: the Lipschitz-aware update is
+    # rejected before any draw, whether or not its schedule keeps 1/alpha > L.
+    obj, noise = SmoothBump(dim=2), NoiseModel(0.1, 0.0)
+    update_rule = LipschitzAware(obj.grad_lipschitz)
+    for step_rule in (Constant(0.2), PowerDecay(0.5)):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ParameterError, match="^the testbed runs plain ascent"):
+            synthetic_sga_run(obj, noise, step_rule, update_rule, 500, rng)
+        assert rng.random() == np.random.default_rng(4).random()
+    # The oracle runs the first and fails the second at the ceiling.
+    norms = synthetic_sga_reference(obj, noise, Constant(0.2), update_rule,
+                                    np.random.default_rng(4), np.full(2, 0.5), np.empty(500))
     assert np.isfinite(norms).all()
-    with pytest.raises(ParameterError):
-        synthetic_sga_run(obj, NoiseModel(0.1, 0.0), PowerDecay(0.5),
-                          LipschitzAware(obj.grad_lipschitz), 10, rng)
+    with pytest.raises(ScheduleError):
+        synthetic_sga_reference(obj, noise, PowerDecay(0.5), update_rule,
+                                np.random.default_rng(4), np.full(2, 0.5), np.empty(10))
 
 
 @pytest.mark.filterwarnings("error")

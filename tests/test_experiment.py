@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from htpg import experiment
 from htpg.cli import main
-from htpg.config import parse_config
+from htpg.config import ConfigError, parse_config
 from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
 from htpg.envs import EnvSpec
 from htpg.experiment import (
@@ -336,6 +336,45 @@ alpha = 1000
 [run]
 seeds = [11]
 """
+
+
+# Equal ends: the schedule's k = 2 step, exp(log(s)), rounds up to exactly
+# 1/l1j, while step 1 passes.
+LIPSCHITZ_CEILING = """
+name = "ceiling"
+
+[env]
+kind = "trapped_car"
+
+[policy.cauchy]
+alpha = 1
+
+[train]
+episodes = 3
+alpha_start = 0.00026362359173243805
+alpha_end = 0.00026362359173243805
+update_rule = "lipschitz"
+l1j = 3793.2872146546697
+
+[run]
+seeds = [16]
+"""
+
+
+def test_lipschitz_ceiling_past_step_1_is_a_config_error(tmp_path, capsys):
+    # Every step of the schedule is checked at parse time, so the run fails
+    # before config.txt is written, not at its first update past the ceiling.
+    message = ("[train] 1/alpha - L = 0.0 is not positive at alpha=0.0002636235917324381, "
+               "L=3793.2872146546697")
+    with pytest.raises(ConfigError) as raised:
+        parse_config(LIPSCHITZ_CEILING)
+    assert str(raised.value) == message
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(LIPSCHITZ_CEILING)
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -9,11 +9,11 @@ over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
 runs, stepping the car inline and drawing its noise in one block); ``walk`` +
 ``discounted_partial_return`` is its oracle: the same value and horizon
 bytes, the same next draw of the random stream, the same errors.
-``synthetic_sga_run`` ascends over floats only for plain ascent on a 2-D
-``SmoothBump`` with a step rule whose schedule builds;
-``diagnostics._synthetic_sga_reference``, the generic loop, is its oracle on
-the same three counts (norms bytes, errors, next draw) and runs every other
-input, which the tests check with the float loop patched to refuse.
+``synthetic_sga_run`` ascends over floats, only for plain ascent on a 2-D
+``SmoothBump``; ``oracles.synthetic_sga_reference``, the generic loop, is its
+oracle on the same three counts (norms bytes, errors, next draw).  Every
+other input is a ParameterError before any draw, which the tests check with
+the float loop patched to refuse.
 """
 
 import copy
@@ -57,6 +57,8 @@ from htpg.training import (
     _train_reference,
     train,
 )
+
+from oracles import synthetic_sga_reference
 
 
 def _floats(values) -> bytes:
@@ -108,6 +110,12 @@ def _zero_q_config(env, alpha=2.0, scale_mode=FIXED, sigma0=1.0, theta_x0=(0.0, 
     return TrainConfig(env=env, policy_init=policy, episodes=3, seed=19, **kw)
 
 
+# A LinearRange with equal ends whose k = 2 step rounds up to exactly 1/L.
+_CEILING_STEP = LinearRange(0.00026362359173243805, 0.00026362359173243805, 3)
+_CEILING_L = 3793.2872146546697
+_CEILING_RULES = {"step_rule": _CEILING_STEP, "update_rule": LipschitzAware(_CEILING_L)}
+
+
 CASES = {
     "cauchy-default": _config(_TRAPPED, 1.0, 1, episodes=5),
     "gaussian-default": _config(_TRAPPED, 2.0, 2, episodes=5),
@@ -138,11 +146,12 @@ CASES = {
     "zero-scale-mountain": _config(_MOUNTAIN, 1.0, 13, episodes=6, step_rule=Constant(10.0)),
     "no-episodes": _config(_TRAPPED, 1.0, 15, episodes=0),
     # exp(log(s)) rounds above s, so the schedule's k = 2 step is one ulp
-    # past the Lipschitz ceiling that its k = 1 step passed.
+    # past the Lipschitz ceiling that its k = 1 step passes: TrainConfig
+    # rejects L = 1/alpha_2 (_CEILING_RULES) and takes the next float down,
+    # whose divisor at k = 2 is one ulp of L.
     "lipschitz-ceiling-rounding": _config(
         TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=5)), 1.0, 16, episodes=3,
-        step_rule=LinearRange(0.00026362359173243805, 0.00026362359173243805, 3),
-        update_rule=LipschitzAware(3793.2872146546697)),
+        step_rule=_CEILING_STEP, update_rule=LipschitzAware(math.nextafter(_CEILING_L, 0.0))),
     # Zero-Q episodes (no reward in the start well), whose updates the kernel
     # skips only where it can prove them no-ops.  A scale this small makes
     # a score component infinite, and 0 * inf is NaN: the reference diverges.
@@ -152,12 +161,11 @@ CASES = {
         env=_TRAPPED, policy_init=PolicyParams(np.array([0.0, -0.0, 0.0]),
                                                np.array([0.0, 0.0, -0.0]), 2.0),
         episodes=3, seed=18),
-    # The ceiling-rounding error of the case above, at the first update of a
-    # zero-Q episode 80 updates long.
+    # The ceiling-rounding schedule of the case above over zero-Q episodes
+    # 80 updates long.
     "zero-q-lipschitz-ceiling-rounding": _config(
         _TRAPPED, 2.0, 16, episodes=3,
-        step_rule=LinearRange(0.00026362359173243805, 0.00026362359173243805, 3),
-        update_rule=LipschitzAware(3793.2872146546697)),
+        step_rule=_CEILING_STEP, update_rule=LipschitzAware(math.nextafter(_CEILING_L, 0.0))),
     # One bound of the no-op proof each, which alone refuses a zero-Q episode
     # where the reference diverges: a start far past the walls, walls far
     # apart, dynamics that give NaN, a 1/sigma that overflows on its own, a
@@ -196,9 +204,15 @@ def test_fixed_cases_reach_divergence_and_errors():
     for name in ("zero-scale", "zero-scale-mountain"):
         with pytest.raises(ZeroDivisionError):
             _train_reference(CASES[name])
-    with pytest.raises(ScheduleError, match=r"^1/alpha - L = 0\.0 is not positive .*"
-                                            r" \(update 6\)$"):
-        _train_reference(CASES["lipschitz-ceiling-rounding"])
+    # Past the ceiling, the config does not build; one float below it, the
+    # divisor at k = 2 is one ulp and the run trains.
+    for name in ("lipschitz-ceiling-rounding", "zero-q-lipschitz-ceiling-rounding"):
+        with pytest.raises(ScheduleError, match=r"^1/alpha - L = 0\.0 is not positive "
+                                                r"at alpha=0\.0002636235917324381, L="):
+            replace(CASES[name], **_CEILING_RULES)
+        rule = CASES[name].update_rule
+        assert 1.0 / training.step_size(CASES[name].step_rule, 2) - rule.l1j > 0.0
+        assert _train_reference(CASES[name]).wall_updates > 5
 
 
 def test_zero_q_cases_reach_what_they_test(monkeypatch):
@@ -216,9 +230,8 @@ def test_zero_q_cases_reach_what_they_test(monkeypatch):
     assert (final == param_vector(init)).all()
     assert final.tobytes() != param_vector(init).tobytes()
     proofs.clear()
-    with pytest.raises(ScheduleError, match=r" \(update 81\)$"):
-        train(CASES["zero-q-lipschitz-ceiling-rounding"])
-    assert proofs == [True, True]
+    assert train(CASES["zero-q-lipschitz-ceiling-rounding"]).wall_updates == 240
+    assert proofs == [True, True, True]
     for name in ("zero-q-far-start", "zero-q-far-walls", "zero-q-nan-dynamics",
                  "zero-q-narrow-actions", "zero-q-far-mode", "zero-q-infinite-step",
                  "zero-q-infinite-scale-weight"):
@@ -683,41 +696,40 @@ def _sga_outcome(run, noise, step_rule, update_rule, n, seed, theta0):
 
 def _sga_by_reference(noise, step_rule, update_rule, n, rng, theta0):
     theta = np.full(2, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
-    return diagnostics._synthetic_sga_reference(SmoothBump(), noise, step_rule, update_rule,
-                                                rng, theta, np.empty(n))
+    return synthetic_sga_reference(SmoothBump(), noise, step_rule, update_rule, rng, theta,
+                                   np.empty(n))
 
 
-def _sga_by_dispatch(noise, step_rule, update_rule, n, rng, theta0):
+def _sga_by_float_loop(noise, step_rule, update_rule, n, rng, theta0):
     return diagnostics.synthetic_sga_run(SmoothBump(), noise, step_rule, update_rule, n, rng,
                                          theta0)
 
 
 def _refuse_sga(*args):
-    raise AssertionError("synthetic_sga_run took the other loop")
+    raise AssertionError("synthetic_sga_run ran a rejected input")
 
 
-def _assert_sga_matches_reference(monkeypatch, refused, block, *args):
-    """``synthetic_sga_run`` must not run ``refused``, the other loop, and must
-    reproduce the reference, at noise block ``block``."""
+def _assert_float_sga_matches_reference(monkeypatch, block, *args):
+    """``synthetic_sga_run`` must reproduce the oracle at noise block
+    ``block``."""
     want = _sga_outcome(_sga_by_reference, *args)
     with monkeypatch.context() as patch:
         patch.setattr(diagnostics, "_NOISE_BLOCK", block)
-        patch.setattr(diagnostics, refused, _refuse_sga)
-        got = _sga_outcome(_sga_by_dispatch, *args)
+        got = _sga_outcome(_sga_by_float_loop, *args)
     assert got == want
     return want
 
 
-def _assert_float_sga_matches_reference(monkeypatch, block, *args):
-    """``synthetic_sga_run`` must run the float loop and reproduce the
-    reference."""
-    return _assert_sga_matches_reference(monkeypatch, "_synthetic_sga_reference", block,
-                                         *args)
-
-
-def _assert_reference_sga_runs(monkeypatch, *args):
-    """``synthetic_sga_run`` must run the reference loop."""
-    return _assert_sga_matches_reference(monkeypatch, "_smooth_bump_run", 3, *args)
+def _assert_sga_rejects(monkeypatch, run, *args):
+    """``run`` must raise ParameterError before any draw, without the float
+    loop; returns the message."""
+    seed = args[-2]
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_smooth_bump_run", _refuse_sga)
+        got = _sga_outcome(run, *args)
+    assert got[0][:2] == ("raised", ParameterError)
+    assert got[1] == struct.pack("<d", np.random.default_rng(seed).random())
+    return got[0][2]
 
 
 _SGA_STEPS = (PowerDecay(0.5), PowerDecay(0.9), Constant(0.1), Constant(50.0),
@@ -755,22 +767,18 @@ _SGA_RETURNS_OR_OVERFLOWS = {(False, "returned"),
 def test_float_sga_matches_reference_on_fixed_seeds(step_rule, update_rule, monkeypatch):
     # A block of 3 pairs makes n = 3 one block and n = 11 several, with
     # skipped draws and errors landing inside a block.  Plain ascent runs the
-    # float loop; the Lipschitz-aware update runs the reference loop and must
-    # give the same outcomes.  Only a first step past the Lipschitz ceiling
-    # 1/L raises, and the overflowing start, whose first iterate is NaN.
+    # float loop against the oracle; only the overflowing start, whose first
+    # iterate is NaN, raises.  The Lipschitz-aware update is rejected.
     if isinstance(update_rule, PlainAscent):
-        def assert_run(*args):
-            return _assert_float_sga_matches_reference(monkeypatch, 3, *args)
-    else:
-        def assert_run(*args):
-            return _assert_reference_sga_runs(monkeypatch, *args)
-    outcomes = _sga_fixed_outcomes(assert_run, step_rule, update_rule)
-    if (isinstance(update_rule, LipschitzAware)
-            and 1.0 / training.step_size(step_rule, 1) <= update_rule.l1j):
-        assert {(overflow, error[0]) for overflow, error in outcomes} == {
-            (False, ScheduleError), (True, ScheduleError)}
-    else:
+        outcomes = _sga_fixed_outcomes(
+            lambda *args: _assert_float_sga_matches_reference(monkeypatch, 3, *args),
+            step_rule, update_rule)
         assert outcomes == _SGA_RETURNS_OR_OVERFLOWS
+    else:
+        for i, (noise, theta0) in enumerate(itertools.product(_SGA_NOISE, _SGA_STARTS)):
+            message = _assert_sga_rejects(monkeypatch, _sga_by_float_loop, noise, step_rule,
+                                          update_rule, 11, i, theta0)
+            assert message.startswith("the testbed runs plain ascent")
 
 
 def test_float_sga_matches_reference_at_the_real_block_size(monkeypatch):
@@ -791,30 +799,27 @@ def test_float_sga_matches_reference_on_errors(monkeypatch):
     rng.standard_normal(14)
     assert want[1] == struct.pack("<d", rng.random())
     # An int or numpy-scalar alpha runs the float loop from its schedule of
-    # doubles, with the reference's bits: plain ascent multiplies by it.
+    # doubles, with the oracle's bits: plain ascent multiplies by it.
     for seed, rule in ((5, Constant(3)), (6, Constant(np.float64(0.1)))):
         _assert_float_sga_matches_reference(monkeypatch, 4, NoiseModel(0.1), rule,
                                             PlainAscent(), 9, seed, None)
-    # Everything else runs the reference.  The Lipschitz ceiling fails at
-    # step 1, after its draw.
-    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), PowerDecay(0.5),
-                                      LipschitzAware(2.0), 9, 1, None)
-    assert want[0][:2] == ("raised", ScheduleError)
-    # An unknown schedule fails in step_size, also after the first draw, and
-    # so does an unhashable one, which the schedule cache cannot take, and a
+    # Everything else fails before any draw: the Lipschitz-aware update (the
+    # oracle fails only after step 1's draw, at the ceiling), an unknown step
+    # rule, an unhashable one, which the schedule cache cannot take, and a
     # step size too large for a double.
-    for seed, rule in ((2, object()), (4, [])):
-        want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), rule, PlainAscent(),
-                                          9, seed, None)
-        assert want[0][:2] == ("raised", ParameterError)
-        assert want[0][2].startswith("unknown step rule")
-    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), Constant(10**400),
-                                      PlainAscent(), 9, 7, None)
+    for seed, step_rule, update_rule, start in (
+            (1, PowerDecay(0.5), LipschitzAware(2.0), "the testbed runs plain ascent"),
+            (3, Constant(3), LipschitzAware(1.0), "the testbed runs plain ascent"),
+            (2, object(), PlainAscent(), "the testbed runs plain ascent"),
+            (4, [], PlainAscent(), "the testbed runs plain ascent"),
+            (8, Constant(np.array([0.5])), PlainAscent(), "step rule Constant(")):
+        message = _assert_sga_rejects(monkeypatch, _sga_by_float_loop, NoiseModel(0.1),
+                                      step_rule, update_rule, 9, seed, None)
+        assert message.startswith(start)
+    want = _sga_outcome(_sga_by_float_loop, NoiseModel(0.1), Constant(10**400),
+                        PlainAscent(), 9, 7, None)
     assert want[0][:2] == ("raised", OverflowError)
-    # An int alpha keeps its own arithmetic: the message says alpha=3.
-    want = _assert_reference_sga_runs(monkeypatch, NoiseModel(0.1), Constant(3),
-                                      LipschitzAware(1.0), 9, 3, None)
-    assert want[0][:2] == ("raised", ScheduleError) and "alpha=3," in want[0][2]
+    assert want[1] == struct.pack("<d", np.random.default_rng(7).random())
 
 
 @st.composite
@@ -842,17 +847,28 @@ def test_float_sga_matches_reference_on_drawn_inputs(inputs, monkeypatch):
     if isinstance(args[2], PlainAscent):
         _assert_float_sga_matches_reference(monkeypatch, block, *args)
     else:
-        _assert_reference_sga_runs(monkeypatch, *args)
+        _assert_sga_rejects(monkeypatch, _sga_by_float_loop, *args)
 
 
-def test_other_inputs_keep_the_generic_sga_loop(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_smooth_bump_run", _refuse_sga)
-        noise, rule = NoiseModel(0.1), PowerDecay(0.5)
-        for dim in (1, 3):
-            norms = diagnostics.synthetic_sga_run(SmoothBump(dim=dim), noise, rule,
-                                                  PlainAscent(), 20, np.random.default_rng(0))
-            assert norms.shape == (20,) and np.isfinite(norms).all()
+def test_other_inputs_are_rejected_before_any_draw(monkeypatch):
+    noise, rule, plain = NoiseModel(0.1), PowerDecay(0.5), PlainAscent()
+
+    def run_on(objective):
+        return lambda noise, step_rule, update_rule, n, rng, theta0: (
+            diagnostics.synthetic_sga_run(objective, noise, step_rule, update_rule, n, rng,
+                                          theta0))
+
+    class Bump(SmoothBump):
+        pass
+
+    # Other dimensions, also through theta0, and objectives other than the
+    # 2-D SmoothBump.
+    for seed, objective, theta0 in ((0, SmoothBump(dim=1), None), (1, SmoothBump(dim=3), None),
+                                    (2, SmoothBump(), (0.5, 0.5, 0.5)), (3, SmoothBump(), 0.5),
+                                    (4, Bump(), None)):
+        message = _assert_sga_rejects(monkeypatch, run_on(objective), noise, rule, plain, 20,
+                                      seed, theta0)
+        assert message.startswith("the testbed runs plain ascent")
 
 
 _SCHEDULE_RULES = (st.builds(PowerDecay, st.floats(0.01, 0.99))

@@ -33,6 +33,8 @@ from htpg.training import (
     train,
 )
 
+from oracles import synthetic_sga_reference
+
 # Starting in the misleading basin earns 0.1 per step, so shared-Q updates
 # are non-zero; the lowered basin exit lets some episodes leave it.
 _TRAPPED = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=80),
@@ -132,18 +134,22 @@ def test_estimate_q_values_and_stream_are_pinned():
 def test_synthetic_sga_norms_and_stream_are_pinned():
     # The check-bound case (PowerDecay(0.5), plain ascent, noise floor 0.1),
     # the Lipschitz-aware update on a constant schedule, and noise that
-    # grows with the gradient; each from seeds 0-2.  Of the machine stack,
-    # only the C math library (exp, pow, the normal sampler's log) enters
-    # these bytes: no BLAS call and no numpy SIMD loop.
-    cases = ((NoiseModel(0.1), PowerDecay(0.5), PlainAscent()),
-             (NoiseModel(0.1), Constant(0.1), LipschitzAware(2.0)),
-             (NoiseModel(0.05, 0.5), PowerDecay(0.5), PlainAscent()))
+    # grows with the gradient; each from seeds 0-2.  synthetic_sga_run runs
+    # plain ascent only, so the Lipschitz-aware case runs the oracle.  Of the
+    # machine stack, only the C math library (exp, pow, the normal sampler's
+    # log) enters these bytes: no BLAS call and no numpy SIMD loop.
+    def by_oracle(objective, noise, step_rule, update_rule, n, rng):
+        return synthetic_sga_reference(objective, noise, step_rule, update_rule, rng,
+                                       np.full(2, 0.5), np.empty(n))
+
+    cases = ((NoiseModel(0.1), PowerDecay(0.5), PlainAscent(), synthetic_sga_run),
+             (NoiseModel(0.1), Constant(0.1), LipschitzAware(2.0), by_oracle),
+             (NoiseModel(0.05, 0.5), PowerDecay(0.5), PlainAscent(), synthetic_sga_run))
     parts = []
-    for noise, step_rule, update_rule in cases:
+    for noise, step_rule, update_rule, run in cases:
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            parts += [synthetic_sga_run(SmoothBump(), noise, step_rule, update_rule, 2000,
-                                        rng),
+            parts += [run(SmoothBump(), noise, step_rule, update_rule, 2000, rng),
                       float(rng.random())]
     assert _digest(*parts) == SGA_DIGEST
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htpg import diagnostics
 from htpg.envs import EnvSpec, EnvState, StepResult, TrappedCar
@@ -18,6 +19,7 @@ from htpg.training import (
     PlainAscent,
     PowerDecay,
     TrainConfig,
+    _train_reference,
     apply_update,
     step_size,
     train,
@@ -154,6 +156,51 @@ def test_train_config_validation():
     with pytest.raises(ScheduleError):
         TrainConfig(env=env, policy_init=pol, episodes=1, seed=0,
                     step_rule=Constant(0.5), update_rule=LipschitzAware(4.0))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step_rule", "constant"), ("step_rule", object()),
+    ("update_rule", "lipschitz"), ("update_rule", None),
+], ids=["step-rule-name", "step-rule-object", "update-rule-name", "update-rule-none"])
+def test_train_config_rejects_what_is_not_a_rule(key, value):
+    # A string names no rule here: "lipschitz" would otherwise train plain
+    # ascent, and "constant" fail only inside train.
+    with pytest.raises(ParameterError, match=f"^unknown {key.replace('_', ' ')} "):
+        TrainConfig(env=OneStepEnv(), policy_init=PolicyParams.zeros(3, alpha=1.0),
+                    episodes=1, seed=0, **{key: value})
+
+
+def _ulps(x: float, n: int) -> float:
+    """``x`` moved ``n`` floats up (down for negative ``n``)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+_SHORT_TRAPPED = TrappedCar(spec=replace(TrappedCar().spec, max_steps=20),
+                            start_at_false_goal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_start=st.floats(1e-6, 1e-2), ends_apart=st.integers(0, 3),
+       ceiling_ulps=st.integers(-4, 4), episodes=st.integers(1, 8),
+       alpha=st.sampled_from([1.0, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_a_lipschitz_config_that_builds_never_fails_in_training(
+        alpha_start, ends_apart, ceiling_ulps, episodes, alpha, seed):
+    # Equal or nearly equal ends round some steps after the first up by an
+    # ulp, and l1j sits within a few ulps of 1/alpha_start: TrainConfig must
+    # refuse every run that one of its updates would refuse.  A fixed scale
+    # keeps sigma put, so a run that blows up diverges instead of raising.
+    step_rule = LinearRange(alpha_start, _ulps(alpha_start, -ends_apart))
+    update_rule = LipschitzAware(_ulps(1.0 / alpha_start, ceiling_ulps))
+    try:
+        config = TrainConfig(env=_SHORT_TRAPPED,
+                             policy_init=PolicyParams.zeros(3, alpha, FIXED), episodes=episodes,
+                             seed=seed, step_rule=step_rule, update_rule=update_rule)
+    except ScheduleError:
+        return
+    for run in (train, _train_reference):
+        assert len(run(config).update_counts) <= episodes
 
 
 def test_train_zero_episodes_empty_metrics():
