@@ -5,12 +5,15 @@ Both environments are value types: ``step`` never mutates, it maps
 more than independent states and random streams.
 
 Each car states its reward rule once, as constants (``reward_rule()``).
-:func:`walk`, which steps through ``step``, is the oracle; :func:`_car_walk`,
-the walk training and Q estimation run, reads the car's constants once and
-steps the dynamics, the speed cap, the walls, the action clamp and the reward
-inline on Python floats.  Every small dot product in htpg is a left-to-right
-sum of Python floats, so both walks take the mode as ``(t0*x + t1*v) + t2``
-(:func:`htpg.policy.action_mode`) and agree bit for bit on any CPU.
+:func:`walk`, which steps through ``step``, is the oracle of two float
+walks.  :func:`_car_walk`, the rollout of shared-Q training, and
+:func:`_car_q_walk`, the walk of a fresh Q estimate, read the car's constants
+once and step the dynamics, the speed cap, the walls, the action clamp and
+the reward inline on Python floats; the first records every transition, the
+second only sums its discounted rewards.  Every small dot product in htpg is
+a left-to-right sum of Python floats, so the walks take the mode as
+``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit for
+bit on any CPU.
 """
 
 from __future__ import annotations
@@ -265,58 +268,85 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
     return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
 
 
+def _car_constants(env: _Car, state: EnvState) -> tuple:
+    """What a float walk from ``state`` reads of ``env``, once per walk:
+    ``(low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
+    band_low, band_high, band_reward, elsewhere, budget)``, the walls, the
+    action bounds, :meth:`_Car.advance`'s constants, ``reward_rule()`` and the
+    transitions left, ``max(max_steps - step_count, 1)``.  A terminal
+    ``state`` raises :meth:`_Car.step`'s error."""
+    if state.terminal:
+        raise EnvUsageError("step() called on a terminal state")
+    spec = env.spec
+    return (spec.state_low, spec.state_high, spec.action_low, spec.action_high,
+            env.thrust_gain, env.gravity, env.max_speed, *env.reward_rule(),
+            max(spec.max_steps - state.step_count, 1))
+
+
+def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict]:
+    """A float walk's noise: checks ``scale`` as the sampler does, saves the
+    generator's state and draws ``count`` values in one call, ``rng.random``
+    for Cauchy or ``rng.standard_normal`` for Gaussian, the same stream as
+    ``count`` calls of ``_standard_sas``.  Returns the values, each mapped as
+    ``_standard_sas`` maps it (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``) and
+    times ``scale``, and the saved state for :func:`_rewind`."""
+    _check_scale(scale)
+    saved = rng.bit_generator.state
+    if tail != 2.0:
+        tan, pi = math.tan, math.pi
+        return [scale * tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
+    root2 = math.sqrt(2.0)
+    return [scale * (root2 * z) for z in rng.standard_normal(count).tolist()], saved
+
+
+def _rewind(rng, tail: float, saved: dict, used: int) -> None:
+    """Leave the generator just past the first ``used`` values of the block
+    :func:`_noise_block` drew from ``saved``."""
+    rng.bit_generator.state = saved
+    (rng.random if tail != 2.0 else rng.standard_normal)(used)
+
+
 def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
               state: EnvState, action: float, steps: int):
     """:func:`walk` on a car over Python floats, for a policy with the three
     mode weights ``theta`` (Python floats), mode ``t0 * x + t1 * v + t2`` and
     draw ``mode + scale * _standard_sas(tail, rng)``, ``tail`` 1 (Cauchy) or
-    2 (Gaussian).
+    2 (Gaussian).  It is the rollout of shared-Q training; fresh Q runs
+    :func:`_car_q_walk`, the same walk without records.
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
     the final position and whether it is at the goal.  ``steps`` must be at
-    least 1.  Like :func:`walk`, a scale that is not positive raises the
-    sampler's ``scale must be positive`` at the first draw, and a walk done
-    before any draw raises nothing.
+    least 1.  Like :func:`walk`, a terminal ``state`` raises, a scale that is
+    not positive raises the sampler's ``scale must be positive`` at the first
+    draw, and a walk done before any draw raises nothing.
 
-    The car's constants are read once; each step then runs
-    :meth:`_Car.advance`, the action clamp and :meth:`_Car.reward` inline, in
-    their operation order.  ``min(max(y, lo), hi)`` is written as two ifs,
-    ``lo > y`` then ``hi < y``, which is what the builtins compute for NaN,
-    infinities, signed zeros and any pair of bounds.
+    The car's constants are read once (:func:`_car_constants`); each step
+    then runs :meth:`_Car.advance`, the action clamp and :meth:`_Car.reward`
+    inline, in their operation order.  ``min(max(y, lo), hi)`` is written as
+    two ifs, ``lo > y`` then ``hi < y``, which is what the builtins compute
+    for NaN, infinities, signed zeros and any pair of bounds.
 
-    The noise comes in one block.  At the first draw the walk checks the
-    scale, saves the generator's state and draws the most values it can use
-    in one call, ``rng.random`` for Cauchy or ``rng.standard_normal`` for
-    Gaussian: the same stream as that many calls of ``_standard_sas``, whose
-    map each draw applies (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``), times
-    ``scale``.  A walk that uses fewer (the goal ends it, or it raises)
-    rewinds the generator and redraws the used count, so the stream goes on
-    where :func:`walk` leaves it.
+    The noise comes in one block (:func:`_noise_block`), drawn at the first
+    draw with the most values the walk can use.  A walk that uses fewer (the
+    goal ends it, or it raises) rewinds the generator and redraws the used
+    count (:func:`_rewind`), so the stream goes on where :func:`walk` leaves
+    it.
 
     The budget is counted once, not per step: the walk is done after
     ``max(max_steps - step_count, 1)`` transitions unless the goal ends it
     first, and one cut short by ``steps`` draws the next action like
     :func:`walk` does.
     """
-    if state.terminal:
-        raise EnvUsageError("step() called on a terminal state")
-    spec = env.spec
-    low, high = spec.state_low, spec.state_high
-    a_low, a_high = spec.action_low, spec.action_high
-    gain, gravity = env.thrust_gain, env.gravity
-    cap = env.max_speed
+    (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
+     band_low, band_high, band_reward, elsewhere, budget) = _car_constants(env, state)
     neg_cap = -cap
-    goal, goal_reward, band_low, band_high, band_reward, elsewhere = env.reward_rule()
-    budget = max(spec.max_steps - state.step_count, 1)
     last = budget - 1
     # A draw follows every transition but the budget's last.
     most = steps if steps < budget else last
-    cauchy = tail != 2.0
-    draw = rng.random if cauchy else rng.standard_normal
-    cos, tan, pi, root2 = math.cos, math.tan, math.pi, math.sqrt(2.0)
+    cos = math.cos
     t0, t1, t2 = theta
-    x, v, a = state.position, state.velocity, spec.clamp_action(action)
+    x, v, a = state.position, state.velocity, env.spec.clamp_action(action)
     xs: list[float] = []
     vs: list[float] = []
     actions: list[float] = []
@@ -348,11 +378,7 @@ def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
             if i == last:
                 break
             if not noise:
-                _check_scale(scale)
-                saved = rng.bit_generator.state
-                block = draw(most).tolist()
-                noise = ([scale * tan(pi * (u - 0.5)) for u in block] if cauchy
-                         else [scale * (root2 * z) for z in block])
+                noise, saved = _noise_block(rng, tail, scale, most)
             step_noise = noise[used]
             used += 1
             a = (t0 * x + t1 * v + t2) + step_noise
@@ -362,9 +388,73 @@ def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
                 a = a_high
     finally:
         if used < len(noise):
-            rng.bit_generator.state = saved
-            draw(used)
+            _rewind(rng, tail, saved, used)
     return xs, vs, actions, rewards, x, at_goal
+
+
+def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvState,
+                action: float, steps: int, gamma: float) -> float:
+    """:func:`_car_walk` reduced to the discounted sum that a random-horizon Q
+    estimate reads: ``sum_t gamma**(t/2) * r_t`` over the rewards of the
+    transitions taken, added in the order and with the expression of
+    ``qvalue.discounted_partial_return``.  It records nothing; its dynamics,
+    clamps, reward rule, noise block, rewind and errors are
+    :func:`_car_walk`'s, as is the random stream it leaves.  ``gamma`` must
+    lie in (0, 1).
+
+    A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
+    That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and
+    at least +0.0, so the term ``w * r`` is a signed zero.  Adding a signed
+    zero to a sum that is not zero leaves it as it is, and adding one to a
+    sum of +0.0 gives +0.0 (round to nearest).  The sum starts at +0.0 and
+    never becomes -0.0: under round to nearest a sum is -0.0 only when both
+    of its terms are.  So a skipped term never changes a bit of the sum.
+    """
+    (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
+     band_low, band_high, band_reward, elsewhere, budget) = _car_constants(env, state)
+    neg_cap = -cap
+    last = budget - 1
+    most = steps if steps < budget else last
+    cos = math.cos
+    t0, t1, t2 = theta
+    x, v, a = state.position, state.velocity, env.spec.clamp_action(action)
+    total = 0.0
+    noise: list[float] = []
+    used = 0
+    try:
+        for i in range(steps if steps < budget else budget):
+            v = v + gain * a - gravity * cos(3.0 * x)
+            if neg_cap > v:
+                v = neg_cap
+            if cap < v:
+                v = cap
+            x = x + v
+            if x <= low:
+                x, v = low, 0.0
+            elif x >= high:
+                x, v = high, 0.0
+            if x >= goal:
+                if goal_reward:  # 0.0 and -0.0 are false, NaN is true
+                    total += gamma ** (0.5 * i) * goal_reward
+                break
+            r = band_reward if band_low <= x <= band_high else elsewhere
+            if r:
+                total += gamma ** (0.5 * i) * r
+            if i == last:
+                break
+            if not noise:
+                noise, saved = _noise_block(rng, tail, scale, most)
+            step_noise = noise[used]
+            used += 1
+            a = (t0 * x + t1 * v + t2) + step_noise
+            if a_low > a:
+                a = a_low
+            if a_high < a:
+                a = a_high
+    finally:
+        if used < len(noise):
+            _rewind(rng, tail, saved, used)
+    return total
 
 
 def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:

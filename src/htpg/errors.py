@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that a number
+field holds a finite double."""
+
+import math
+from numbers import Real
 
 
 class ParameterError(ValueError):
@@ -21,3 +25,17 @@ class EnvUsageError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Iterates left the representable range (NaN or infinity)."""
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a double, if it is a real number (an int, a float, a
+    numpy scalar) whose double is finite; anything else, an int too large for
+    a double among them, is one ParameterError naming ``name``."""
+    if isinstance(value, Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")

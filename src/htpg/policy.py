@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_float
 from .sas import StableSpec, sample_sas
 
 __all__ = [
@@ -71,7 +71,7 @@ class PolicyParams:
             raise ParameterError("theta_x0 and theta_sigma must be 1-D vectors")
         if self.theta_x0.size != self.theta_sigma.size:
             raise ParameterError("theta_x0 and theta_sigma must have equal length")
-        if not self.sigma0 > 0.0:
+        if not finite_float("sigma0", self.sigma0) > 0.0:
             raise ParameterError(f"sigma0 must be positive, got {self.sigma0}")
 
     @classmethod

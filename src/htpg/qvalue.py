@@ -5,12 +5,14 @@ the reward at step t by gamma**(t/2).  Since P(T >= t) = gamma**(t/2), the
 expectation of the weighted sum telescopes to the ordinary discounted Q.
 
 :func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
-3-weight policy it runs ``envs._car_walk``, a loop over Python floats with
-no state, step-result or trajectory objects, which draws the walk's noise
-in one block and rewinds the generator past the draws it used; every other
-input runs :func:`htpg.envs.walk`, the generic loop.  ``walk`` is the
-oracle: both give the same value, horizon, random stream and errors
-(``tests/test_kernel.py``).
+3-weight policy it runs ``envs._car_q_walk``, a loop over Python floats with
+no state, step-result or trajectory objects and no per-step records: it
+draws the walk's noise in one block, rewinds the generator past the draws it
+used, and sums the discounted rewards as it goes, as
+:func:`discounted_partial_return` sums them.  Every other input runs
+:func:`htpg.envs.walk`, the generic loop, and sums its rewards with
+:func:`discounted_partial_return`.  That pair is the oracle: both ways give
+the same value, horizon, random stream and errors (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .envs import _Car, _car_walk, walk
+from .envs import _Car, _car_q_walk, walk
 from .errors import ParameterError
 from .policy import PolicyParams, _stable_scale, policy_scale
 # features and sample_action go unused here: the benchmark tracer patches them.
@@ -40,14 +42,18 @@ class QEstimate:
     horizon_drawn: int
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 1.0:
+        raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
+
+
 def draw_horizon(gamma: float, rng, size: int | None = None):
     """Draw T with P(T = t) = (1 - sqrt(gamma)) * gamma**(t/2), t = 0, 1, ...
 
     ``size=None`` returns one int; an integer ``size`` returns an array of
     draws (the bulk path that acceptance criterion 3 checks the law on).
     """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
+    _check_gamma(gamma)
     p = 1.0 - math.sqrt(gamma)
     if size is None:
         return int(rng.geometric(p)) - 1
@@ -71,23 +77,27 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     budget counted from ``s0.step_count``), whichever comes first, drawing
     the next action after every transition that is not ``done`` (so a walk
     cut by the horizon draws one action more than it executes).
-    ``horizon`` overrides the geometric draw (test hook).
+    ``horizon`` overrides the geometric draw (test hook); ``gamma`` must lie
+    in (0, 1) either way, and is checked before the generator is used.
 
-    On a car with a 3-weight policy the walk is the float loop; otherwise it
-    is :func:`htpg.envs.walk`.  Either way a terminal ``s0`` raises
-    ``EnvUsageError``, each draw is ``mode + scale * z`` with ``z`` as
-    ``sas._standard_sas`` draws it, and a scale that is not positive raises the
-    sampler's ``scale must be positive`` only when a draw comes: a walk done
-    after its first transition raises nothing.
+    On a car with a 3-weight policy the walk is the float loop, which sums
+    as it goes; otherwise it is :func:`htpg.envs.walk`.  Either way a
+    terminal ``s0`` raises ``EnvUsageError``, each draw is ``mode + scale *
+    z`` with ``z`` as ``sas._standard_sas`` draws it, and a scale that is not
+    positive raises the sampler's ``scale must be positive`` only when a draw
+    comes: a walk done after its first transition raises nothing.
     """
-    drawn = draw_horizon(gamma, rng) if horizon is None else int(horizon)
+    if horizon is None:
+        drawn = draw_horizon(gamma, rng)
+    else:
+        _check_gamma(gamma)
+        drawn = int(horizon)
     if drawn < 0:
         raise ParameterError(f"horizon must be non-negative, got {drawn}")
     steps = min(drawn, env.spec.max_steps) + 1
     if isinstance(env, _Car) and policy.dim == 3:
         scale = _stable_scale(policy.alpha, policy_scale(policy))
-        rewards = _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0,
-                            steps)[3]
-    else:
-        rewards = walk(env, policy, rng, s0, a0, steps).rewards
+        return QEstimate(_car_q_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng,
+                                     s0, a0, steps, gamma), drawn)
+    rewards = walk(env, policy, rng, s0, a0, steps).rewards
     return QEstimate(discounted_partial_return(rewards, gamma, drawn), drawn)

@@ -26,9 +26,11 @@ must reproduce its metrics and final parameters bit for bit
 left-to-right sum of Python floats, so both loops take the mode as
 ``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`), on any CPU.
 
-The Lipschitz-aware update divides by ``1/alpha_k - L``.
-:class:`TrainConfig` checks that divisor once, at the largest step size the
-run can take, so neither loop has a per-update error path.
+Every number field of a step or update rule holds a finite double
+(``errors.finite_float``).  The Lipschitz-aware update divides by
+``1/alpha_k - L``; :class:`TrainConfig` checks that divisor once, at the
+largest step size the run can take, so neither loop has a per-update error
+path.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError, finite_float
 from .policy import (
     ADAPTIVE,
     PolicyParams,
@@ -81,7 +83,7 @@ class PowerDecay:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.b < 1.0:
+        if not 0.0 < finite_float("b", self.b) < 1.0:
             raise ParameterError(f"b must lie in (0, 1), got {self.b}")
 
 
@@ -96,9 +98,11 @@ class LinearRange:
     total: int = 1
 
     def __post_init__(self) -> None:
-        if not self.alpha_end > 0.0:
+        alpha_start = finite_float("alpha_start", self.alpha_start)
+        alpha_end = finite_float("alpha_end", self.alpha_end)
+        if not alpha_end > 0.0:
             raise ParameterError("alpha_end must be positive")
-        if not self.alpha_start >= self.alpha_end:
+        if not alpha_start >= alpha_end:
             raise ParameterError("alpha_start must be at least alpha_end")
         if self.total < 1:
             raise ParameterError("total must be at least 1")
@@ -109,7 +113,7 @@ class Constant:
     alpha: float = 0.001
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
+        if not finite_float("alpha", self.alpha) > 0.0:
             raise ParameterError("alpha must be positive")
 
 
@@ -149,7 +153,7 @@ class LipschitzAware:
     l1j: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.l1j > 0.0:
+        if not finite_float("l1j", self.l1j) > 0.0:
             raise ParameterError("l1j must be positive")
 
 
@@ -421,8 +425,9 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     differently), the clip is ``hi if g > hi else g`` (NaN passes through,
     as through ``np.minimum``), and the update keeps the reference's
     operation order per component.  The rollout is ``envs._car_walk``, the
-    float walk that fresh-Q estimation also runs, after a first action from
-    ``sas.sample_sas``; the score is the shared ``policy._score_coefs``.
+    float walk that records every transition (fresh-Q estimation runs its
+    twin ``envs._car_q_walk``, which records none), after a first action
+    from ``sas.sample_sas``; the score is the shared ``policy._score_coefs``.
 
     Under ``LinearRange`` the step size is fixed within an episode, so an
     episode with ``q == 0.0`` that :func:`_zero_q_is_noop` proves a no-op

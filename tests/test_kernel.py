@@ -4,11 +4,13 @@
 which skips the updates of a zero-Q episode it proves no-ops;
 ``_train_reference`` is the object-level loop it must reproduce: every field
 of the metrics, the final parameter bytes, and, where the reference raises,
-the same exception with the same message.  ``estimate_q`` on a car walks
-over floats too (``envs._car_walk``, which the shared-Q loop's rollout also
-runs, stepping the car inline and drawing its noise in one block); ``walk`` +
-``discounted_partial_return`` is its oracle: the same value and horizon
-bytes, the same next draw of the random stream, the same errors.
+the same exception with the same message.  The shared-Q loop's rollout
+walks over floats (``envs._car_walk``, stepping the car inline and drawing
+its noise in one block), and so does ``estimate_q`` on a car
+(``envs._car_q_walk``, the same walk summing its discounted rewards as it
+goes); ``walk`` + ``discounted_partial_return`` is their oracle: the same
+records, value and horizon bytes, the same next draw of the random stream,
+the same errors.
 ``synthetic_sga_run`` ascends over floats, only for plain ascent on a 2-D
 ``SmoothBump``; ``oracles.synthetic_sga_reference``, the generic loop, is its
 oracle on the same three counts (norms bytes, errors, next draw).  Every
@@ -20,7 +22,7 @@ import copy
 import itertools
 import math
 import struct
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from htpg.envs import (
     EnvState,
     MountainCar,
     TrappedCar,
+    _car_q_walk,
     _car_walk,
     walk,
 )
@@ -110,6 +113,14 @@ def _zero_q_config(env, alpha=2.0, scale_mode=FIXED, sigma0=1.0, theta_x0=(0.0, 
     return TrainConfig(env=env, policy_init=policy, episodes=3, seed=19, **kw)
 
 
+def _unchecked(value, **changes):
+    """A copy of the frozen ``value`` with ``changes`` set past its checks."""
+    out = copy.copy(value)
+    for name, field_value in changes.items():
+        object.__setattr__(out, name, field_value)
+    return out
+
+
 # A LinearRange with equal ends whose k = 2 step rounds up to exactly 1/L.
 _CEILING_STEP = LinearRange(0.00026362359173243805, 0.00026362359173243805, 3)
 _CEILING_L = 3793.2872146546697
@@ -169,8 +180,9 @@ CASES = {
     # One bound of the no-op proof each, which alone refuses a zero-Q episode
     # where the reference diverges: a start far past the walls, walls far
     # apart, dynamics that give NaN, a 1/sigma that overflows on its own, a
-    # mode far from every action, an infinite step size and an infinite
-    # scale weight.
+    # mode far from every action, an infinite step size (set past the
+    # rule's checks, which take finite doubles only) and an infinite scale
+    # weight.
     "zero-q-far-start": _zero_q_config(TrappedCar(
         spec=_SHORT_TRAPPED, start_at_false_goal=True, false_start=1e305,
         true_goal=math.inf), theta_x0=(0.0, 0.0, 1e9)),
@@ -186,8 +198,8 @@ CASES = {
     "zero-q-far-mode": _zero_q_config(
         TrappedCar(spec=_SHORT_TRAPPED, true_goal=math.inf), alpha=1.0, scale_mode=ADAPTIVE,
         theta_x0=(0.0, 0.0, 1e200)),
-    "zero-q-infinite-step": _zero_q_config(_TRAPPED,
-                                           step_rule=LinearRange(math.inf, 5e-9, 3)),
+    "zero-q-infinite-step": _unchecked(_zero_q_config(_TRAPPED), step_rule=_unchecked(
+        LinearRange(total=3), alpha_start=math.inf)),
     "zero-q-infinite-scale-weight": _zero_q_config(_TRAPPED, scale_mode=ADAPTIVE,
                                                    theta_sigma=(math.inf, 0.0, 0.0)),
 }
@@ -346,6 +358,45 @@ def test_kernel_matches_reference_on_mostly_zero_q(config, monkeypatch):
     _assert_kernel_matches_reference(config, monkeypatch)
 
 
+@st.composite
+def _equal_scale_configs(draw):
+    """Adaptive-scale training on either car, both families, from three
+    equal ``theta_sigma`` components: the score gives each the same step."""
+    max_steps = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        env = MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=max_steps))
+    else:
+        env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=max_steps),
+                         start_at_false_goal=draw(st.booleans()),
+                         true_goal=draw(st.sampled_from([2.05, 3.6])))
+    c = draw(st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0))
+    policy = PolicyParams(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)),
+                          [c, c, c], draw(st.sampled_from([1.0, 2.0])))
+    episodes = draw(st.integers(1, 4))
+    # Step sizes that keep sigma inside (0, inf): a sigma of 0 raises
+    # (ROADMAP item 12), and such a run returns no parameters.
+    step_rule = draw(st.sampled_from([LinearRange(0.05, 5e-9, episodes), LinearRange(),
+                                      Constant(1e-3), Constant(0.02)]))
+    return TrainConfig(env=env, policy_init=policy, episodes=episodes,
+                       seed=draw(st.integers(0, 2**32)), step_rule=step_rule,
+                       q_mode=draw(st.sampled_from(["shared", "shared", "fresh"])),
+                       symmetric_clip=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_equal_scale_configs())
+def test_equal_scale_weights_stay_bit_equal(config, monkeypatch):
+    # sigma = exp(sum(theta_sigma)) does not depend on the state, so the three
+    # components are one number stepped three times, in either loop.  Under
+    # shared Q, train runs the float loop, which must match the reference.
+    if config.q_mode == "shared":
+        _assert_kernel_matches_reference(config, monkeypatch)
+    for run in (train, _train_reference):
+        c0, c1, c2 = (struct.pack("<d", c) for c in run(config).final_policy.theta_sigma)
+        assert c0 == c1 == c2
+
+
 # -- fresh Q: the float walk against walk + discounted_partial_return -------
 
 
@@ -394,6 +445,26 @@ _ODD_MOUNTAIN = MountainCar(
     spec=replace(DEFAULT_MOUNTAIN_SPEC, state_low=-1.5, state_high=0.8, action_low=-0.6,
                  action_high=1.4, max_steps=70),
     thrust_gain=0.002, gravity=0.0031, max_speed=0.03, goal_position=0.55)
+
+
+@dataclass(frozen=True)
+class _RuleCar(TrappedCar):
+    """A trapped car whose reward elsewhere is a field, not 0.0."""
+
+    elsewhere: float = 0.0
+
+    def reward_rule(self):
+        return (*super().reward_rule()[:5], self.elsewhere)
+
+
+# The float Q walk adds no term for a reward of 0.0 or -0.0.  On these cars
+# the band, the reward elsewhere or the goal pays a signed zero, or the
+# reward elsewhere is not zero; the band covers the left third of the track.
+_SIGNED_ZERO_CAR = _RuleCar(spec=replace(_SHORT_TRAPPED, max_steps=60), true_goal=2.1,
+                            false_high=-1.5, false_reward=0.0, elsewhere=-0.0)
+_ELSEWHERE_CAR = _RuleCar(spec=replace(_SHORT_TRAPPED, max_steps=50), true_goal=2.4,
+                          true_reward=-0.0, false_high=-1.5, false_reward=-0.0,
+                          elsewhere=0.25)
 _Q_ENVS = (
     TrappedCar(spec=_SHORT_TRAPPED),
     _NEAR_GOAL,
@@ -402,6 +473,8 @@ _Q_ENVS = (
     MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=3)),
     _ODD_TRAPPED,
     _ODD_MOUNTAIN,
+    _SIGNED_ZERO_CAR,
+    _ELSEWHERE_CAR,
 )
 _Q_POLICIES = (
     PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([0.1, 0.0, -0.3]), 1.0),
@@ -428,28 +501,34 @@ def _branches(env, records) -> set:
 
 
 def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
-    rng = np.random.default_rng(31)
     values = []
     taken = {env: set() for env in (_ODD_TRAPPED, _ODD_MOUNTAIN)}
-    # The car and the horizon choice run independently, so every car meets
-    # every choice; each car gets 80 inputs.
-    cars = len(_Q_ENVS)
-    for i in range(80 * cars):
-        env = _Q_ENVS[i % cars]
+    # Each car gets 80 inputs from its own generator; the first action and
+    # the policy run independently of the horizon choice, so every car meets
+    # every pair of them.  One start in ten is at full speed half a cap from
+    # a wall, towards it.
+    inputs = itertools.product(enumerate(_Q_ENVS), range(80))
+    for i, ((car, env), j) in enumerate(inputs):
+        if j == 0:
+            rng = np.random.default_rng((31, car))
         spec = env.spec
         s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
                       rng.uniform(-env.max_speed, env.max_speed),
                       int(rng.integers(0, spec.max_steps)))
-        a0 = (-30.0, 0.7, 30.0, math.nan)[i % 4]
-        horizon = (None, None, 0, 1, 5, spec.max_steps - 1,
-                   spec.max_steps + 7)[(i // cars) % 7]
-        policy = _Q_POLICIES[i % len(_Q_POLICIES)]
+        if j % 10 in (0, 5):
+            toward = 1.0 if j % 10 else -1.0
+            wall = spec.state_high if toward > 0 else spec.state_low
+            s0 = replace(s0, position=wall - toward * env.max_speed / 2,
+                         velocity=toward * env.max_speed)
+        a0 = (-30.0, 0.7, 30.0, math.nan)[j % 4]
+        horizon = (None, None, 0, 1, 5, spec.max_steps - 1, spec.max_steps + 7)[j % 7]
+        policy = _Q_POLICIES[j % len(_Q_POLICIES)]
         want = _assert_float_q_matches_walk(
-            monkeypatch, env, policy, s0, a0, (0.97, 0.5)[i % 2], i, horizon)
+            monkeypatch, env, policy, s0, a0, (0.97, 0.5)[j % 2], i, horizon)
         values.append(struct.unpack("<d", want[0])[0])
         steps = spec.max_steps if horizon is None else horizon + 1
         args = (env, policy, s0, a0, steps)
-        assert _walk_or_error(_float_walk, i, *args) == _walk_or_error(_walk_records, i, *args)
+        _assert_float_walks_match_walk(i, *args)
         if env in taken:
             taken[env] |= _branches(env, _walk_records(*args, np.random.default_rng(i)))
     # Goal, misleading-region and mountain rewards all occur.
@@ -457,6 +536,38 @@ def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
     # On the cars with no default constant, every branch of a step is taken.
     assert taken[_ODD_TRAPPED] == {"cap", "low wall", "high wall", "band", "goal"}
     assert taken[_ODD_MOUNTAIN] == {"cap", "low wall", "high wall", "goal"}
+
+
+def test_float_q_walk_skips_only_zero_rewards(monkeypatch):
+    # A gamma whose weights gamma**(t/2) underflow to 0 from t = 3 on, horizon
+    # 0, a goal at the first transition, and a NaN reward elsewhere (NaN is
+    # true, so its term is added).
+    nan_car = replace(_ELSEWHERE_CAR, elsewhere=math.nan)
+    assert 1e-300 ** (0.5 * 3) == 0.0
+    rng = np.random.default_rng(41)
+    values = []
+    for i, env in enumerate((*_Q_ENVS, nan_car)):
+        spec = env.spec
+        for j, (gamma, horizon) in enumerate(itertools.product(
+                (1e-300, 0.5, 0.97), (None, 0, 1, 4, spec.max_steps + 7))):
+            policy = _Q_POLICIES[j % len(_Q_POLICIES)]
+            s0 = EnvState(rng.uniform(spec.state_low, spec.state_high),
+                          rng.uniform(-env.max_speed, env.max_speed),
+                          int(rng.integers(0, spec.max_steps)))
+            want = _assert_float_q_matches_walk(monkeypatch, env, policy, s0, 0.7, gamma,
+                                                100 * i + j, horizon)
+            values.append(want[0])
+    # Goal at the first transition: the goal's reward is the only term.
+    for env, reward in ((_NEAR_GOAL, 100.0), (replace(_NEAR_GOAL, true_reward=-3.0), -3.0),
+                        (_ELSEWHERE_CAR, -0.0), (_SIGNED_ZERO_CAR, 100.0)):
+        for horizon in (None, 0, 5):
+            want = _assert_float_q_matches_walk(monkeypatch, env, _Q_POLICIES[1],
+                                                EnvState(env.true_goal - 0.05, 0.1), 0.0,
+                                                0.97, 7, horizon)
+            assert want[0] == struct.pack("<d", 0.0 + reward)
+    # Sums of signed zeros are +0.0 both ways, and NaN rewards reach the sum.
+    assert struct.pack("<d", 0.0) in values and struct.pack("<d", -0.0) not in values
+    assert any(math.isnan(struct.unpack("<d", v)[0]) for v in values)
 
 
 @st.composite
@@ -530,6 +641,28 @@ def _float_walk(env, policy, s0, a0, steps, rng):
     return _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps)
 
 
+def _float_q_sum(env, policy, s0, a0, steps, rng):
+    scale = _stable_scale(policy.alpha, policy_scale(policy))
+    return _car_q_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps,
+                       0.97)
+
+
+def _walk_q_sum(env, policy, s0, a0, steps, rng):
+    """What ``_car_q_walk`` returns at gamma 0.97, from ``walk``'s rewards."""
+    return discounted_partial_return(_walk_records(env, policy, s0, a0, steps, rng)[3], 0.97,
+                                     steps)
+
+
+def _assert_float_walks_match_walk(seed, *args):
+    """Both float walks against ``walk``: the records or the sum (whose repr
+    keeps every bit) or the error, and the stream's next draw; returns the
+    records outcome."""
+    got = _walk_or_error(_float_walk, seed, *args)
+    assert got == _walk_or_error(_walk_records, seed, *args)
+    assert _walk_or_error(_float_q_sum, seed, *args) == _walk_or_error(_walk_q_sum, seed, *args)
+    return got
+
+
 def _walk_or_error(walker, seed, *args):
     """A walk's records or the error it raised, and the stream's next draw."""
     rng = np.random.default_rng(seed)
@@ -562,8 +695,7 @@ def test_float_walk_at_zero_weights_matches_walk(weights):
                           rng.uniform(-env.max_speed, env.max_speed),
                           int(rng.integers(0, spec.max_steps)))
             args = (env, policy, s0, a0, steps)
-            got = _walk_or_error(_float_walk, seed, *args)
-            assert got == _walk_or_error(_walk_records, seed, *args)
+            got = _assert_float_walks_match_walk(seed, *args)
             assert not got[0].startswith("('raised'")
             if not math.isnan(a0):
                 actions = _walk_records(*args, np.random.default_rng(seed))[2]
@@ -580,8 +712,7 @@ def test_float_walk_rewinds_a_block_the_goal_cuts_short():
         policy = PolicyParams(np.array([0.0, 0.0, 20.0]), np.zeros(3), alpha, FIXED, 0.5)
         for seed in range(4):
             args = (_NEAR_GOAL, policy, EnvState(1.9, 0.05), 0.0, _SHORT_TRAPPED.max_steps)
-            got = _walk_or_error(_float_walk, seed, *args)
-            assert got == _walk_or_error(_walk_records, seed, *args)
+            _assert_float_walks_match_walk(seed, *args)
             records = _float_walk(*args, np.random.default_rng(seed))
             assert records[5] and len(records[2]) == 4
 
@@ -595,23 +726,13 @@ def test_float_walk_checks_the_scale_at_the_first_draw_only(log_scale):
         # One transition, then the first draw fails: nothing is drawn.
         for steps in (1, 5, spec.max_steps):
             args = (_NEAR_GOAL, policy, EnvState(1.5, 0.0), 0.0, steps)
-            got = _walk_or_error(_float_walk, 5, *args)
-            assert got == _walk_or_error(_walk_records, 5, *args)
+            got = _assert_float_walks_match_walk(5, *args)
             assert got[0].startswith("('raised', <class 'htpg.errors.ParameterError'>")
         # Done by the budget or at the goal before any draw: nothing raised.
         for s0 in (EnvState(1.5, 0.0, spec.max_steps - 1), EnvState(2.05, 0.1, 7)):
             args = (_NEAR_GOAL, policy, s0, 0.0, spec.max_steps)
-            got = _walk_or_error(_float_walk, 6, *args)
-            assert got == _walk_or_error(_walk_records, 6, *args)
+            got = _assert_float_walks_match_walk(6, *args)
             assert not got[0].startswith("('raised'")
-
-
-def _unchecked(value, **changes):
-    """A copy of the frozen ``value`` with ``changes`` set past its checks."""
-    out = copy.copy(value)
-    for name, field_value in changes.items():
-        object.__setattr__(out, name, field_value)
-    return out
 
 
 @pytest.mark.parametrize("max_speed", [-0.05, 0.0])
@@ -626,8 +747,7 @@ def test_float_walk_clamps_like_min_max_for_any_bounds(max_speed):
         for alpha, seed, a0 in itertools.product((1.0, 2.0), range(3), (0.0, 50.0, math.nan)):
             policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.zeros(3), alpha, FIXED, 0.5)
             args = (env, policy, EnvState(0.1, 0.0), a0, spec.max_steps)
-            got = _walk_or_error(_float_walk, seed, *args)
-            assert got == _walk_or_error(_walk_records, seed, *args)
+            got = _assert_float_walks_match_walk(seed, *args)
             assert not got[0].startswith("('raised'")
 
 
@@ -637,6 +757,8 @@ def test_float_q_walk_refuses_a_terminal_state(monkeypatch):
         want = _assert_float_q_matches_walk(monkeypatch, env, _Q_POLICIES[0], s0, 0.0,
                                             0.97, 1, None)
         assert want == ("raised", EnvUsageError, "step() called on a terminal state")
+        got = _assert_float_walks_match_walk(1, env, _Q_POLICIES[0], s0, 0.0, 5)
+        assert got[0] == repr(want)
 
 
 @pytest.mark.parametrize("log_scale", [-800.0, math.nan])
@@ -669,7 +791,8 @@ def test_other_policies_keep_the_object_walk(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
-    config = replace(CASES[name], q_mode="fresh")
+    # Past the checks: a case holds what they passed, or an infinite step.
+    config = _unchecked(CASES[name], q_mode="fresh")
     walks = []
     with monkeypatch.context() as patch:
         patch.setattr(qvalue, "walk", lambda *args: walks.append(args) or walk(*args))
@@ -698,6 +821,10 @@ def _sga_by_reference(noise, step_rule, update_rule, n, rng, theta0):
     theta = np.full(2, 0.5) if theta0 is None else np.asarray(theta0, dtype=float)
     return synthetic_sga_reference(SmoothBump(), noise, step_rule, update_rule, rng, theta,
                                    np.empty(n))
+
+
+class _UnhashableConstant(Constant):
+    __hash__ = None
 
 
 def _sga_by_float_loop(noise, step_rule, update_rule, n, rng, theta0):
@@ -805,21 +932,20 @@ def test_float_sga_matches_reference_on_errors(monkeypatch):
                                             PlainAscent(), 9, seed, None)
     # Everything else fails before any draw: the Lipschitz-aware update (the
     # oracle fails only after step 1's draw, at the ceiling), an unknown step
-    # rule, an unhashable one, which the schedule cache cannot take, and a
-    # step size too large for a double.
+    # rule and an unhashable one, which the schedule cache cannot take.
     for seed, step_rule, update_rule, start in (
             (1, PowerDecay(0.5), LipschitzAware(2.0), "the testbed runs plain ascent"),
             (3, Constant(3), LipschitzAware(1.0), "the testbed runs plain ascent"),
             (2, object(), PlainAscent(), "the testbed runs plain ascent"),
             (4, [], PlainAscent(), "the testbed runs plain ascent"),
-            (8, Constant(np.array([0.5])), PlainAscent(), "step rule Constant(")):
+            (8, _UnhashableConstant(0.5), PlainAscent(), "step rule _UnhashableConstant(")):
         message = _assert_sga_rejects(monkeypatch, _sga_by_float_loop, NoiseModel(0.1),
                                       step_rule, update_rule, 9, seed, None)
         assert message.startswith(start)
-    want = _sga_outcome(_sga_by_float_loop, NoiseModel(0.1), Constant(10**400),
-                        PlainAscent(), 9, 7, None)
-    assert want[0][:2] == ("raised", OverflowError)
-    assert want[1] == struct.pack("<d", np.random.default_rng(7).random())
+    # A step size that is not a finite double is no rule at all.
+    for alpha in (10**400, np.array([0.5])):
+        with pytest.raises(ParameterError, match="^alpha must be a finite number, got "):
+            Constant(alpha)
 
 
 @st.composite

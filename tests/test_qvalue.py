@@ -43,6 +43,17 @@ def test_draw_horizon_geometric_law():
     assert abs(freq0 - p0) < 3 * se
 
 
+def test_estimate_q_checks_gamma_before_any_draw(chain_env):
+    # Also with a given horizon: the float walk's sum rests on gamma in (0, 1).
+    for env in (chain_env, TrappedCar(), MountainCar()):
+        for bad in (0.0, 1.0, -0.5, 1.5, math.nan):
+            rng = np.random.default_rng(8)
+            for horizon in (None, 3):
+                with pytest.raises(ParameterError, match=r"^gamma must lie in \(0, 1\)"):
+                    estimate_q(env, dummy_policy(), EnvState(0.0, 0.0), 0.0, bad, rng, horizon)
+            assert rng.random() == np.random.default_rng(8).random()
+
+
 def test_estimate_q_single_term(chain_env):
     rng = np.random.default_rng(2)
     est = estimate_q(chain_env, dummy_policy(), EnvState(0.0, 0.0), 0.0, 0.81, rng,

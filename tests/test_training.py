@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htpg import diagnostics
-from htpg.envs import EnvSpec, EnvState, StepResult, TrappedCar
+from htpg.envs import EnvSpec, EnvState, MountainCar, StepResult, TrappedCar
 from htpg.errors import ParameterError, ScheduleError
 from htpg.policy import ADAPTIVE, FIXED, PolicyParams, clip_score, features, param_vector, score
 from htpg.training import (
@@ -156,6 +156,42 @@ def test_train_config_validation():
     with pytest.raises(ScheduleError):
         TrainConfig(env=env, policy_init=pol, episodes=1, seed=0,
                     step_rule=Constant(0.5), update_rule=LipschitzAware(4.0))
+
+
+_NOT_FINITE_DOUBLES = (10**400, -10**400, math.inf, -math.inf, math.nan, np.float64(math.inf),
+                       "0.5", None, np.array([0.5]), np.array(0.5))
+_RULE_FIELDS = {
+    "b": PowerDecay,
+    "alpha_start": lambda v: LinearRange(v, 1e-3),
+    "alpha_end": lambda v: LinearRange(2.0, v),
+    "alpha": Constant,
+    "l1j": LipschitzAware,
+    "sigma0": lambda v: PolicyParams.zeros(3, 1.0, FIXED, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_FIELDS))
+def test_rule_fields_and_sigma0_take_finite_doubles_only(name):
+    # A value that does not convert to a finite double is one ParameterError;
+    # an int too large for a double was an OverflowError inside training.
+    build = _RULE_FIELDS[name]
+    for value in _NOT_FINITE_DOUBLES:
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number, got "):
+            build(value)
+    # Ints and numpy scalars are numbers too.
+    for value in (np.float64(0.25), np.float32(0.25), np.int64(1) if name != "b" else 0.25):
+        build(value)
+
+
+def test_an_int_step_size_trains_as_its_double():
+    env = MountainCar(spec=replace(MountainCar().spec, max_steps=30))
+    runs = [train(TrainConfig(env=env, policy_init=PolicyParams.zeros(3, 2.0, FIXED, sigma0),
+                              episodes=3, seed=4, step_rule=Constant(alpha)))
+            for alpha, sigma0 in ((3, 2), (3.0, 2.0))]
+    assert runs[0].update_norms == runs[1].update_norms
+    assert param_vector(runs[0].final_policy).tobytes() == (
+        param_vector(runs[1].final_policy).tobytes())
+    assert any(runs[0].update_norms)
 
 
 @pytest.mark.parametrize("key, value", [
