@@ -5,15 +5,16 @@ Both environments are value types: ``step`` never mutates, it maps
 more than independent states and random streams.
 
 Each car states its reward rule once, as constants (``reward_rule()``).
-:func:`walk`, which steps through ``step``, is the oracle of two float
-walks.  :func:`_car_walk`, the rollout of shared-Q training, and
-:func:`_car_q_walk`, the walk of a fresh Q estimate, read the car's constants
-once and step the dynamics, the speed cap, the walls, the action clamp and
-the reward inline on Python floats; the first records every transition, the
-second only sums its discounted rewards.  Every small dot product in htpg is
-a left-to-right sum of Python floats, so the walks take the mode as
-``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit for
-bit on any CPU.
+:func:`rollout` and :func:`walk`, which step through ``step``, are the
+oracles of two float loops.  :func:`_car_rollout`, the rollout of shared-Q
+training, and :func:`_car_q_walk`, the walk of a fresh Q estimate, read the
+car's constants once and step the dynamics, the speed cap, the walls, the
+action clamp and the reward inline on Python floats; the first resets the
+car and records every transition, the second starts from a given (state,
+action) pair and only sums its discounted rewards.  Every small dot product
+in htpg is a left-to-right sum of Python floats, so the loops take the mode
+as ``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit
+for bit on any CPU.
 """
 
 from __future__ import annotations
@@ -306,57 +307,52 @@ def _rewind(rng, tail: float, saved: dict, used: int) -> None:
     (rng.random if tail != 2.0 else rng.standard_normal)(used)
 
 
-def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
-              state: EnvState, action: float, steps: int):
-    """:func:`walk` on a car over Python floats, for a policy with the three
-    mode weights ``theta`` (Python floats), mode ``t0 * x + t1 * v + t2`` and
-    draw ``mode + scale * _standard_sas(tail, rng)``, ``tail`` 1 (Cauchy) or
-    2 (Gaussian).  It is the rollout of shared-Q training; fresh Q runs
-    :func:`_car_q_walk`, the same walk without records.
+def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
+    """:func:`rollout` on a car over Python floats, for the step budget and a
+    policy with the three mode weights ``theta`` (Python floats), mode
+    ``t0 * x + t1 * v + t2`` and draw ``mode + scale * _standard_sas(tail,
+    rng)``, ``tail`` 1 (Cauchy) or 2 (Gaussian).  It is the rollout of
+    shared-Q training; fresh Q runs :func:`_car_q_walk`.
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
-    the final position and whether it is at the goal.  ``steps`` must be at
-    least 1.  Like :func:`walk`, a terminal ``state`` raises, a scale that is
-    not positive raises the sampler's ``scale must be positive`` at the first
-    draw, and a walk done before any draw raises nothing.
+    the final position and whether it is at the goal.  Like :func:`rollout`,
+    it resets the car first, and a scale that is not positive raises the
+    sampler's ``scale must be positive`` before any transition.
 
     The car's constants are read once (:func:`_car_constants`); each step
-    then runs :meth:`_Car.advance`, the action clamp and :meth:`_Car.reward`
-    inline, in their operation order.  ``min(max(y, lo), hi)`` is written as
-    two ifs, ``lo > y`` then ``hi < y``, which is what the builtins compute
-    for NaN, infinities, signed zeros and any pair of bounds.
+    then draws its action, clamps it and runs :meth:`_Car.advance` and
+    :meth:`_Car.reward` inline, in their operation order.
+    ``min(max(y, lo), hi)`` is written as two ifs, ``lo > y`` then ``hi < y``,
+    which is what the builtins compute for NaN, infinities, signed zeros and
+    any pair of bounds.
 
-    The noise comes in one block (:func:`_noise_block`), drawn at the first
-    draw with the most values the walk can use.  A walk that uses fewer (the
-    goal ends it, or it raises) rewinds the generator and redraws the used
-    count (:func:`_rewind`), so the stream goes on where :func:`walk` leaves
-    it.
-
-    The budget is counted once, not per step: the walk is done after
-    ``max(max_steps - step_count, 1)`` transitions unless the goal ends it
-    first, and one cut short by ``steps`` draws the next action like
-    :func:`walk` does.
+    The whole budget's noise comes in one block (:func:`_noise_block`), drawn
+    after the reset.  An episode that uses less of it (the goal ends it, or a
+    step raises) rewinds the generator past the draws it used
+    (:func:`_rewind`), so the stream goes on where :func:`rollout` leaves it.
     """
+    state = env.reset(rng)
     (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
      band_low, band_high, band_reward, elsewhere, budget) = _car_constants(env, state)
+    noise, saved = _noise_block(rng, tail, scale, budget)
     neg_cap = -cap
-    last = budget - 1
-    # A draw follows every transition but the budget's last.
-    most = steps if steps < budget else last
     cos = math.cos
     t0, t1, t2 = theta
-    x, v, a = state.position, state.velocity, env.spec.clamp_action(action)
+    x, v = state.position, state.velocity
     xs: list[float] = []
     vs: list[float] = []
     actions: list[float] = []
     rewards: list[float] = []
-    noise: list[float] = []
     add_x, add_v, add_a, add_r = xs.append, vs.append, actions.append, rewards.append
     at_goal = False
-    used = 0
     try:
-        for i in range(steps if steps < budget else budget):
+        for step_noise in noise:
+            a = (t0 * x + t1 * v + t2) + step_noise
+            if a_low > a:
+                a = a_low
+            if a_high < a:
+                a = a_high
             add_x(x)
             add_v(v)
             add_a(a)
@@ -375,32 +371,32 @@ def _car_walk(env: _Car, theta, scale: float, tail: float, rng,
                 at_goal = True
                 break
             add_r(band_reward if band_low <= x <= band_high else elsewhere)
-            if i == last:
-                break
-            if not noise:
-                noise, saved = _noise_block(rng, tail, scale, most)
-            step_noise = noise[used]
-            used += 1
-            a = (t0 * x + t1 * v + t2) + step_noise
-            if a_low > a:
-                a = a_low
-            if a_high < a:
-                a = a_high
     finally:
-        if used < len(noise):
-            _rewind(rng, tail, saved, used)
+        # Every recorded action used one draw.
+        if len(actions) < budget:
+            _rewind(rng, tail, saved, len(actions))
     return xs, vs, actions, rewards, x, at_goal
 
 
 def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvState,
                 action: float, steps: int, gamma: float) -> float:
-    """:func:`_car_walk` reduced to the discounted sum that a random-horizon Q
-    estimate reads: ``sum_t gamma**(t/2) * r_t`` over the rewards of the
-    transitions taken, added in the order and with the expression of
-    ``qvalue.discounted_partial_return``.  It records nothing; its dynamics,
-    clamps, reward rule, noise block, rewind and errors are
-    :func:`_car_walk`'s, as is the random stream it leaves.  ``gamma`` must
-    lie in (0, 1).
+    """:func:`walk` on a car over Python floats, reduced to the discounted sum
+    that a random-horizon Q estimate reads: ``sum_t gamma**(t/2) * r_t`` over
+    the rewards of the transitions taken, added in the order and with the
+    expression of ``qvalue.discounted_partial_return``.  It records nothing.
+    ``theta``, ``scale`` and ``tail`` are :func:`_car_rollout`'s, and so are
+    the inline dynamics, clamps and reward rule.  ``steps`` must be at least
+    1 and ``gamma`` must lie in (0, 1).
+
+    Like :func:`walk`, it clamps ``action``, a terminal ``state`` raises, a
+    scale that is not positive raises the sampler's ``scale must be
+    positive`` at the first draw, and a walk done before any draw raises
+    nothing.  The budget is counted once, not per step: the walk is done
+    after ``max(max_steps - step_count, 1)`` transitions unless the goal ends
+    it first, and one cut short by ``steps`` draws the next action like
+    :func:`walk` does.  The noise comes in one block, drawn at the first draw
+    with the most values the walk can use; a walk that uses fewer rewinds
+    the generator past the draws it used.
 
     A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
     That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and

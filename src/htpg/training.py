@@ -25,6 +25,14 @@ must reproduce its metrics and final parameters bit for bit
 (``tests/test_kernel.py``).  Every small dot product in htpg is a
 left-to-right sum of Python floats, so both loops take the mode as
 ``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`), on any CPU.
+The shared-Q loop's rollout is ``envs._car_rollout``, which resets the car
+and draws every action itself, as :func:`htpg.envs.rollout` does.
+
+A run diverges, and stops with ``diverged=True``, when an update leaves a
+parameter that is not finite or the policy scale leaves (0, inf).  Both
+loops check the scale where they compute it: before each episode's rollout
+and before each pair's Q estimate and score.  So no scale of 0 reaches a
+draw or a score, and no infinite scale a rollout.
 
 Every number field of a step or update rule holds a finite double
 (``errors.finite_float``).  The Lipschitz-aware update divides by
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,12 +59,12 @@ from .policy import (
     clip_score,
     features,
     param_vector,
+    policy_scale,
     score,
     with_param_vector,
 )
-from .envs import _Car, _car_walk, rollout
+from .envs import _Car, _car_rollout, rollout
 from .qvalue import discounted_partial_return, draw_horizon, estimate_q
-from .sas import StableSpec, sample_sas
 
 __all__ = [
     "PowerDecay",
@@ -104,8 +113,8 @@ class LinearRange:
             raise ParameterError("alpha_end must be positive")
         if not alpha_start >= alpha_end:
             raise ParameterError("alpha_start must be at least alpha_end")
-        if self.total < 1:
-            raise ParameterError("total must be at least 1")
+        if not isinstance(self.total, numbers.Integral) or self.total < 1:
+            raise ParameterError(f"total must be an integer of at least 1, got {self.total!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,6 +311,11 @@ class _Curves:
             self.first_exit = episode
 
     def metrics(self, updates: int, diverged: bool, final_policy: PolicyParams) -> RunMetrics:
+        """The run's metrics; a diverged run stopped in the episode after the
+        ones recorded, and is logged."""
+        if diverged:
+            log.warning("non-finite parameters or a scale outside (0, inf) at episode %d, "
+                        "update %d; aborting run", len(self.returns), updates)
         return RunMetrics(
             returns=self.returns,
             moving_avg_100=self.moving,
@@ -315,11 +329,6 @@ class _Curves:
         )
 
 
-def _warn_diverged(episode: int, updates: int) -> None:
-    log.warning("non-finite parameters at episode %d, update %d; aborting run",
-                episode, updates)
-
-
 # Far below overflow: a product of three numbers under it is finite.
 _FAR_BELOW_OVERFLOW = 1e100
 
@@ -329,6 +338,7 @@ def _zero_q_is_noop(env, params: tuple, sigma: float, alpha: float, xs: list, vs
     """Whether an episode's updates with ``q_hat == 0`` provably leave every
     parameter's bits as they are, at step size ``alpha`` and policy scale
     ``sigma`` (``params`` are the updated parameters, mode weights first).
+    ``sigma`` lies in (0, inf): the loop checked it before the rollout.
 
     Each update adds ``alpha * (0 * g)`` (or ``0 * g / inv``), which is
     +-0.0 when ``alpha`` and every score component ``g`` are finite; and
@@ -345,7 +355,7 @@ def _zero_q_is_noop(env, params: tuple, sigma: float, alpha: float, xs: list, vs
     ``|u|`` by ``(|a|max + 2|mode|max) / sigma``, with
     ``|mode|max = (|t0| + 2|t1|) b + |t2|`` and the 2 covering rounding.
     """
-    if not (math.isfinite(alpha) and sigma > 0.0
+    if not (math.isfinite(alpha)
             and math.isfinite(sum(xs) + sum(vs) + sum(actions))
             and all(math.isfinite(p) and (p != 0.0 or math.copysign(1.0, p) > 0.0)
                     for p in params)):
@@ -378,6 +388,9 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
     diverged = False
 
     for episode in range(config.episodes):
+        diverged = not 0.0 < policy_scale(policy) < math.inf
+        if diverged:
+            break
         traj = rollout(env, policy, rng, env.spec.max_steps)
         if not fresh:
             drawn = draw_horizon(config.gamma, rng)
@@ -386,6 +399,9 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
             alpha_episode = step_size(config.step_rule, episode + 1)
         vec_before = vec
         for state, action in zip(traj.states, traj.actions):
+            diverged = not 0.0 < policy_scale(policy) < math.inf
+            if diverged:
+                break
             if fresh:
                 q_hat = estimate_q(env, policy, state, action, config.gamma,
                                    rng).value
@@ -403,7 +419,6 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
             # component is, unless it overflows, so confirm on trigger.
             if not math.isfinite(float(vec @ vec)) and not np.isfinite(vec).all():
                 diverged = True
-                _warn_diverged(episode, updates)
                 break
             policy = with_param_vector(policy, vec)
         if diverged:
@@ -424,10 +439,12 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     ``np.exp`` of ``(c0 + c1) + c2`` (numpy's sum order; ``math.exp`` rounds
     differently), the clip is ``hi if g > hi else g`` (NaN passes through,
     as through ``np.minimum``), and the update keeps the reference's
-    operation order per component.  The rollout is ``envs._car_walk``, the
-    float walk that records every transition (fresh-Q estimation runs its
-    twin ``envs._car_q_walk``, which records none), after a first action
-    from ``sas.sample_sas``; the score is the shared ``policy._score_coefs``.
+    operation order per component.  The rollout is ``envs._car_rollout``,
+    which resets the car, draws every action and records every transition,
+    as :func:`htpg.envs.rollout` does; the score is the shared
+    ``policy._score_coefs``.  Sigma is checked to lie in (0, inf) before the
+    rollout and before each adaptive pair's score, as the reference checks
+    it.
 
     Under ``LinearRange`` the step size is fixed within an episode, so an
     episode with ``q == 0.0`` that :func:`_zero_q_is_noop` proves a no-op
@@ -460,14 +477,12 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     diverged = False
 
     for episode in range(config.episodes):
-        # Rollout at fixed parameters: reset, draw, then the float walk.
-        start = env.reset(rng)
         sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
-        scale = _stable_scale(tail, sigma)
-        mode = t0 * start.position + t1 * start.velocity + t2
-        a = sample_sas(StableSpec(tail, mode, scale), rng)
-        xs, vs, actions, rewards, x, at_goal = _car_walk(
-            env, (t0, t1, t2), scale, tail, rng, start, a, env.spec.max_steps)
+        diverged = not 0.0 < sigma < math.inf
+        if diverged:
+            break
+        xs, vs, actions, rewards, x, at_goal = _car_rollout(
+            env, (t0, t1, t2), _stable_scale(tail, sigma), tail, rng)
 
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
         pairs = zip(xs, vs, actions)
@@ -483,6 +498,9 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         for xk, vk, ak in pairs:
             if adaptive:
                 sigma = float(np.exp((c0 + c1) + c2))
+                diverged = not 0.0 < sigma < math.inf
+                if diverged:
+                    break
             mode_coef, sigma_coef = _score_coefs(tail, ak, t0 * xk + t1 * vk + t2, sigma)
             g0, g1, g2 = mode_coef * xk, mode_coef * vk, mode_coef
             # clip_score, component by component.
@@ -511,7 +529,6 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
                 finite = math.isfinite(total) or all(map(math.isfinite, (n0, n1, n2)))
             if not finite:
                 diverged = True
-                _warn_diverged(episode, updates)
                 break
             t0, t1, t2 = n0, n1, n2
             if adaptive:

@@ -22,6 +22,7 @@ from htpg.cli import main
 from htpg.config import ConfigError, parse_config
 from htpg.diagnostics import BoundParams, NoiseModel, SmoothBump, check_bound, synthetic_sga_run
 from htpg.envs import EnvSpec
+from htpg.errors import ParameterError
 from htpg.experiment import (
     RUN_CSV_COLUMNS,
     render_chart,
@@ -296,8 +297,8 @@ def test_cli_family_name_with_leading_space_is_one_line_with_exit_2(tmp_path, ca
 
 
 # Every return is 1e20 (the false-start reward on one-step episodes).  The
-# default schedule's updates drive sigma to 0, so a later draw fails; a
-# constant step of 1e-40 keeps the policy put.
+# default schedule's first update drives sigma to 0, so the next episode
+# diverges; a constant step of 1e-40 keeps the policy put.
 HUGE_RETURNS = """
 name = "huge"
 
@@ -315,8 +316,9 @@ episodes = 3
 """
 
 
-# Steps of 1000 from the false start: sigma underflows to 0 and the score
-# divides by it.
+# Steps of 1000 from the false start: unchecked, sigma overflows to inf and
+# then underflows to 0, where the score divides by it.  The first update's
+# infinite sigma ends the run as a divergence.
 SIGMA_UNDERFLOWS = """
 name = "underflow"
 
@@ -377,16 +379,41 @@ def test_lipschitz_ceiling_past_step_1_is_a_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    (HUGE_RETURNS, "scale must be positive, got 0.0"),
-    (SIGMA_UNDERFLOWS, "float division by zero"),
-], ids=["scale-zero-at-a-draw", "sigma-underflows-in-the-score"])
-def test_cli_training_error_is_one_line_with_exit_1(text, message, tmp_path, capsys):
+@pytest.mark.parametrize("text, csv_name, episodes", [
+    (HUGE_RETURNS, "cauchy_seed0.csv", 1),
+    (SIGMA_UNDERFLOWS, "cauchy_seed11.csv", 0),
+], ids=["scale-zero-at-an-episode-start", "sigma-overflows-in-the-first-episode"])
+def test_cli_scale_outside_its_range_is_a_recorded_divergence(text, csv_name, episodes,
+                                                              tmp_path, capsys):
+    # A sigma of 0 or inf ends the run as a divergence: exit 0, a diverged
+    # row at the end of the run CSV and in the aggregate, and a chart.
     cfg_file = tmp_path / "exp.toml"
     cfg_file.write_text(text)
     out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
+    assert "(1 diverged)" in capsys.readouterr().out
+    rows = list(csv.reader((out_dir / csv_name).open(newline="")))
+    assert len(rows) == episodes + 2 and rows[-1][0] == "diverged"
+    aggregate = list(csv.DictReader((out_dir / "aggregate.csv").open(newline="")))
+    assert [(r["episodes"], r["diverged"]) for r in aggregate] == [(str(episodes), "1")]
+    assert _chart_problems((out_dir / "returns.svg").read_text()) == []
+
+
+@pytest.mark.parametrize("error", [ParameterError("scale must be positive, got 0.0"),
+                                   ZeroDivisionError("float division by zero")],
+                         ids=["parameter-error", "arithmetic-error"])
+def test_cli_training_error_is_one_line_with_exit_1(error, tmp_path, monkeypatch, capsys):
+    # No config reaches an error inside training any more; a train that
+    # raises one stands in for a future one.  One cell runs in this process.
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(experiment, "train", fail)
+    cfg_file = tmp_path / "exp.toml"
+    cfg_file.write_text(SIGMA_UNDERFLOWS)
+    out_dir = tmp_path / "out"
     assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err == f"error: training failed: {message}\n"
+    assert capsys.readouterr().err == f"error: training failed: {error}\n"
     assert (out_dir / "config.txt").exists()
 
 

@@ -5,10 +5,11 @@ which skips the updates of a zero-Q episode it proves no-ops;
 ``_train_reference`` is the object-level loop it must reproduce: every field
 of the metrics, the final parameter bytes, and, where the reference raises,
 the same exception with the same message.  The shared-Q loop's rollout
-walks over floats (``envs._car_walk``, stepping the car inline and drawing
-its noise in one block), and so does ``estimate_q`` on a car
-(``envs._car_q_walk``, the same walk summing its discounted rewards as it
-goes); ``walk`` + ``discounted_partial_return`` is their oracle: the same
+runs over floats (``envs._car_rollout``, stepping the car inline and drawing
+its noise in one block), and ``rollout`` is its oracle; so does
+``estimate_q`` on a car (``envs._car_q_walk``, a walk from a given pair that
+sums its discounted rewards as it goes), and ``walk`` +
+``discounted_partial_return`` is its oracle.  Each pair must give the same
 records, value and horizon bytes, the same next draw of the random stream,
 the same errors.
 ``synthetic_sga_run`` ascends over floats, only for plain ascent on a 2-D
@@ -37,7 +38,8 @@ from htpg.envs import (
     MountainCar,
     TrappedCar,
     _car_q_walk,
-    _car_walk,
+    _car_rollout,
+    rollout,
     walk,
 )
 from htpg.errors import DivergenceError, EnvUsageError, ParameterError, ScheduleError
@@ -102,6 +104,12 @@ _NEAR_GOAL = TrappedCar(spec=_SHORT_TRAPPED, true_goal=2.1)
 _MOUNTAIN = MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=80))
 
 
+def _sigma(policy) -> float:
+    """The policy scale, inf where exp overflows (without numpy's warning)."""
+    with np.errstate(over="ignore"):
+        return policy_scale(policy)
+
+
 def _config(env, alpha, seed, scale_mode=ADAPTIVE, sigma0=1.0, **kw):
     return TrainConfig(env=env, policy_init=PolicyParams.zeros(3, alpha, scale_mode, sigma0),
                        seed=seed, **kw)
@@ -146,8 +154,8 @@ CASES = {
                                step_rule=LinearRange(1e-3, 1e-5, 3)),
     "mountain-gaussian-fixed": _config(_MOUNTAIN, 2.0, 10, FIXED, 0.5, episodes=3,
                                        step_rule=Constant(0.05)),
-    # Step sizes that blow the parameters up: divergence and the errors the
-    # reference raises on the way (a scale underflowing to 0 divides by it).
+    # Step sizes that blow the parameters up: divergence, also through a
+    # scale that underflows to 0 while the parameters stay finite.
     "diverges-fixed": _config(_FALSE_START, 2.0, 11, FIXED, episodes=6,
                               step_rule=Constant(10.0)),
     "diverges-adaptive": _config(_FALSE_START, 1.0, 13, episodes=6,
@@ -213,9 +221,12 @@ def test_kernel_matches_reference_on_fixed_seeds(name, monkeypatch):
 def test_fixed_cases_reach_divergence_and_errors():
     for name in ("diverges-fixed", "diverges-adaptive", "diverges-mountain"):
         assert _train_reference(CASES[name]).diverged
-    for name in ("zero-scale", "zero-scale-mountain"):
-        with pytest.raises(ZeroDivisionError):
-            _train_reference(CASES[name])
+    # The scale leaves (0, inf) with finite parameters: a divergence, with the
+    # parameters that gave it.  The trapped car's first step takes the scale
+    # to inf, where the run stops; unchecked, it went on to underflow to 0.
+    for name, sigma in (("zero-scale", math.inf), ("zero-scale-mountain", 0.0)):
+        m = _train_reference(CASES[name])
+        assert m.diverged and _sigma(m.final_policy) == sigma
     # Past the ceiling, the config does not build; one float below it, the
     # divisor at k = 2 is one ulp and the run trains.
     for name in ("lipschitz-ceiling-rounding", "zero-q-lipschitz-ceiling-rounding"):
@@ -245,21 +256,52 @@ def test_zero_q_cases_reach_what_they_test(monkeypatch):
     assert train(CASES["zero-q-lipschitz-ceiling-rounding"]).wall_updates == 240
     assert proofs == [True, True, True]
     for name in ("zero-q-far-start", "zero-q-far-walls", "zero-q-nan-dynamics",
-                 "zero-q-narrow-actions", "zero-q-far-mode", "zero-q-infinite-step",
-                 "zero-q-infinite-scale-weight"):
+                 "zero-q-narrow-actions", "zero-q-far-mode", "zero-q-infinite-step"):
         proofs.clear()
         assert train(CASES[name]).diverged, name
         assert proofs == [False], name
+    # An infinite scale weight gives an infinite scale: the run diverges
+    # before its first rollout, so no episode reaches the proof.
+    proofs.clear()
+    m = train(CASES["zero-q-infinite-scale-weight"])
+    assert m.diverged and m.returns == [] and proofs == []
 
 
-def test_zero_scale_at_a_draw_raises_the_samplers_error(monkeypatch):
+def test_zero_scale_at_an_episode_start_is_a_divergence(monkeypatch):
     # One-step episodes: the update that drives sigma to 0 is an episode's
-    # last, so the next episode's first draw meets the zero scale.
+    # last, so the next episode's rollout meets the zero scale, which ends
+    # the run before any draw.
     env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=1), start_at_false_goal=True)
     config = _config(env, 2.0, 0, episodes=400, step_rule=Constant(1e6))
-    outcome = _assert_kernel_matches_reference(config, monkeypatch)
-    assert outcome[:2] == ("raised", ParameterError)
-    assert "scale must be positive" in outcome[2]
+    _assert_kernel_matches_reference(config, monkeypatch)
+    m = train(config)
+    assert m.diverged and _sigma(m.final_policy) == 0.0
+    assert m.wall_updates == len(m.returns) < 400
+
+
+# Scales that leave (0, inf) while every parameter stays finite: the
+# runs' final scale and update count.  Unchecked, steps of 1000 from the false
+# start (the config of tests/test_experiment.py::SIGMA_UNDERFLOWS) take sigma
+# to inf and later to 0, where the score divided by it; the default mountain
+# car and schedule take Cauchy's sigma to inf within the first episode, and
+# it stayed there.
+_SCALE_LEAVES_ITS_RANGE = {
+    "steps-of-1000": (_config(TrappedCar(spec=_SHORT_TRAPPED, start_at_false_goal=True),
+                              1.0, 11, episodes=6, step_rule=Constant(1000.0)), math.inf, 1),
+    "mountain-default": (_config(MountainCar(), 1.0, 1, episodes=60), math.inf, 952),
+    "zero-scale-mountain": (CASES["zero-scale-mountain"], 0.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_LEAVES_ITS_RANGE))
+def test_a_scale_outside_its_range_is_a_divergence_in_both_loops(name, monkeypatch, caplog):
+    config, sigma, updates = _SCALE_LEAVES_ITS_RANGE[name]
+    _assert_kernel_matches_reference(config, monkeypatch)
+    m = train(config)
+    assert m.diverged and _sigma(m.final_policy) == sigma
+    assert np.isfinite(param_vector(m.final_policy)).all()
+    assert m.wall_updates == updates and m.returns == []
+    assert "a scale outside (0, inf)" in caplog.text
 
 
 def test_other_inputs_take_the_reference_loop(monkeypatch):
@@ -373,8 +415,8 @@ def _equal_scale_configs(draw):
     policy = PolicyParams(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)),
                           [c, c, c], draw(st.sampled_from([1.0, 2.0])))
     episodes = draw(st.integers(1, 4))
-    # Step sizes that keep sigma inside (0, inf): a sigma of 0 raises
-    # (ROADMAP item 12), and such a run returns no parameters.
+    # Step sizes that keep sigma inside (0, inf): a run whose sigma leaves
+    # it diverges, and stops stepping the components.
     step_rule = draw(st.sampled_from([LinearRange(0.05, 5e-9, episodes), LinearRange(),
                                       Constant(1e-3), Constant(0.02)]))
     return TrainConfig(env=env, policy_init=policy, episodes=episodes,
@@ -528,7 +570,7 @@ def test_float_q_walk_matches_walk_on_fixed_seeds(monkeypatch):
         values.append(struct.unpack("<d", want[0])[0])
         steps = spec.max_steps if horizon is None else horizon + 1
         args = (env, policy, s0, a0, steps)
-        _assert_float_walks_match_walk(i, *args)
+        _assert_float_q_sum_matches_walk(i, *args)
         if env in taken:
             taken[env] |= _branches(env, _walk_records(*args, np.random.default_rng(i)))
     # Goal, misleading-region and mountain rewards all occur.
@@ -602,43 +644,17 @@ def test_float_q_walk_matches_walk_on_drawn_inputs(inputs, monkeypatch):
     _assert_float_q_matches_walk(monkeypatch, *inputs)
 
 
-def _walk_outcome(walker, seed):
-    """Everything a walk records, and the stream's next draw."""
-    rng = np.random.default_rng(seed)
-    return repr(walker(rng)), rng.random()
-
-
-@settings(max_examples=_Q_EXAMPLES, deadline=None)
-@given(inputs=_q_inputs())
-def test_float_walk_records_what_walk_records(inputs):
-    # A Q value sees only rewards; the trajectory shows every action bit.
-    env, policy, s0, a0, _, seed, horizon = inputs
-    steps = env.spec.max_steps if horizon is None else horizon + 1
-    scale = _stable_scale(policy.alpha, policy_scale(policy))
-
-    def by_walk(rng):
-        traj = walk(env, policy, rng, s0, a0, steps)
-        return ([s.position for s in traj.states], [s.velocity for s in traj.states],
-                list(traj.actions), list(traj.rewards), traj.final_state.position,
-                env.at_goal(traj.final_state))
-
-    def by_floats(rng):
-        return _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps)
-
-    assert _walk_outcome(by_floats, seed) == _walk_outcome(by_walk, seed)
-
-
 def _walk_records(env, policy, s0, a0, steps, rng):
-    """What ``_car_walk`` returns, taken from ``walk``'s trajectory."""
-    traj = walk(env, policy, rng, s0, a0, steps)
+    """The records of ``walk``'s trajectory: positions, velocities, actions,
+    rewards, the final position and whether it is at the goal."""
+    return _records(env, walk(env, policy, rng, s0, a0, steps))
+
+
+def _records(env, traj):
+    """What ``_car_rollout`` returns, taken from a trajectory."""
     return ([s.position for s in traj.states], [s.velocity for s in traj.states],
             list(traj.actions), list(traj.rewards), traj.final_state.position,
             env.at_goal(traj.final_state))
-
-
-def _float_walk(env, policy, s0, a0, steps, rng):
-    scale = _stable_scale(policy.alpha, policy_scale(policy))
-    return _car_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng, s0, a0, steps)
 
 
 def _float_q_sum(env, policy, s0, a0, steps, rng):
@@ -653,13 +669,11 @@ def _walk_q_sum(env, policy, s0, a0, steps, rng):
                                      steps)
 
 
-def _assert_float_walks_match_walk(seed, *args):
-    """Both float walks against ``walk``: the records or the sum (whose repr
-    keeps every bit) or the error, and the stream's next draw; returns the
-    records outcome."""
-    got = _walk_or_error(_float_walk, seed, *args)
-    assert got == _walk_or_error(_walk_records, seed, *args)
-    assert _walk_or_error(_float_q_sum, seed, *args) == _walk_or_error(_walk_q_sum, seed, *args)
+def _assert_float_q_sum_matches_walk(seed, *args):
+    """The float Q walk against ``walk``: the sum (whose repr keeps every bit)
+    or the error, and the stream's next draw; returns that outcome."""
+    got = _walk_or_error(_float_q_sum, seed, *args)
+    assert got == _walk_or_error(_walk_q_sum, seed, *args)
     return got
 
 
@@ -673,9 +687,83 @@ def _walk_or_error(walker, seed, *args):
     return repr(result), rng.random()
 
 
+# -- shared-Q rollouts: the float rollout against rollout ---------------------
+
+
+# Log scales that sum past 709 make an infinite scale; exp's overflow is
+# expected there.
+@np.errstate(over="ignore")
+def _rollout_records(env, policy, rng):
+    """What ``_car_rollout`` returns, from ``rollout`` over the step budget."""
+    return _records(env, rollout(env, policy, rng, env.spec.max_steps))
+
+
+def _float_rollout(env, policy, rng):
+    scale = _stable_scale(policy.alpha, _sigma(policy))
+    return _car_rollout(env, policy.theta_x0.tolist(), scale, policy.alpha, rng)
+
+
+def _assert_float_rollout_matches_rollout(seed, env, policy):
+    """The records or the error, and the stream's next draw; returns that
+    outcome."""
+    got = _walk_or_error(_float_rollout, seed, env, policy)
+    assert got == _walk_or_error(_rollout_records, seed, env, policy)
+    return got
+
+
+def _inverted(car, max_speed):
+    """``car`` with its action range inverted and a speed cap of
+    ``max_speed``, set past the checks, which keep every bound pair ordered."""
+    spec = car.spec
+    return _unchecked(car, max_speed=max_speed, spec=_unchecked(
+        spec, action_low=spec.action_high, action_high=spec.action_low))
+
+
 # Infinite thrust and gravity: inf - inf velocities, so NaN positions and
 # speeds as well as capped ones.
 _NAN_CAR = replace(_ODD_TRAPPED, thrust_gain=math.inf, gravity=math.inf)
+# The goal lies below the start interval, so every episode reaches it at its
+# first transition and rewinds all of its noise block but one draw.
+_GOAL_AT_START = TrappedCar(spec=_SHORT_TRAPPED, true_goal=1.0)
+_INVERTED_CARS = tuple(_inverted(car, max_speed) for car in (_ODD_TRAPPED, _ODD_MOUNTAIN)
+                       for max_speed in (-0.05, 0.0))
+# The false start resets without a draw; every other car draws its start.
+_ROLLOUT_CARS = (*_Q_ENVS, _NAN_CAR, _FALSE_START, _GOAL_AT_START, *_INVERTED_CARS)
+
+
+def test_float_rollout_matches_rollout_on_fixed_seeds():
+    ends = set()
+    for i, (env, policy) in enumerate(itertools.product(_ROLLOUT_CARS, _Q_POLICIES)):
+        for seed in range(5):
+            got = _assert_float_rollout_matches_rollout(10 * i + seed, env, policy)
+            assert not got[0].startswith("('raised'")
+            xs, _, _, _, _, at_goal = _float_rollout(env, policy,
+                                                     np.random.default_rng(10 * i + seed))
+            ends.add("goal" if at_goal else "budget" if len(xs) == env.spec.max_steps
+                     else "short")
+    # Episodes end at the goal (rewinding their block) and on the budget, and
+    # never otherwise.
+    assert ends == {"goal", "budget"}
+
+
+@st.composite
+def _rollout_inputs(draw):
+    extreme = st.sampled_from([1e300, -1e300, 1e-300, 0.0, -0.0])
+    weights = st.lists(st.floats(-1e3, 1e3) | extreme, min_size=3, max_size=3)
+    # Sums of the log scales from exp underflow (0, which raises) to
+    # overflow (inf, which draws infinite noise), and NaN.
+    log_scales = st.lists(st.floats(-200.0, 200.0) | st.sampled_from([-800.0, 800.0, math.nan]),
+                          min_size=3, max_size=3)
+    policy = PolicyParams(draw(weights), draw(log_scales), draw(st.sampled_from([1.0, 2.0])),
+                          draw(st.sampled_from([FIXED, ADAPTIVE])),
+                          draw(st.sampled_from([1e-3, 1.0, 30.0])))
+    return draw(st.integers(0, 2**32)), draw(st.sampled_from(_ROLLOUT_CARS)), policy
+
+
+@settings(max_examples=40 * len(_ROLLOUT_CARS), deadline=None)
+@given(inputs=_rollout_inputs())
+def test_float_rollout_matches_rollout_on_drawn_inputs(inputs):
+    _assert_float_rollout_matches_rollout(*inputs)
 
 
 @pytest.mark.parametrize("weights", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, -0.0),
@@ -684,8 +772,12 @@ def test_float_walk_at_zero_weights_matches_walk(weights):
     # Signed zero weights: the sign of each zero product reaches the mode.
     rng = np.random.default_rng(17)
     nan_steps = 0
-    cases = itertools.product((_ODD_TRAPPED, _ODD_MOUNTAIN, _NAN_CAR), (1.0, 2.0),
-                              (-30.0, 0.7, 30.0, math.nan))
+    cars = (_ODD_TRAPPED, _ODD_MOUNTAIN, _NAN_CAR)
+    for seed, (env, alpha) in enumerate(itertools.product(cars, (1.0, 2.0))):
+        policy = PolicyParams(np.array(weights), np.zeros(3), alpha, FIXED, 0.5)
+        got = _assert_float_rollout_matches_rollout(seed, env, policy)
+        assert not got[0].startswith("('raised'")
+    cases = itertools.product(cars, (1.0, 2.0), (-30.0, 0.7, 30.0, math.nan))
     for seed, (env, alpha, a0) in enumerate(cases):
         spec = env.spec
         policy = PolicyParams(np.array(weights), np.zeros(3), alpha, FIXED, 0.5)
@@ -695,7 +787,7 @@ def test_float_walk_at_zero_weights_matches_walk(weights):
                           rng.uniform(-env.max_speed, env.max_speed),
                           int(rng.integers(0, spec.max_steps)))
             args = (env, policy, s0, a0, steps)
-            got = _assert_float_walks_match_walk(seed, *args)
+            got = _assert_float_q_sum_matches_walk(seed, *args)
             assert not got[0].startswith("('raised'")
             if not math.isnan(a0):
                 actions = _walk_records(*args, np.random.default_rng(seed))[2]
@@ -706,49 +798,67 @@ def test_float_walk_at_zero_weights_matches_walk(weights):
 
 
 def test_float_walk_rewinds_a_block_the_goal_cuts_short():
-    # Full thrust from just left of the near goal: the walk draws its block
-    # of 79 and the goal ends it after 4 transitions and 3 draws.
+    # Full thrust from just left of the near goal: the Q walk draws its block
+    # of 79 and the goal ends it after 4 transitions and 3 draws.  A rollout
+    # on the near goal's car draws a block of 80 and the goal ends it a few
+    # steps in; one on the goal-at-start car uses 1 draw of its 80.
     for alpha in (1.0, 2.0):
         policy = PolicyParams(np.array([0.0, 0.0, 20.0]), np.zeros(3), alpha, FIXED, 0.5)
         for seed in range(4):
             args = (_NEAR_GOAL, policy, EnvState(1.9, 0.05), 0.0, _SHORT_TRAPPED.max_steps)
-            _assert_float_walks_match_walk(seed, *args)
-            records = _float_walk(*args, np.random.default_rng(seed))
+            _assert_float_q_sum_matches_walk(seed, *args)
+            records = _walk_records(*args, np.random.default_rng(seed))
             assert records[5] and len(records[2]) == 4
+            for env, most in ((_NEAR_GOAL, 60), (_GOAL_AT_START, 1)):
+                _assert_float_rollout_matches_rollout(seed, env, policy)
+                records = _rollout_records(env, policy, np.random.default_rng(seed))
+                assert records[5] and len(records[2]) <= most
 
 
 @pytest.mark.parametrize("log_scale", [-800.0, math.nan])
 def test_float_walk_checks_the_scale_at_the_first_draw_only(log_scale):
     spec = _SHORT_TRAPPED
+    raised = "('raised', <class 'htpg.errors.ParameterError'>, 'scale must be positive, got "
     for alpha in (1.0, 2.0):
         policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([log_scale, 0.0, 0.0]),
                               alpha)
         # One transition, then the first draw fails: nothing is drawn.
         for steps in (1, 5, spec.max_steps):
             args = (_NEAR_GOAL, policy, EnvState(1.5, 0.0), 0.0, steps)
-            got = _assert_float_walks_match_walk(5, *args)
-            assert got[0].startswith("('raised', <class 'htpg.errors.ParameterError'>")
+            got = _assert_float_q_sum_matches_walk(5, *args)
+            assert got[0].startswith(raised)
         # Done by the budget or at the goal before any draw: nothing raised.
         for s0 in (EnvState(1.5, 0.0, spec.max_steps - 1), EnvState(2.05, 0.1, 7)):
             args = (_NEAR_GOAL, policy, s0, 0.0, spec.max_steps)
-            got = _assert_float_walks_match_walk(6, *args)
+            got = _assert_float_q_sum_matches_walk(6, *args)
             assert not got[0].startswith("('raised'")
+        # A rollout draws before its first transition, even one that the goal
+        # ends: the reset is drawn, then the scale raises.
+        for env in (_NEAR_GOAL, _GOAL_AT_START, _FALSE_START):
+            got = _assert_float_rollout_matches_rollout(7, env, policy)
+            assert got[0].startswith(raised)
+    # A negative scale, set past the policy's checks.
+    negative = _unchecked(PolicyParams.zeros(3, 1.0, FIXED), sigma0=-1.0)
+    got = _assert_float_rollout_matches_rollout(8, _NEAR_GOAL, negative)
+    assert got[0] == raised + "-1.0')"
 
 
 @pytest.mark.parametrize("max_speed", [-0.05, 0.0])
 def test_float_walk_clamps_like_min_max_for_any_bounds(max_speed):
-    # The checks keep every bound pair ordered.  Past them, with the speed
-    # cap and the action range inverted, min(max(y, lo), hi) is hi; the walk's
-    # two ifs (not an if/elif) give the same.
+    # Past the checks, with the speed cap and the action range inverted,
+    # min(max(y, lo), hi) is hi; the walks' two ifs (not an if/elif) give the
+    # same.
     for car in (_ODD_TRAPPED, _ODD_MOUNTAIN):
-        spec = car.spec
-        env = _unchecked(car, max_speed=max_speed, spec=_unchecked(
-            spec, action_low=spec.action_high, action_high=spec.action_low))
+        env = _inverted(car, max_speed)
         for alpha, seed, a0 in itertools.product((1.0, 2.0), range(3), (0.0, 50.0, math.nan)):
             policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.zeros(3), alpha, FIXED, 0.5)
-            args = (env, policy, EnvState(0.1, 0.0), a0, spec.max_steps)
-            got = _assert_float_walks_match_walk(seed, *args)
+            args = (env, policy, EnvState(0.1, 0.0), a0, car.spec.max_steps)
+            got = _assert_float_q_sum_matches_walk(seed, *args)
             assert not got[0].startswith("('raised'")
+            got = _assert_float_rollout_matches_rollout(seed, env, policy)
+            assert not got[0].startswith("('raised'")
+            assert set(_float_rollout(env, policy, np.random.default_rng(seed))[2]) == {
+                car.spec.action_low}
 
 
 def test_float_q_walk_refuses_a_terminal_state(monkeypatch):
@@ -757,7 +867,7 @@ def test_float_q_walk_refuses_a_terminal_state(monkeypatch):
         want = _assert_float_q_matches_walk(monkeypatch, env, _Q_POLICIES[0], s0, 0.0,
                                             0.97, 1, None)
         assert want == ("raised", EnvUsageError, "step() called on a terminal state")
-        got = _assert_float_walks_match_walk(1, env, _Q_POLICIES[0], s0, 0.0, 5)
+        got = _assert_float_q_sum_matches_walk(1, env, _Q_POLICIES[0], s0, 0.0, 5)
         assert got[0] == repr(want)
 
 

@@ -183,6 +183,16 @@ def test_rule_fields_and_sigma0_take_finite_doubles_only(name):
         build(value)
 
 
+def test_linear_range_total_takes_integers_only():
+    # A total that is not an integer is refused where it is set; an array
+    # total made an unhashable rule, which the testbed's schedule cache refused.
+    message = "^total must be an integer of at least 1, got "
+    for total in (np.array([6]), np.array(6), 6.0, "6", None, math.inf, 0, -3, np.int64(0)):
+        with pytest.raises(ParameterError, match=message):
+            LinearRange(0.4, 1e-3, total)
+    assert LinearRange(0.4, 1e-3, np.int64(6)) == LinearRange(0.4, 1e-3, 6)
+
+
 def test_an_int_step_size_trains_as_its_double():
     env = MountainCar(spec=replace(MountainCar().spec, max_steps=30))
     runs = [train(TrainConfig(env=env, policy_init=PolicyParams.zeros(3, 2.0, FIXED, sigma0),
