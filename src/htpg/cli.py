@@ -77,10 +77,11 @@ def cmd_train(args) -> int:
         print(f"error: training failed: {err}", file=sys.stderr)
         return 1
     for name, runs in by_family.items():
-        finals = [m.moving_avg_100[-1] if m.moving_avg_100 else float("nan") for m in runs]
+        # A run that finished no episode has no final average: "-", as
+        # aggregate.csv leaves that field empty.
+        finals = [f"{m.moving_avg_100[-1]:.3f}" if m.moving_avg_100 else "-" for m in runs]
         diverged = sum(m.diverged for m in runs)
-        print(f"{name}: final avg_return_100 per seed = "
-              f"[{', '.join(f'{v:.3f}' for v in finals)}]"
+        print(f"{name}: final avg_return_100 per seed = [{', '.join(finals)}]"
               + (f"  ({diverged} diverged)" if diverged else ""))
     print(f"outputs written to {cfg.out_dir}")
     return 0

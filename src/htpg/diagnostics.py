@@ -18,9 +18,10 @@ cached (:func:`_step_schedule`, one schedule held), and the 20 seeds of
 ``check-bound`` share it.  Its oracle is a generic array loop kept with the
 tests (``tests/oracles.py``): the float loop must reproduce its norms,
 errors and random stream bit for bit (``tests/test_kernel.py``).
-Every small dot product in htpg is a left-to-right sum of Python floats, so
-the loop and its oracle take a squared norm as ``t0*t0 + t1*t1``
-(:func:`_squared_norm`), on any CPU.
+Every float sum in htpg is a left-to-right sum of Python floats, so the loop
+and its oracle take a squared norm as ``t0*t0 + t1*t1``
+(``policy._squared_norm``, which :class:`SmoothBump` uses too), on any CPU
+and Python version.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
-from .policy import PolicyParams, action_mode, features, policy_scale
+from .policy import PolicyParams, _squared_norm, action_mode, features, policy_scale
 from .training import PlainAscent, StepRule, UpdateRule, step_size
 # apply_update goes unused here: the benchmark tracer patches it.
 from .training import apply_update  # noqa: F401
@@ -129,14 +130,6 @@ class SmoothBump:
         return -2.0 * theta * math.exp(-_squared_norm(theta))
 
 
-def _squared_norm(vec: np.ndarray) -> float:
-    """``v0*v0 + v1*v1 + ...`` over Python floats, summed left to right."""
-    total = 0.0  # exact: 0.0 + c*c is c*c for every float c
-    for c in vec.tolist():
-        total += c * c
-    return total
-
-
 def synthetic_sga_run(objective, noise: NoiseModel, step_rule: StepRule,
                       update_rule: UpdateRule, n: int, rng,
                       theta0=None) -> np.ndarray:
@@ -188,7 +181,7 @@ def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
     returns ``norms``.
 
     Bit-identity with the generic oracle rests on doing its arithmetic, not an
-    equivalent: both squared norms are :func:`_squared_norm` written inline,
+    equivalent: both squared norms are ``policy._squared_norm`` written inline,
     the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
     the update is ``apply_update``'s ``t + alpha * g``.  Noise comes in
     blocks of ``standard_normal(2 * m)``, the same stream as m calls of

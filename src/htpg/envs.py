@@ -11,10 +11,11 @@ training, and :func:`_car_q_walk`, the walk of a fresh Q estimate, read the
 car's constants once and step the dynamics, the speed cap, the walls, the
 action clamp and the reward inline on Python floats; the first resets the
 car and records every transition, the second starts from a given (state,
-action) pair and only sums its discounted rewards.  Every small dot product
-in htpg is a left-to-right sum of Python floats, so the loops take the mode
-as ``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit
-for bit on any CPU.
+action) pair and only sums its discounted rewards.  Every float sum in htpg
+is a left-to-right sum of Python floats, so the loops take the mode as
+``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit for
+bit on any CPU, and a return (:meth:`Trajectory.total_return`) is
+``policy._float_sum`` of the rewards, on any Python version.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EnvUsageError, ParameterError
-from .policy import PolicyParams, features, sample_action
+from .policy import PolicyParams, _float_sum, features, sample_action
 from .sas import _check_scale
 
 __all__ = [
@@ -99,7 +100,7 @@ class Trajectory:
         return len(self.actions)
 
     def total_return(self) -> float:
-        return float(sum(self.rewards))
+        return _float_sum(self.rewards)
 
 
 DEFAULT_TRAPPED_SPEC = EnvSpec(

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, build_train_config, config_to_text
 from .errors import ParameterError
+from .policy import _float_sum
 from .training import RunMetrics, train
 
 __all__ = [
@@ -210,9 +211,9 @@ def render_chart(series: dict) -> str:
             vals = [r[i] for r in runs]
             lo.append(min(vals))
             hi.append(max(vals))
-            m = sum(vals) / len(vals)
+            m = _float_sum(vals) / len(vals)
             if math.isinf(m):  # the sum overflowed
-                m = min(max(sum(v / len(vals) for v in vals), lo[-1]), hi[-1])
+                m = min(max(_float_sum(v / len(vals) for v in vals), lo[-1]), hi[-1])
             mean.append(m)
         stats[name] = (mean, lo, hi)
         x_max = max(x_max, n - 1)

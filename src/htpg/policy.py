@@ -10,6 +10,12 @@ is its standard deviation.  :mod:`htpg.sas` gives the alpha=2 member
 variance ``2 * scale**2``, so :func:`action_distribution` divides by
 ``sqrt(2)`` when building the sampling spec; the two descriptions denote
 the same distribution and their log-densities agree.
+
+Every float sum in htpg is a left-to-right sum of Python floats: the mode
+in :func:`action_mode`, and every return, chart mean, discounted Q sum and
+squared norm (so every update norm) through :func:`_float_sum`.  So no
+written or pinned number depends on the Python version (builtin ``sum``
+compensates from 3.12 on) or on the BLAS core.
 """
 
 from __future__ import annotations
@@ -112,6 +118,23 @@ def action_mode(p: PolicyParams, s: np.ndarray) -> float:
     for w, f in zip(p.theta_x0.tolist(), s.tolist()):
         mode += w * f
     return mode
+
+
+def _float_sum(values) -> float:
+    """``v0 + v1 + ...`` over Python floats, left to right from +0.0: builtin
+    ``sum``'s bits up to Python 3.11 (3.12 compensates), on every version.
+    Every float sum that htpg writes, returns or pins goes through it; the
+    empty sum is 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _squared_norm(vec: np.ndarray) -> float:
+    """``v0*v0 + v1*v1 + ...`` as :func:`_float_sum` adds it: no BLAS call, so
+    the same bits on any CPU (+0.0 is exact here, as no square is -0.0)."""
+    return _float_sum(c * c for c in vec.tolist())
 
 
 def action_distribution(p: PolicyParams, s: np.ndarray) -> StableSpec:

@@ -8,8 +8,9 @@ expectation of the weighted sum telescopes to the ordinary discounted Q.
 3-weight policy it runs ``envs._car_q_walk``, a loop over Python floats with
 no state, step-result or trajectory objects and no per-step records: it
 draws the walk's noise in one block, rewinds the generator past the draws it
-used, and sums the discounted rewards as it goes, as
-:func:`discounted_partial_return` sums them.  Every other input runs
+used, and sums the discounted rewards as it goes, left to right from +0.0, as
+:func:`discounted_partial_return` sums them with ``policy._float_sum``, on
+any Python version.  Every other input runs
 :func:`htpg.envs.walk`, the generic loop, and sums its rewards with
 :func:`discounted_partial_return`.  That pair is the oracle: both ways give
 the same value, horizon, random stream and errors (``tests/test_kernel.py``).
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .envs import _Car, _car_q_walk, walk
 from .errors import ParameterError
-from .policy import PolicyParams, _stable_scale, policy_scale
+from .policy import PolicyParams, _float_sum, _stable_scale, policy_scale
 # features and sample_action go unused here: the benchmark tracer patches them.
 from .policy import features, sample_action  # noqa: F401
 
@@ -61,11 +62,9 @@ def draw_horizon(gamma: float, rng, size: int | None = None):
 
 
 def discounted_partial_return(rewards, gamma: float, horizon: int) -> float:
-    """sum_{t=0}^{horizon} gamma**(t/2) * rewards[t], truncated at the data."""
-    total = 0.0
-    for t, r in enumerate(rewards[: horizon + 1]):
-        total += gamma ** (0.5 * t) * r
-    return total
+    """sum_{t=0}^{horizon} gamma**(t/2) * rewards[t], truncated at the data,
+    added left to right by ``policy._float_sum``."""
+    return _float_sum(gamma ** (0.5 * t) * r for t, r in enumerate(rewards[: horizon + 1]))
 
 
 def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,

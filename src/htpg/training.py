@@ -22,9 +22,12 @@ exactly 0 when a per-episode bound proves that none of them can change a
 bit (``_zero_q_is_noop``); on the trapped car, whose start well pays
 nothing, that is most episodes.  The reference is the oracle: the fast loop
 must reproduce its metrics and final parameters bit for bit
-(``tests/test_kernel.py``).  Every small dot product in htpg is a
-left-to-right sum of Python floats, so both loops take the mode as
-``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`), on any CPU.
+(``tests/test_kernel.py``).  Every float sum in htpg is a left-to-right
+sum of Python floats, so both loops take the mode as ``(t0*x + t1*v) + t2``
+(:func:`htpg.policy.action_mode`), an episode's return as
+``policy._float_sum`` of its rewards, and its update norm as ``math.sqrt``
+of ``policy._squared_norm``: no BLAS call and no builtin ``sum``, so the
+same bits on any CPU and Python version.
 The shared-Q loop's rollout is ``envs._car_rollout``, which resets the car
 and draws every action itself, as :func:`htpg.envs.rollout` does.
 
@@ -54,7 +57,9 @@ from .errors import ParameterError, ScheduleError, finite_float
 from .policy import (
     ADAPTIVE,
     PolicyParams,
+    _float_sum,
     _score_coefs,
+    _squared_norm,
     _stable_scale,
     clip_score,
     features,
@@ -415,15 +420,13 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
                 config.step_rule, updates
             )
             vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
-            # Cheap screen first; the squared norm is finite iff every
-            # component is, unless it overflows, so confirm on trigger.
-            if not math.isfinite(float(vec @ vec)) and not np.isfinite(vec).all():
+            if not all(map(math.isfinite, vec.tolist())):
                 diverged = True
                 break
             policy = with_param_vector(policy, vec)
         if diverged:
             break
-        curves.add(episode, traj.total_return(), float(np.linalg.norm(vec - vec_before)),
+        curves.add(episode, traj.total_return(), math.sqrt(_squared_norm(vec - vec_before)),
                    updates, env.at_goal(traj.final_state),
                    (st.position for st in (*traj.states, traj.final_state)))
     return curves.metrics(updates, diverged, policy)
@@ -537,6 +540,6 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         if diverged:
             break
         xs.append(x)
-        curves.add(episode, float(sum(rewards)), float(np.linalg.norm(vec - vec_before)),
+        curves.add(episode, _float_sum(rewards), math.sqrt(_squared_norm(vec - vec_before)),
                    updates, at_goal, xs)
     return curves.metrics(updates, diverged, with_param_vector(init, vec))

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from htpg.diagnostics import NoiseModel, _squared_norm
+from htpg.diagnostics import NoiseModel
 from htpg.errors import DivergenceError
+from htpg.policy import _squared_norm
 from htpg.training import StepRule, UpdateRule, apply_update, step_size
 
 

@@ -379,19 +379,22 @@ def test_lipschitz_ceiling_past_step_1_is_a_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("text, csv_name, episodes", [
-    (HUGE_RETURNS, "cauchy_seed0.csv", 1),
-    (SIGMA_UNDERFLOWS, "cauchy_seed11.csv", 0),
+@pytest.mark.parametrize("text, csv_name, episodes, final", [
+    (HUGE_RETURNS, "cauchy_seed0.csv", 1, "100000000000000000000.000"),
+    (SIGMA_UNDERFLOWS, "cauchy_seed11.csv", 0, "-"),
 ], ids=["scale-zero-at-an-episode-start", "sigma-overflows-in-the-first-episode"])
-def test_cli_scale_outside_its_range_is_a_recorded_divergence(text, csv_name, episodes,
+def test_cli_scale_outside_its_range_is_a_recorded_divergence(text, csv_name, episodes, final,
                                                               tmp_path, capsys):
     # A sigma of 0 or inf ends the run as a divergence: exit 0, a diverged
-    # row at the end of the run CSV and in the aggregate, and a chart.
+    # row at the end of the run CSV and in the aggregate, and a chart.  A
+    # run that finished no episode prints "-" for its final average, as
+    # aggregate.csv leaves that field empty.
     cfg_file = tmp_path / "exp.toml"
     cfg_file.write_text(text)
     out_dir = tmp_path / "out"
     assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
-    assert "(1 diverged)" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"cauchy: final avg_return_100 per seed = [{final}]  (1 diverged)")
     rows = list(csv.reader((out_dir / csv_name).open(newline="")))
     assert len(rows) == episodes + 2 and rows[-1][0] == "diverged"
     aggregate = list(csv.DictReader((out_dir / "aggregate.csv").open(newline="")))

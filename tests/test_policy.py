@@ -3,18 +3,20 @@ oracle, clip semantics, and agreement between the policy's own log-likelihood
 and the stable-law density it samples from."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from htpg import diagnostics
 from htpg.diagnostics import SmoothBump
 from htpg.errors import ParameterError
 from htpg.policy import (
     ADAPTIVE,
     FIXED,
     PolicyParams,
+    _float_sum,
+    _squared_norm,
     action_distribution,
     action_mode,
     clip_score,
@@ -260,4 +262,17 @@ def test_smooth_bump_squared_norm_is_the_left_to_right_float_sum(vectors):
     with np.errstate(invalid="ignore"):
         grad = bump.grad(np.array(theta)).tolist()
     assert all(map(_same_float, grad, [(-2.0 * c) * e for c in theta]))
-    assert _same_float(diagnostics._squared_norm(np.array(theta)), sq)
+    assert _same_float(_squared_norm(np.array(theta)), sq)
+
+
+@given(terms=st.lists(_COMPONENT, max_size=6))
+@example(terms=[])  # the empty sum is +0.0
+@settings(max_examples=500, deadline=None)
+def test_float_sum_is_the_left_to_right_float_sum_from_plus_zero(terms):
+    # Builtin sum starts from the int 0, which also gives +0.0 + v0; up to
+    # Python 3.11 it adds the rest as _float_sum does (3.12 compensates).
+    want = _left_to_right([0.0, *terms])
+    assert _same_float(_float_sum(terms), want)
+    assert _same_float(_float_sum(iter(terms)), want)
+    if sys.version_info < (3, 12):
+        assert _same_float(float(sum(terms)), want)

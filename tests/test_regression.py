@@ -5,14 +5,25 @@ The digests below were recorded from the implementation and must not move
 under refactors that claim bit-identical behaviour.  Each covers every float
 of the outputs as IEEE-754 bytes, so a change in the random stream, the
 order of arithmetic or a single step count shows up.
+
+Every float sum behind these bytes is a left-to-right sum of Python floats
+(``policy.action_mode`` and ``policy._float_sum``), and no BLAS call enters
+them.  So they do not depend on the Python version (builtin ``sum``
+compensates from 3.12 on; a test below emulates that) or on the OpenBLAS
+core.  They still depend on numpy's ``exp`` SIMD loops (sigma) and on
+glibc's libm (its ``exp``, ``cos`` and ``tan``): the digests were recorded
+with numpy 2.4.6's AVX-512 loops and glibc 2.36.
 """
 
+import builtins
 import hashlib
+import math
 import struct
 from dataclasses import replace
 
 import numpy as np
 
+from htpg.config import parse_config
 from htpg.diagnostics import NoiseModel, SmoothBump, synthetic_sga_run
 from htpg.envs import (
     DEFAULT_MOUNTAIN_SPEC,
@@ -22,6 +33,7 @@ from htpg.envs import (
     TrappedCar,
     rollout,
 )
+from htpg.experiment import run_experiment
 from htpg.policy import FIXED, PolicyParams, param_vector
 from htpg.qvalue import estimate_q
 from htpg.training import (
@@ -91,15 +103,15 @@ TRAIN_DIGESTS = {
     "fixed-scale-near-goal":
         "142314eb9b5d260f22070e82586633f67f0c8f6421aa5681f78230f65367af7f",
     "mountain":
-        "cbb0049bec1fad5e4fefdecbd922fdfc27519919ab169e198e0466c57d8190d3",
+        "c685dc1f0607a3ec1fef95ccd123aed754bc8502857bbb73f1ac8815ed9ae40e",
     "lipschitz-symmetric":
-        "6e9e706519bf78bb24252980ceb33a30fcf3d10005716815f06d5db007c0f473",
+        "825ab1a8b0a64466bcd54435664faedcb2ccc214bec06e1ecd755e971402873d",
 }
 ESTIMATE_Q_DIGEST = "8fe67cb51a7cd015e7ad0718cd1131a2e570b7f60d2f492dc3c7a48d1160d347"
 SGA_DIGEST = "e5417326e444285a045dd6161139a6657bc46903058b1517c14f8b1f7c1e3995"
 
 
-def test_train_outputs_are_pinned():
+def _train_digests() -> dict:
     got = {}
     for name, config in _train_cases().items():
         m = train(config)
@@ -108,7 +120,71 @@ def test_train_outputs_are_pinned():
             [float(n) for n in m.update_norms], m.update_counts, m.first_exit_episode,
             m.wall_updates, m.terminal_episodes, m.diverged,
             param_vector(m.final_policy))
-    assert got == TRAIN_DIGESTS
+    return got
+
+
+def test_train_outputs_are_pinned():
+    assert _train_digests() == TRAIN_DIGESTS
+
+
+_builtin_sum = builtins.sum
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 adds floats (``Python/bltinmodule.c``):
+    ``0 + v0``, then Neumaier's compensated sum of the rest, whose
+    compensation is added at the end when it is non-zero and finite.  Any
+    other input goes to the real ``sum``."""
+    items = list(iterable)
+    if not (type(start) is int and start == 0 and items
+            and all(type(v) is float for v in items)):
+        return _builtin_sum(items, start)
+    total, c = 0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+# 30 episodes from the false start, whose returns add many 0.1 rewards: a
+# compensated sum rounds some of them differently.
+_FALSE_START_SWEEP = """
+name = "false-start"
+
+[env]
+kind = "trapped_car"
+max_steps = 80
+start_at_false_goal = true
+
+[policy.cauchy]
+alpha = 1
+
+[policy.gaussian]
+alpha = 2
+
+[train]
+episodes = 30
+
+[run]
+seeds = [1, 2, 3]
+"""
+
+
+def test_outputs_do_not_depend_on_the_python_versions_sum(monkeypatch, tmp_path):
+    # From Python 3.12 on, builtin sum compensates; under it, every pinned
+    # digest and every byte a sweep writes stay as they are.
+    cfg = parse_config(_FALSE_START_SWEEP)
+    run_experiment(replace(cfg, out_dir=str(tmp_path / "real")), max_workers=1)
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert _train_digests() == TRAIN_DIGESTS
+    run_experiment(replace(cfg, out_dir=str(tmp_path / "py312")), max_workers=1)
+
+    def data_files(out_dir):  # config.txt holds the out path
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+                if p.suffix in (".csv", ".svg")}
+
+    assert data_files(tmp_path / "py312") == data_files(tmp_path / "real")
 
 
 def test_estimate_q_values_and_stream_are_pinned():
