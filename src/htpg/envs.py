@@ -8,14 +8,16 @@ Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`rollout` and :func:`walk`, which step through ``step``, are the
 oracles of two float loops.  :func:`_car_rollout`, the rollout of shared-Q
 training, and :func:`_car_q_walk`, the walk of a fresh Q estimate, read the
-car's constants once and step the dynamics, the speed cap, the walls, the
-action clamp and the reward inline on Python floats; the first resets the
-car and records every transition, the second starts from a given (state,
-action) pair and only sums its discounted rewards.  Every float sum in htpg
-is a left-to-right sum of Python floats, so the loops take the mode as
-``(t0*x + t1*v) + t2`` (:func:`htpg.policy.action_mode`) and agree bit for
-bit on any CPU, and a return (:meth:`Trajectory.total_return`) is
-``policy._float_sum`` of the rewards, on any Python version.
+car's constants once, draw their noise in one block and run the same loop
+on Python floats: each step draws its action, clamps it, and steps the
+dynamics, the speed cap, the walls and the reward inline.  The first
+resets the car and records every transition; the second takes the given
+(state, action) pair's transition through the car's own methods, then only
+sums its discounted rewards.  Every float sum in htpg is a left-to-right
+sum of Python floats, so the loops take the mode as ``(t0*x + t1*v) + t2``
+(:func:`htpg.policy.action_mode`) and agree bit for bit on any CPU, and a
+return (:meth:`Trajectory.total_return`) is ``policy._float_sum`` of the
+rewards, on any Python version.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ __all__ = [
     "rollout",
     "walk",
 ]
+
+
+# The step budget's ceiling, 1000x the mountain car's 999.  A float rollout
+# draws its whole budget's noise in one block, about 72 bytes a step, so a
+# huge budget would fail in numpy's allocation, after the run has started.
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +74,8 @@ class EnvSpec:
             raise ParameterError("reward_bound must be positive")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be at least 1")
+        if self.max_steps > _MAX_STEPS:
+            raise ParameterError(f"max_steps must be at most {_MAX_STEPS}, got {self.max_steps}")
 
     def clamp_action(self, a: float) -> float:
         return min(max(a, self.action_low), self.action_high)
@@ -301,11 +311,13 @@ def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict
     return [scale * (root2 * z) for z in rng.standard_normal(count).tolist()], saved
 
 
-def _rewind(rng, tail: float, saved: dict, used: int) -> None:
-    """Leave the generator just past the first ``used`` values of the block
-    :func:`_noise_block` drew from ``saved``."""
-    rng.bit_generator.state = saved
-    (rng.random if tail != 2.0 else rng.standard_normal)(used)
+def _rewind(rng, tail: float, saved: dict, used: int, drawn: int) -> None:
+    """Leave the generator just past the first ``used`` of the ``drawn``
+    values of the block :func:`_noise_block` drew from ``saved``; with all of
+    them used, nothing is taken back."""
+    if used < drawn:
+        rng.bit_generator.state = saved
+        (rng.random if tail != 2.0 else rng.standard_normal)(used)
 
 
 def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
@@ -374,8 +386,7 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
             add_r(band_reward if band_low <= x <= band_high else elsewhere)
     finally:
         # Every recorded action used one draw.
-        if len(actions) < budget:
-            _rewind(rng, tail, saved, len(actions))
+        _rewind(rng, tail, saved, len(actions), len(noise))
     return xs, vs, actions, rewards, x, at_goal
 
 
@@ -385,19 +396,22 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
     that a random-horizon Q estimate reads: ``sum_t gamma**(t/2) * r_t`` over
     the rewards of the transitions taken, added in the order and with the
     expression of ``qvalue.discounted_partial_return``.  It records nothing.
-    ``theta``, ``scale`` and ``tail`` are :func:`_car_rollout`'s, and so are
-    the inline dynamics, clamps and reward rule.  ``steps`` must be at least
-    1 and ``gamma`` must lie in (0, 1).
+    ``theta``, ``scale`` and ``tail`` are :func:`_car_rollout`'s.  ``steps``
+    must be at least 1 and ``gamma`` must lie in (0, 1).
 
-    Like :func:`walk`, it clamps ``action``, a terminal ``state`` raises, a
-    scale that is not positive raises the sampler's ``scale must be
-    positive`` at the first draw, and a walk done before any draw raises
-    nothing.  The budget is counted once, not per step: the walk is done
-    after ``max(max_steps - step_count, 1)`` transitions unless the goal ends
-    it first, and one cut short by ``steps`` draws the next action like
-    :func:`walk` does.  The noise comes in one block, drawn at the first draw
-    with the most values the walk can use; a walk that uses fewer rewinds
-    the generator past the draws it used.
+    Like :func:`walk`, it clamps ``action``, and a terminal ``state`` raises.
+    The given pair's transition runs through the car's own
+    :meth:`_Car.advance` and :meth:`_Car.reward`, once per walk.  A walk that
+    this transition ends, at the goal or with a budget of 1, is done before
+    any draw and raises nothing.  Otherwise it draws one noise block that
+    holds exactly the draws :func:`walk` makes: ``steps`` when ``steps`` is
+    below the budget ``max(max_steps - step_count, 1)`` (the last one is the
+    action :func:`walk` draws at the state where ``steps`` cuts it), else
+    ``budget - 1``.  So a scale that is not positive raises the sampler's
+    ``scale must be positive`` at the first draw.  Then it runs
+    :func:`_car_rollout`'s draw, clamp, step and reward over the first
+    ``min(steps, budget) - 1`` values.  A walk that the goal ends first
+    rewinds the generator past the draws it used.
 
     A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
     That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and
@@ -409,17 +423,24 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
     """
     (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
      band_low, band_high, band_reward, elsewhere, budget) = _car_constants(env, state)
+    x, v = env.advance(state.position, state.velocity, env.spec.clamp_action(action))
+    r, at_goal = env.reward(x)
+    # The term at t = 0: gamma ** 0.0 * r and 0.0 + r are r for any r but a zero.
+    total = r if r else 0.0
+    if at_goal or budget == 1:
+        return total
+    noise, saved = _noise_block(rng, tail, scale, steps if steps < budget else budget - 1)
     neg_cap = -cap
-    last = budget - 1
-    most = steps if steps < budget else last
     cos = math.cos
     t0, t1, t2 = theta
-    x, v, a = state.position, state.velocity, env.spec.clamp_action(action)
-    total = 0.0
-    noise: list[float] = []
-    used = 0
+    t = 0
     try:
-        for i in range(steps if steps < budget else budget):
+        for t, step_noise in enumerate(noise[:min(steps, budget) - 1], 1):
+            a = (t0 * x + t1 * v + t2) + step_noise
+            if a_low > a:
+                a = a_low
+            if a_high < a:
+                a = a_high
             v = v + gain * a - gravity * cos(3.0 * x)
             if neg_cap > v:
                 v = neg_cap
@@ -432,25 +453,16 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
                 x, v = high, 0.0
             if x >= goal:
                 if goal_reward:  # 0.0 and -0.0 are false, NaN is true
-                    total += gamma ** (0.5 * i) * goal_reward
+                    total += gamma ** (0.5 * t) * goal_reward
                 break
             r = band_reward if band_low <= x <= band_high else elsewhere
             if r:
-                total += gamma ** (0.5 * i) * r
-            if i == last:
-                break
-            if not noise:
-                noise, saved = _noise_block(rng, tail, scale, most)
-            step_noise = noise[used]
-            used += 1
-            a = (t0 * x + t1 * v + t2) + step_noise
-            if a_low > a:
-                a = a_low
-            if a_high < a:
-                a = a_high
+                total += gamma ** (0.5 * t) * r
+        else:
+            # Every draw was used, the one where ``steps`` cuts the walk too.
+            t = len(noise)
     finally:
-        if used < len(noise):
-            _rewind(rng, tail, saved, used)
+        _rewind(rng, tail, saved, t, len(noise))
     return total
 
 

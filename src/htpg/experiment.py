@@ -45,12 +45,18 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def worker_count(n_jobs: int) -> int:
-    """Parallelism cap: HTPG_THREADS if set, else the CPU count."""
+    """Parallelism cap: HTPG_THREADS if set, else the CPUs this process may
+    run on (its affinity where the platform has one, else the CPU count)."""
     env_cap = os.environ.get("HTPG_THREADS")
-    try:
-        cap = int(env_cap) if env_cap else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"HTPG_THREADS must be an integer, got {env_cap!r}") from None
+    if env_cap:
+        try:
+            cap = int(env_cap)
+        except ValueError:
+            raise ConfigError(f"HTPG_THREADS must be an integer, got {env_cap!r}") from None
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(cap, n_jobs))
 
 

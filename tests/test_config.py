@@ -290,8 +290,9 @@ def test_rejects_numbers_that_are_not_finite(section, line):
         parse_config(f"[{section}]\n{line}\n" + MINIMAL)
 
 
-@pytest.mark.parametrize("override", ["max_steps = 0", "init_low = -10", "max_speed = 0",
-                                      "max_speed = -0.5"])
+@pytest.mark.parametrize("override", ["max_steps = 0", "max_steps = 1000001",
+                                      "max_steps = 100000000000000", "init_low = -10",
+                                      "max_speed = 0", "max_speed = -0.5"])
 def test_rejects_invalid_env_values_at_parse_time(override):
     with pytest.raises(ConfigError, match=r"^\[env\] "):
         parse_config(f"[env]\n{override}\n" + MINIMAL)

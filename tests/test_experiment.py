@@ -189,13 +189,14 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["train", "--config", "nul-name.toml"], {}),
     (["train", "--out", "x\0y"], {}),
     (["first-exit", "--out", "x\0y"], {}),
+    (["train", "--config", "huge-budget.toml"], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
         "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large", "dist-seed-negative",
         "first-exit-episodes-negative",
         "first-exit-seeds-repeated", "first-exit-out-empty", "family-slash", "family-nul",
-        "name-nul", "out-nul", "first-exit-out-nul"])
+        "name-nul", "out-nul", "first-exit-out-nul", "max-steps-too-large"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -208,6 +209,10 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
             SMALL_SWEEP.replace("[policy.gaussian]", "[policy.a\0b]"))
         # A name sets the default out, results/<name>.
         Path("nul-name.toml").write_text(SMALL_SWEEP.replace('"smoke"', '"x\\u0000y"'))
+        # A float rollout draws its whole step budget's noise at once: past
+        # the ceiling it is an [env] error, not a MemoryError after config.txt.
+        Path("huge-budget.toml").write_text(
+            SMALL_SWEEP.replace("max_steps = 60", "max_steps = 100000000000000"))
         for flag, value in (("--config", "exp.toml"), ("--out", "out")):
             if flag not in argv:
                 argv = argv + [flag, value]
@@ -557,6 +562,16 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count(8) == 2
     monkeypatch.delenv("HTPG_THREADS")
     assert worker_count(1) == 1
+    # Without HTPG_THREADS the pool is as large as the CPUs the process may
+    # run on, not the machine's CPU count.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count(12) == 1
+    monkeypatch.setenv("HTPG_THREADS", "3")
+    assert worker_count(12) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv("HTPG_THREADS")
+    assert worker_count(12) == 8
 
 
 def test_diverged_run_gets_marker_row(tmp_path):
