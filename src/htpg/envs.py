@@ -8,8 +8,9 @@ Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`rollout` and :func:`walk`, which step through ``step``, are the
 oracles of two float loops.  :func:`_car_rollout`, the rollout of shared-Q
 training, and :func:`_car_q_walk`, the walk of a fresh Q estimate, read the
-car's constants once, draw their noise in one block and run the same loop
-on Python floats: each step draws its action, clamps it, and steps the
+car's constants once, draw their noise in one block and rewind what they
+leave unused (both by the rules of :mod:`htpg.sas`), and run the same loop on
+Python floats: each step draws its action, clamps it, and steps the
 dynamics, the speed cap, the walls and the reward inline.  The first
 resets the car and records every transition; the second takes the given
 (state, action) pair's transition through the car's own methods, then only
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import EnvUsageError, ParameterError
 from .policy import PolicyParams, _float_sum, features, sample_action
-from .sas import _check_scale
+from .sas import _noise_block, _rewind
 
 __all__ = [
     "EnvSpec",
@@ -295,37 +296,12 @@ def _car_constants(env: _Car, state: EnvState) -> tuple:
             max(spec.max_steps - state.step_count, 1))
 
 
-def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict]:
-    """A float walk's noise: checks ``scale`` as the sampler does, saves the
-    generator's state and draws ``count`` values in one call, ``rng.random``
-    for Cauchy or ``rng.standard_normal`` for Gaussian, the same stream as
-    ``count`` calls of ``_standard_sas``.  Returns the values, each mapped as
-    ``_standard_sas`` maps it (``tan(pi * (u - 0.5))`` or ``sqrt(2) * z``) and
-    times ``scale``, and the saved state for :func:`_rewind`."""
-    _check_scale(scale)
-    saved = rng.bit_generator.state
-    if tail != 2.0:
-        tan, pi = math.tan, math.pi
-        return [scale * tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
-    root2 = math.sqrt(2.0)
-    return [scale * (root2 * z) for z in rng.standard_normal(count).tolist()], saved
-
-
-def _rewind(rng, tail: float, saved: dict, used: int, drawn: int) -> None:
-    """Leave the generator just past the first ``used`` of the ``drawn``
-    values of the block :func:`_noise_block` drew from ``saved``; with all of
-    them used, nothing is taken back."""
-    if used < drawn:
-        rng.bit_generator.state = saved
-        (rng.random if tail != 2.0 else rng.standard_normal)(used)
-
-
 def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     """:func:`rollout` on a car over Python floats, for the step budget and a
     policy with the three mode weights ``theta`` (Python floats), mode
-    ``t0 * x + t1 * v + t2`` and draw ``mode + scale * _standard_sas(tail,
-    rng)``, ``tail`` 1 (Cauchy) or 2 (Gaussian).  It is the rollout of
-    shared-Q training; fresh Q runs :func:`_car_q_walk`.
+    ``t0 * x + t1 * v + t2`` and draw ``mode + scale * z``, ``z`` a standard
+    :mod:`htpg.sas` variate of ``tail`` 1 (Cauchy) or 2 (Gaussian).  It is the
+    rollout of shared-Q training; fresh Q runs :func:`_car_q_walk`.
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
@@ -340,10 +316,10 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     which is what the builtins compute for NaN, infinities, signed zeros and
     any pair of bounds.
 
-    The whole budget's noise comes in one block (:func:`_noise_block`), drawn
+    The whole budget's noise comes in one :mod:`htpg.sas` noise block, drawn
     after the reset.  An episode that uses less of it (the goal ends it, or a
-    step raises) rewinds the generator past the draws it used
-    (:func:`_rewind`), so the stream goes on where :func:`rollout` leaves it.
+    step raises) rewinds it to the draws it used, so the stream goes on where
+    :func:`rollout` leaves it.
     """
     state = env.reset(rng)
     (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
@@ -403,15 +379,15 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
     The given pair's transition runs through the car's own
     :meth:`_Car.advance` and :meth:`_Car.reward`, once per walk.  A walk that
     this transition ends, at the goal or with a budget of 1, is done before
-    any draw and raises nothing.  Otherwise it draws one noise block that
-    holds exactly the draws :func:`walk` makes: ``steps`` when ``steps`` is
-    below the budget ``max(max_steps - step_count, 1)`` (the last one is the
-    action :func:`walk` draws at the state where ``steps`` cuts it), else
-    ``budget - 1``.  So a scale that is not positive raises the sampler's
+    any draw and raises nothing.  Otherwise it draws one :mod:`htpg.sas`
+    noise block that holds exactly the draws :func:`walk` makes: ``steps``
+    when ``steps`` is below the budget ``max(max_steps - step_count, 1)``
+    (the last one is the action :func:`walk` draws at the state where
+    ``steps`` cuts it), else ``budget - 1``.  So a scale that is not positive raises the sampler's
     ``scale must be positive`` at the first draw.  Then it runs
     :func:`_car_rollout`'s draw, clamp, step and reward over the first
     ``min(steps, budget) - 1`` values.  A walk that the goal ends first
-    rewinds the generator past the draws it used.
+    rewinds the block to the draws it used.
 
     A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
     That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and

@@ -9,12 +9,6 @@ class ParameterError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedAlphaError(ParameterError):
-    """Raised for closed-form queries outside the Cauchy (alpha=1) and
-    Gaussian (alpha=2) members; callers must fall back to sampling-only
-    workflows for other tail indices."""
-
-
 class ScheduleError(ParameterError):
     """A step-size schedule produced a value the update rule cannot accept."""
 

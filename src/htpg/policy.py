@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, finite_float
-from .sas import StableSpec, sample_sas
+from .sas import StableSpec, _check_alpha, sample_sas
 
 __all__ = [
     "FIXED",
@@ -69,8 +69,7 @@ class PolicyParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta_x0", np.asarray(self.theta_x0, dtype=float))
         object.__setattr__(self, "theta_sigma", np.asarray(self.theta_sigma, dtype=float))
-        if self.alpha not in (1.0, 2.0):
-            raise ParameterError(f"trainable policies need alpha in {{1, 2}}, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.scale_mode not in (FIXED, ADAPTIVE):
             raise ParameterError(f"unknown scale_mode {self.scale_mode!r}")
         if self.theta_x0.ndim != 1 or self.theta_sigma.ndim != 1:

@@ -7,10 +7,10 @@ expectation of the weighted sum telescopes to the ordinary discounted Q.
 :func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
 3-weight policy it runs ``envs._car_q_walk``, a loop over Python floats with
 no state, step-result or trajectory objects and no per-step records: it
-draws the walk's noise in one block, rewinds the generator past the draws it
-used, and sums the discounted rewards as it goes, left to right from +0.0, as
-:func:`discounted_partial_return` sums them with ``policy._float_sum``, on
-any Python version.  Every other input runs
+draws the walk's noise in one :mod:`htpg.sas` noise block, rewinds it to the
+draws it used, and sums the discounted rewards as it goes, left to right
+from +0.0, as :func:`discounted_partial_return` sums them with
+``policy._float_sum``, on any Python version.  Every other input runs
 :func:`htpg.envs.walk`, the generic loop, and sums its rewards with
 :func:`discounted_partial_return`.  That pair is the oracle: both ways give
 the same value, horizon, random stream and errors (``tests/test_kernel.py``).
@@ -82,9 +82,9 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     On a car with a 3-weight policy the walk is the float loop, which sums
     as it goes; otherwise it is :func:`htpg.envs.walk`.  Either way a
     terminal ``s0`` raises ``EnvUsageError``, each draw is ``mode + scale *
-    z`` with ``z`` as ``sas._standard_sas`` draws it, and a scale that is not
-    positive raises the sampler's ``scale must be positive`` only when a draw
-    comes: a walk done after its first transition raises nothing.
+    z`` with ``z`` a standard :mod:`htpg.sas` variate, and a scale that is
+    not positive raises the sampler's ``scale must be positive`` only when a
+    draw comes: a walk done after its first transition raises nothing.
     """
     if horizon is None:
         drawn = draw_horizon(gamma, rng)

@@ -1,4 +1,6 @@
-"""Symmetric alpha-stable (SaS) sampling, closed-form members, and tail math.
+"""The two symmetric alpha-stable (SaS) laws of the policies, Cauchy
+(``alpha = 1``) and Gaussian (``alpha = 2``): sampling, closed forms and
+tail math.  This module is the one place that knows how a tail is drawn.
 
 Scale convention: a SaS law with tail index ``alpha`` and scale ``sigma``
 has characteristic function ``exp(i*location*t - (sigma*|t|)**alpha)``.
@@ -7,6 +9,20 @@ Under this convention the ``alpha = 2`` member is a Gaussian with variance
 the usual scale ``sigma``.  Code that wants a Gaussian with standard
 deviation ``s`` must therefore pass ``scale = s / sqrt(2)``; the policy
 layer does exactly that.
+
+The maps: a standard (scale-1, location-0) variate is one generator call,
+mapped.  Cauchy draws a uniform ``u`` (``rng.random``) and returns
+``tan(pi * (u - 0.5))``, the inverse CDF; Gaussian draws a standard normal
+``z`` (``rng.standard_normal``) and returns ``sqrt(2) * z``.  A draw of the
+law is ``location + scale * z``.
+
+The noise block: :func:`_noise_block` draws ``count`` values in one
+generator call, the same stream and the same values as ``count`` calls of
+:func:`_standard_sas` times ``scale``, and saves the generator state first.
+:func:`_rewind` then leaves the generator where ``used`` scalar draws would
+have left it, so a float walk that stops early takes back what it drew but
+did not use.  A scale that is not positive raises before the generator is
+touched.
 """
 
 from __future__ import annotations
@@ -14,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, UnsupportedAlphaError
+from .errors import ParameterError
 
 __all__ = [
     "StableSpec",
     "sample_sas",
-    "sample_sas_cms",
     "log_density",
     "cdf",
     "tail_probability",
@@ -35,9 +50,14 @@ class StableSpec:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_scale(self.scale)
+
+
+def _check_alpha(alpha: float) -> None:
+    """The tail rule of :class:`StableSpec` and of the policies: 1 or 2."""
+    if alpha not in (1.0, 2.0):
+        raise ParameterError(f"alpha must be 1 (Cauchy) or 2 (Gaussian), got {alpha}")
 
 
 def _check_scale(scale: float) -> None:
@@ -49,70 +69,58 @@ def _check_scale(scale: float) -> None:
 def sample_sas(spec: StableSpec, rng) -> float:
     """Draw one variate from the given SaS law.
 
-    The Gaussian (alpha=2) member uses one ``standard_normal``; every other
-    tail index goes through the Chambers-Mallows-Stuck transform, which at
-    alpha=1 is the exact Cauchy inverse CDF of one uniform.  The draw is
-    always ``location + scale * z`` with ``z`` a standard (scale-1, location-0)
-    variate, so draws at different scales from identically seeded streams are
-    exact affine images of each other.
+    The draw is always ``location + scale * z`` with ``z`` a standard
+    (scale-1, location-0) variate, so draws at different scales from
+    identically seeded streams are exact affine images of each other.
     """
     return spec.location + spec.scale * _standard_sas(spec.alpha, rng)
-
-
-def sample_sas_cms(spec: StableSpec, rng) -> float:
-    """Draw one variate using the CMS transform regardless of tail index.
-
-    Cross-check path: for alpha=2 this must agree in distribution with the
-    Gaussian sampler used by :func:`sample_sas`.
-    """
-    return spec.location + spec.scale * _standard_cms(spec.alpha, rng)
 
 
 def _standard_sas(alpha: float, rng) -> float:
     if alpha == 2.0:
         return math.sqrt(2.0) * rng.standard_normal()
-    return _standard_cms(alpha, rng)
+    return math.tan(math.pi * (rng.random() - 0.5))
 
 
-def _standard_cms(alpha: float, rng) -> float:
-    # Chambers-Mallows-Stuck transform, symmetric (beta = 0) case: one
-    # uniform angle on (-pi/2, pi/2) and one unit exponential.
-    u = math.pi * (rng.random() - 0.5)
-    if alpha == 1.0:
-        # Inverse CDF of the standard Cauchy.
-        return math.tan(u)
-    w = rng.standard_exponential()
-    sin_au = math.sin(alpha * u)
-    cos_u = math.cos(u)
-    cos_rest = math.cos((1.0 - alpha) * u)
-    return (sin_au / cos_u ** (1.0 / alpha)) * (cos_rest / w) ** ((1.0 - alpha) / alpha)
+def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict]:
+    """The noise block (module docstring): ``count`` draws of ``scale *
+    _standard_sas(tail, rng)`` from one generator call, and the generator
+    state saved before it, for :func:`_rewind`."""
+    _check_scale(scale)
+    saved = rng.bit_generator.state
+    if tail != 2.0:
+        tan, pi = math.tan, math.pi
+        return [scale * tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
+    root2 = math.sqrt(2.0)
+    return [scale * (root2 * z) for z in rng.standard_normal(count).tolist()], saved
+
+
+def _rewind(rng, tail: float, saved: dict, used: int, drawn: int) -> None:
+    """Leave the generator where the first ``used`` of the ``drawn`` values
+    of the block :func:`_noise_block` drew from ``saved`` would leave it;
+    with all of them used, nothing is taken back."""
+    if used < drawn:
+        rng.bit_generator.state = saved
+        (rng.random if tail != 2.0 else rng.standard_normal)(used)
 
 
 def log_density(spec: StableSpec, x: float) -> float:
-    """Exact log-density; defined for the closed-form members only."""
+    """Exact log-density."""
     if spec.alpha == 1.0:
         u = (x - spec.location) / spec.scale
         return -math.log(spec.scale * math.pi * (1.0 + u * u))
-    if spec.alpha == 2.0:
-        var = 2.0 * spec.scale * spec.scale
-        d = x - spec.location
-        return -0.5 * math.log(2.0 * math.pi * var) - d * d / (2.0 * var)
-    raise UnsupportedAlphaError(
-        f"no closed-form density for alpha={spec.alpha}; only alpha in {{1, 2}}"
-    )
+    var = 2.0 * spec.scale * spec.scale
+    d = x - spec.location
+    return -0.5 * math.log(2.0 * math.pi * var) - d * d / (2.0 * var)
 
 
 def cdf(spec: StableSpec, x: float) -> float:
-    """Distribution function for the closed-form members."""
+    """Distribution function."""
     z = (x - spec.location) / spec.scale
     if spec.alpha == 1.0:
         return 0.5 + math.atan(z) / math.pi
-    if spec.alpha == 2.0:
-        # Gaussian with variance 2*scale**2: standardized deviate z/sqrt(2).
-        return 0.5 * math.erfc(-z / 2.0)
-    raise UnsupportedAlphaError(
-        f"no closed-form CDF for alpha={spec.alpha}; only alpha in {{1, 2}}"
-    )
+    # Gaussian with variance 2*scale**2: standardized deviate z/sqrt(2).
+    return 0.5 * math.erfc(-z / 2.0)
 
 
 def tail_probability(spec: StableSpec, threshold: float) -> float:
@@ -121,8 +129,4 @@ def tail_probability(spec: StableSpec, threshold: float) -> float:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     if spec.alpha == 1.0:
         return (2.0 / math.pi) * math.atan(1.0 / threshold)
-    if spec.alpha == 2.0:
-        return math.erfc(threshold / 2.0)
-    raise UnsupportedAlphaError(
-        f"no closed-form tail for alpha={spec.alpha}; only alpha in {{1, 2}}"
-    )
+    return math.erfc(threshold / 2.0)

@@ -7,6 +7,10 @@ dimension, either update rule, any step rule ``step_size`` knows.  It is
 the float loop's oracle (``tests/test_kernel.py``) and runs the inputs the
 package no longer accepts, such as the Lipschitz-aware case that
 ``tests/test_regression.py`` pins.
+
+:func:`standard_cms` is the general Chambers-Mallows-Stuck transform for any
+tail index in (0, 2].  ``htpg.sas`` draws only its two members, Cauchy and
+Gaussian; ``tests/test_sas.py`` checks both against it.
 """
 
 import math
@@ -38,3 +42,19 @@ def synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite iterate at step {k}")
     return norms
+
+
+def standard_cms(alpha: float, rng) -> float:
+    """One standard (scale-1, location-0) SaS variate of tail index ``alpha``
+    by the Chambers-Mallows-Stuck transform."""
+    # The symmetric (beta = 0) case: one uniform angle on (-pi/2, pi/2) and
+    # one unit exponential.
+    u = math.pi * (rng.random() - 0.5)
+    if alpha == 1.0:
+        # Inverse CDF of the standard Cauchy.
+        return math.tan(u)
+    w = rng.standard_exponential()
+    sin_au = math.sin(alpha * u)
+    cos_u = math.cos(u)
+    cos_rest = math.cos((1.0 - alpha) * u)
+    return (sin_au / cos_u ** (1.0 / alpha)) * (cos_rest / w) ** ((1.0 - alpha) / alpha)

@@ -1,6 +1,7 @@
 """Distribution-layer checks: closed forms against independent oracles
-(scipy CDFs, analytic moments) and the CMS transform against the
-closed-form members."""
+(scipy CDFs, analytic moments), the members against the general CMS
+transform of ``tests/oracles.py``, the one alpha rule, and the noise block
+of the float walks against scalar draws."""
 
 import math
 
@@ -9,15 +10,19 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from htpg.errors import ParameterError, UnsupportedAlphaError
+from htpg.errors import ParameterError
+from htpg.policy import PolicyParams
 from htpg.sas import (
     StableSpec,
+    _noise_block,
+    _rewind,
+    _standard_sas,
     cdf,
     log_density,
     sample_sas,
-    sample_sas_cms,
     tail_probability,
 )
+from oracles import standard_cms
 
 
 class FixedUniform:
@@ -85,12 +90,17 @@ def test_log_density_matches_scipy():
 
 
 def test_unsupported_alpha_raises():
-    spec = StableSpec(1.5)
-    for fn in (log_density, cdf):
-        with pytest.raises(UnsupportedAlphaError):
-            fn(spec, 0.0)
-    with pytest.raises(UnsupportedAlphaError):
-        tail_probability(spec, 1.0)
+    # StableSpec and PolicyParams share one rule: the Cauchy or the Gaussian.
+    for alpha in (0, -1, 0.5, 1.5, 3, math.inf, math.nan):
+        with pytest.raises(ParameterError) as law:
+            StableSpec(alpha)
+        with pytest.raises(ParameterError) as policy:
+            PolicyParams.zeros(3, alpha)
+        assert str(law.value) == str(policy.value)
+        assert str(law.value) == f"alpha must be 1 (Cauchy) or 2 (Gaussian), got {alpha}"
+    for alpha in (1, 1.0, 2, 2.0):
+        assert StableSpec(alpha).alpha == alpha
+        assert PolicyParams.zeros(3, alpha).alpha == alpha
 
 
 def test_tail_probability_values():
@@ -136,11 +146,14 @@ def test_sampler_matches_analytic_cdf(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_cms_transform_agrees_with_members(alpha):
     rng = np.random.default_rng(5)
-    spec = StableSpec(alpha)
-    draws = [sample_sas_cms(spec, rng) for _ in range(100_000)]
+    draws = [standard_cms(alpha, rng) for _ in range(100_000)]
     if alpha == 1.0:
         stat = scipy.stats.kstest(draws, scipy.stats.cauchy().cdf).statistic
         assert stat < 0.01
+        # At alpha = 1 the transform is the sampler's own map of one uniform.
+        sampler = np.random.default_rng(5)
+        ours = [sample_sas(StableSpec(1.0), sampler) for _ in range(1000)]
+        assert np.array(ours).tobytes() == np.array(draws[:1000]).tobytes()
     elif alpha == 2.0:
         stat = scipy.stats.kstest(draws, scipy.stats.norm(scale=math.sqrt(2)).cdf).statistic
         assert stat < 0.01
@@ -187,10 +200,65 @@ def test_log_density_symmetry(loc, scale, x, alpha):
     assert log_density(spec, loc + x) == log_density(spec, loc - x)
 
 
-@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 2.0])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_scale_equivariance_same_stream(alpha):
     loc, scale = 1.5, 3.0
     a = [sample_sas(StableSpec(alpha, loc, scale), np.random.default_rng(3)) for _ in range(1)]
     rng = np.random.default_rng(3)
     z = sample_sas(StableSpec(alpha, 0.0, 1.0), rng)
     assert a[0] == loc + scale * z
+
+
+def _block_and_scalars(seed, tail, scale, count):
+    """The noise block and ``count`` scalar draws from the same seed, each
+    with the generator it left."""
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+    block, saved = _noise_block(rng, tail, scale, count)
+    assert saved == start
+    scalar_rng = np.random.default_rng(seed)
+    scalars = [scale * _standard_sas(tail, scalar_rng) for _ in range(count)]
+    return block, rng, scalars, scalar_rng
+
+
+def _state_after(seed, tail, draws):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        _standard_sas(tail, rng)
+    return rng.bit_generator.state
+
+
+def _assert_block_and_rewind(seed, tail, scale, count):
+    block, rng, scalars, scalar_rng = _block_and_scalars(seed, tail, scale, count)
+    assert np.array(block).tobytes() == np.array(scalars).tobytes()
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+    for used in sorted({0, 1, count - 1, count}):
+        rng = np.random.default_rng(seed)
+        block, saved = _noise_block(rng, tail, scale, count)
+        _rewind(rng, tail, saved, used, count)
+        assert rng.bit_generator.state == _state_after(seed, tail, used), used
+
+
+@pytest.mark.parametrize("tail", [1.0, 2.0])
+@pytest.mark.parametrize("count", [1, 2, 57, 500])
+def test_noise_block_is_scalar_draws_and_rewinds_to_them(tail, count):
+    for seed, scale in ((0, 1.0), (7, 0.3), (2024, 40.0)):
+        _assert_block_and_rewind(seed, tail, scale, count)
+
+
+@given(seed=st.integers(0, 2**63), tail=st.sampled_from([1.0, 2.0]),
+       count=st.sampled_from([1, 2, 57, 500]), scale=st.floats(1e-6, 1e6))
+@settings(max_examples=40, deadline=None)
+def test_noise_block_matches_scalar_draws_on_drawn_inputs(seed, tail, count, scale):
+    _assert_block_and_rewind(seed, tail, scale, count)
+
+
+@pytest.mark.parametrize("tail", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+def test_noise_block_rejects_a_bad_scale_before_drawing(tail, scale):
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="^scale must be positive"):
+        _noise_block(rng, tail, scale, 5)
+    assert rng.bit_generator.state == start
+
