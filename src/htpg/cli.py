@@ -66,9 +66,6 @@ def cmd_train(args) -> int:
             print(f"rewrote {Path(cfg.out_dir) / 'returns.svg'}")
             return 0
         by_family = run_experiment(cfg)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ParameterError, ArithmeticError) as err:
         # A ConfigError comes before anything is written; the rest come from
         # training or its outputs, after config.txt is.
@@ -213,6 +210,9 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,27 +1,12 @@
-"""Convergence and exploration diagnostics.
+"""Convergence and exploration diagnostics: the averaged-gradient bound
+(:func:`bound_rhs`, :func:`check_bound`) on a noisy-ascent testbed with a
+known gradient (:func:`synthetic_sga_run`), how quickly policies escape the
+misleading-reward basin (:func:`first_exit_statistics`), and how much of the
+action stream is genuinely extreme (:func:`tail_exploration_ratio`).
 
-Covers three independent questions:
-
-* does a noisy-ascent run respect the analytic averaged-gradient bound
-  (:func:`bound_rhs` / :func:`check_bound`, driven by
-  :func:`synthetic_sga_run` on a known-gradient objective);
-* how quickly do policies escape the misleading-reward basin
-  (:func:`first_exit_statistics`);
-* how much of the action stream is genuinely extreme
-  (:func:`tail_exploration_ratio`).
-
-The noisy-ascent loop is what ``check-bound`` runs, plain ascent on the 2-D
-:class:`SmoothBump` with a step rule, as one loop over Python floats
-(``_smooth_bump_run``); every other input is a ParameterError.  The
-step-size schedule depends only on ``(rule, n)``, so it is built once and
-cached (:func:`_step_schedule`, one schedule held), and the 20 seeds of
-``check-bound`` share it.  Its oracle is a generic array loop kept with the
-tests (``tests/oracles.py``): the float loop must reproduce its norms,
-errors and random stream bit for bit (``tests/test_kernel.py``).
-Every float sum in htpg is a left-to-right sum of Python floats, so the loop
-and its oracle take a squared norm as ``t0*t0 + t1*t1``
-(``policy._squared_norm``, which :class:`SmoothBump` uses too), on any CPU
-and Python version.
+The noisy-ascent loop of :func:`synthetic_sga_run` is one loop over Python
+floats that must reproduce its oracle, a generic array loop in
+``tests/oracles.py``, bit for bit (README "Numerics").
 """
 
 from __future__ import annotations
@@ -37,6 +22,7 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
 from .policy import PolicyParams, _squared_norm, action_mode, features, policy_scale
+from .sas import _rewind
 from .training import PlainAscent, StepRule, UpdateRule, step_size
 # apply_update goes unused here: the benchmark tracer patches it.
 from .training import apply_update  # noqa: F401
@@ -180,19 +166,15 @@ def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
     Python floats, taking step k's size from ``schedule[k - 1]``; fills and
     returns ``norms``.
 
-    Bit-identity with the generic oracle rests on doing its arithmetic, not an
-    equivalent: both squared norms are ``policy._squared_norm`` written inline,
-    the gradient is ``(-2.0 * t) * math.exp(-||t||^2)`` per component, and
-    the update is ``apply_update``'s ``t + alpha * g``.  Noise comes in
-    blocks of ``standard_normal(2 * m)``, the same stream as m calls of
-    ``standard_normal(2)``; a step draws only when its target is positive, as
-    in the oracle, and however the loop ends the generator is rewound to
-    just past the last pair used.
-
-    The noise scale ``sqrt(y1 / 2)`` is computed once and reused by every
-    step whose target equals ``y1`` (with ``y2 = 0``, every step with a
-    finite gradient; other targets take their own root).  The iterate check
-    tests the coordinates one by one only when their sum is not finite.
+    It does the oracle's arithmetic: ``policy._squared_norm`` written inline,
+    the gradient ``(-2.0 * t) * math.exp(-||t||^2)`` per component and
+    ``apply_update``'s ``t + alpha * g``.  Noise comes in blocks of
+    ``standard_normal(2 * m)``, the same stream as m calls of
+    ``standard_normal(2)``, drawn only for a positive target, as in the
+    oracle, and ``sas._rewind`` takes back the unused part however the loop
+    ends.  ``sqrt(y1 / 2)`` serves every step whose target is ``y1``; other
+    targets take their own root.  The iterate check tests the coordinates
+    one by one only when their sum is not finite.
     """
     n = len(schedule)
     norms_w = memoryview(norms)
@@ -221,9 +203,7 @@ def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
             if not isfinite(t0 + t1) and not (isfinite(t0) and isfinite(t1)):
                 raise DivergenceError(f"non-finite iterate at step {i + 1}")
     finally:
-        if used < filled:
-            bit_generator.state = block_state
-            rng.standard_normal(used)
+        _rewind(rng, 2.0, block_state, used, filled)
     return norms
 
 

@@ -6,19 +6,11 @@ more than independent states and random streams.
 
 Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`rollout` and :func:`walk`, which step through ``step``, are the
-oracles of two float loops.  :func:`_car_rollout`, the rollout of shared-Q
-training, and :func:`_car_q_walk`, the walk of a fresh Q estimate, read the
-car's constants once, draw their noise in one block and rewind what they
-leave unused (both by the rules of :mod:`htpg.sas`), and run the same loop on
-Python floats: each step draws its action, clamps it, and steps the
-dynamics, the speed cap, the walls and the reward inline.  The first
-resets the car and records every transition; the second takes the given
-(state, action) pair's transition through the car's own methods, then only
-sums its discounted rewards.  Every float sum in htpg is a left-to-right
-sum of Python floats, so the loops take the mode as ``(t0*x + t1*v) + t2``
-(:func:`htpg.policy.action_mode`) and agree bit for bit on any CPU, and a
-return (:meth:`Trajectory.total_return`) is ``policy._float_sum`` of the
-rewards, on any Python version.
+oracles of two float loops that run one draw, clamp, step and reward loop on
+Python floats: :func:`_car_rollout`, the rollout of shared-Q training, and
+:func:`_car_q_walk`, the walk of a fresh Q estimate.  Both draw their noise
+by the rules of :mod:`htpg.sas` and do their arithmetic by README
+"Numerics".
 """
 
 from __future__ import annotations
@@ -42,9 +34,7 @@ __all__ = [
 ]
 
 
-# The step budget's ceiling, 1000x the mountain car's 999.  A float rollout
-# draws its whole budget's noise in one block, about 72 bytes a step, so a
-# huge budget would fail in numpy's allocation, after the run has started.
+# The step budget's ceiling, 1000x the mountain car's 999 (README, ``[env]``).
 _MAX_STEPS = 1_000_000
 
 
@@ -260,9 +250,8 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
     """Take ``action`` in ``state``, then follow ``policy``, for at most
     ``steps`` transitions.
 
-    Per transition: step, record, stop on ``done``, else draw the next action
-    at the state reached, so a walk cut by ``steps`` draws one action more
-    than it executes.  Actions are recorded as executed (clamped).
+    Per transition: step, record (the action as executed, clamped), stop on
+    ``done``, else draw the next action at the state reached.
     """
     clamp = env.spec.clamp_action
     action = clamp(action)
@@ -300,26 +289,14 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     """:func:`rollout` on a car over Python floats, for the step budget and a
     policy with the three mode weights ``theta`` (Python floats), mode
     ``t0 * x + t1 * v + t2`` and draw ``mode + scale * z``, ``z`` a standard
-    :mod:`htpg.sas` variate of ``tail`` 1 (Cauchy) or 2 (Gaussian).  It is the
-    rollout of shared-Q training; fresh Q runs :func:`_car_q_walk`.
+    :mod:`htpg.sas` variate of ``tail`` 1 (Cauchy) or 2 (Gaussian).
 
     Returns ``(xs, vs, actions, rewards, x, at_goal)``: the positions,
     velocities and (clamped) actions of the transitions taken, their rewards,
     the final position and whether it is at the goal.  Like :func:`rollout`,
     it resets the car first, and a scale that is not positive raises the
-    sampler's ``scale must be positive`` before any transition.
-
-    The car's constants are read once (:func:`_car_constants`); each step
-    then draws its action, clamps it and runs :meth:`_Car.advance` and
-    :meth:`_Car.reward` inline, in their operation order.
-    ``min(max(y, lo), hi)`` is written as two ifs, ``lo > y`` then ``hi < y``,
-    which is what the builtins compute for NaN, infinities, signed zeros and
-    any pair of bounds.
-
-    The whole budget's noise comes in one :mod:`htpg.sas` noise block, drawn
-    after the reset.  An episode that uses less of it (the goal ends it, or a
-    step raises) rewinds it to the draws it used, so the stream goes on where
-    :func:`rollout` leaves it.
+    sampler's ``scale must be positive`` before any transition.  The whole
+    budget's noise is one noise block, drawn after the reset.
     """
     state = env.reset(rng)
     (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
@@ -369,25 +346,18 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
 def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvState,
                 action: float, steps: int, gamma: float) -> float:
     """:func:`walk` on a car over Python floats, reduced to the discounted sum
-    that a random-horizon Q estimate reads: ``sum_t gamma**(t/2) * r_t`` over
-    the rewards of the transitions taken, added in the order and with the
-    expression of ``qvalue.discounted_partial_return``.  It records nothing.
-    ``theta``, ``scale`` and ``tail`` are :func:`_car_rollout`'s.  ``steps``
-    must be at least 1 and ``gamma`` must lie in (0, 1).
+    a random-horizon Q estimate reads, ``sum_t gamma**(t/2) * r_t`` as
+    ``qvalue.discounted_partial_return`` adds it; it records nothing.
+    ``theta``, ``scale`` and ``tail`` are :func:`_car_rollout`'s, ``steps``
+    is at least 1 and ``gamma`` lies in (0, 1).
 
-    Like :func:`walk`, it clamps ``action``, and a terminal ``state`` raises.
-    The given pair's transition runs through the car's own
-    :meth:`_Car.advance` and :meth:`_Car.reward`, once per walk.  A walk that
-    this transition ends, at the goal or with a budget of 1, is done before
-    any draw and raises nothing.  Otherwise it draws one :mod:`htpg.sas`
-    noise block that holds exactly the draws :func:`walk` makes: ``steps``
-    when ``steps`` is below the budget ``max(max_steps - step_count, 1)``
-    (the last one is the action :func:`walk` draws at the state where
-    ``steps`` cuts it), else ``budget - 1``.  So a scale that is not positive raises the sampler's
-    ``scale must be positive`` at the first draw.  Then it runs
-    :func:`_car_rollout`'s draw, clamp, step and reward over the first
-    ``min(steps, budget) - 1`` values.  A walk that the goal ends first
-    rewinds the block to the draws it used.
+    Like :func:`walk`, it clamps ``action`` and raises on a terminal
+    ``state``.  The given pair's transition runs through the car's own
+    methods; a walk that it ends (the goal, or a budget ``max(max_steps -
+    step_count, 1)`` of 1) draws nothing.  Otherwise one noise block holds
+    :func:`walk`'s draws, ``steps`` below the budget (the trailing draw
+    included) else ``budget - 1``, and :func:`_car_rollout`'s loop runs over
+    the first ``min(steps, budget) - 1`` of them.
 
     A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
     That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and
@@ -444,9 +414,8 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
 
 def rollout(env, policy: PolicyParams, rng, horizon: int) -> Trajectory:
     """Simulate one episode of at most ``horizon`` transitions: reset, draw
-    the first action, then :func:`walk`.  Cut by ``horizon`` before ``done``
-    it draws one action more than it executes; training never cuts, as it
-    passes the step budget, which always ends in ``done``.
+    the first action, then :func:`walk`.  Training passes the step budget,
+    which always ends in ``done``, so it takes no trailing draw.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be at least 1, got {horizon}")

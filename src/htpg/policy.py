@@ -5,17 +5,11 @@ and Gaussian (tail index 2).  The action mode is the linear form
 ``theta_x0 . s`` over affine state features ``s`` and the scale is either a
 fixed constant ``sigma0`` or the learned ``exp(sum(theta_sigma))``.
 
-The Gaussian family uses the conventional parameterization where ``sigma``
-is its standard deviation.  :mod:`htpg.sas` gives the alpha=2 member
-variance ``2 * scale**2``, so :func:`action_distribution` divides by
-``sqrt(2)`` when building the sampling spec; the two descriptions denote
-the same distribution and their log-densities agree.
+The Gaussian family's ``sigma`` is its standard deviation; its
+:mod:`htpg.sas` law is :func:`action_distribution`.
 
-Every float sum in htpg is a left-to-right sum of Python floats: the mode
-in :func:`action_mode`, and every return, chart mean, discounted Q sum and
-squared norm (so every update norm) through :func:`_float_sum`.  So no
-written or pinned number depends on the Python version (builtin ``sum``
-compensates from 3.12 on) or on the BLAS core.
+:func:`action_mode` and :func:`_float_sum` are htpg's two float sums
+(README "Numerics").
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, finite_float
-from .sas import StableSpec, _check_alpha, sample_sas
+from .sas import StableSpec, _check_alpha, log_density, sample_sas
 
 __all__ = [
     "FIXED",
@@ -47,7 +41,6 @@ FIXED = "fixed"
 ADAPTIVE = "adaptive"
 
 _SQRT2 = float(np.sqrt(2.0))
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,15 +97,13 @@ def policy_scale(p: PolicyParams) -> float:
 
 def action_mode(p: PolicyParams, s: np.ndarray) -> float:
     """``theta_x0 . s`` as ``w0*s0 + w1*s1 + ...`` over Python floats, summed
-    left to right: the arithmetic the float loops write inline, so every
-    path gives the same bits on any CPU.  For the cars' ``s = (x, v, 1)``
-    this is ``(t0*x + t1*v) + t2``, as ``t2 * 1.0`` is ``t2``."""
+    left to right from -0.0: the arithmetic the float loops write inline.
+    For the cars' ``s = (x, v, 1)`` this is ``(t0*x + t1*v) + t2``, as
+    ``t2 * 1.0`` is ``t2``."""
     if s.shape != p.theta_x0.shape:
         raise ParameterError(
             f"feature dimension {s.shape} does not match theta_x0 {p.theta_x0.shape}"
         )
-    # -0.0 is the identity of float addition (0.0 would turn a -0.0 term into
-    # +0.0, as builtin sum's int start does; sum also compensates on 3.12+).
     mode = -0.0
     for w, f in zip(p.theta_x0.tolist(), s.tolist()):
         mode += w * f
@@ -122,8 +113,7 @@ def action_mode(p: PolicyParams, s: np.ndarray) -> float:
 def _float_sum(values) -> float:
     """``v0 + v1 + ...`` over Python floats, left to right from +0.0: builtin
     ``sum``'s bits up to Python 3.11 (3.12 compensates), on every version.
-    Every float sum that htpg writes, returns or pins goes through it; the
-    empty sum is 0.0."""
+    The empty sum is 0.0."""
     total = 0.0
     for v in values:
         total += v
@@ -131,16 +121,14 @@ def _float_sum(values) -> float:
 
 
 def _squared_norm(vec: np.ndarray) -> float:
-    """``v0*v0 + v1*v1 + ...`` as :func:`_float_sum` adds it: no BLAS call, so
-    the same bits on any CPU (+0.0 is exact here, as no square is -0.0)."""
+    """``v0*v0 + v1*v1 + ...`` as :func:`_float_sum` adds it, with no BLAS
+    call (+0.0 is exact here, as no square is -0.0)."""
     return _float_sum(c * c for c in vec.tolist())
 
 
 def action_distribution(p: PolicyParams, s: np.ndarray) -> StableSpec:
-    """The SaS law of the action at state features ``s``.
-
-    For alpha=2 the policy sigma is the Gaussian standard deviation, so the
-    stable-convention scale is ``sigma / sqrt(2)``.
+    """The SaS law of the action at state features ``s``; at alpha=2 its
+    :mod:`htpg.sas` scale is the standard deviation ``sigma`` over ``sqrt(2)``.
     """
     return StableSpec(p.alpha, action_mode(p, s), _stable_scale(p.alpha, policy_scale(p)))
 
@@ -155,13 +143,9 @@ def sample_action(p: PolicyParams, s: np.ndarray, rng) -> float:
 
 
 def log_likelihood(p: PolicyParams, s: np.ndarray, a: float) -> float:
-    """log pi(a | s) under the policy's own parameterization."""
-    x0 = action_mode(p, s)
-    sigma = policy_scale(p)
-    u = (a - x0) / sigma
-    if p.alpha == 1.0:
-        return -float(np.log(sigma * np.pi * (1.0 + u * u)))
-    return -0.5 * u * u - float(np.log(sigma)) - 0.5 * _LOG_2PI
+    """log pi(a | s): the :mod:`htpg.sas` log-density of
+    :func:`action_distribution`."""
+    return log_density(action_distribution(p, s), a)
 
 
 def score(p: PolicyParams, s: np.ndarray, a: float) -> np.ndarray:

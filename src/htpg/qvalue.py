@@ -5,15 +5,11 @@ the reward at step t by gamma**(t/2).  Since P(T >= t) = gamma**(t/2), the
 expectation of the weighted sum telescopes to the ordinary discounted Q.
 
 :func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
-3-weight policy it runs ``envs._car_q_walk``, a loop over Python floats with
-no state, step-result or trajectory objects and no per-step records: it
-draws the walk's noise in one :mod:`htpg.sas` noise block, rewinds it to the
-draws it used, and sums the discounted rewards as it goes, left to right
-from +0.0, as :func:`discounted_partial_return` sums them with
-``policy._float_sum``, on any Python version.  Every other input runs
-:func:`htpg.envs.walk`, the generic loop, and sums its rewards with
-:func:`discounted_partial_return`.  That pair is the oracle: both ways give
-the same value, horizon, random stream and errors (``tests/test_kernel.py``).
+3-weight policy it runs ``envs._car_q_walk``, which sums the discounted
+rewards inside the walk and records nothing.  Every other input runs
+:func:`htpg.envs.walk` and :func:`discounted_partial_return`, the oracle:
+both ways give the same value, horizon, random stream and errors
+(``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ def draw_horizon(gamma: float, rng, size: int | None = None):
 
 def discounted_partial_return(rewards, gamma: float, horizon: int) -> float:
     """sum_{t=0}^{horizon} gamma**(t/2) * rewards[t], truncated at the data,
-    added left to right by ``policy._float_sum``."""
+    summed by ``policy._float_sum``."""
     return _float_sum(gamma ** (0.5 * t) * r for t, r in enumerate(rewards[: horizon + 1]))
 
 
@@ -73,18 +69,13 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
 
     Draws the horizon, then walks from s0: executes a0 (clamped) and follows
     the policy until the drawn horizon or ``done`` (the goal, or the step
-    budget counted from ``s0.step_count``), whichever comes first, drawing
-    the next action after every transition that is not ``done`` (so a walk
-    cut by the horizon draws one action more than it executes).
-    ``horizon`` overrides the geometric draw (test hook); ``gamma`` must lie
-    in (0, 1) either way, and is checked before the generator is used.
-
-    On a car with a 3-weight policy the walk is the float loop, which sums
-    as it goes; otherwise it is :func:`htpg.envs.walk`.  Either way a
-    terminal ``s0`` raises ``EnvUsageError``, each draw is ``mode + scale *
-    z`` with ``z`` a standard :mod:`htpg.sas` variate, and a scale that is
-    not positive raises the sampler's ``scale must be positive`` only when a
-    draw comes: a walk done after its first transition raises nothing.
+    budget counted from ``s0.step_count``), whichever comes first, with the
+    walk's trailing draw (README "Numerics").  ``horizon`` overrides the
+    geometric draw (test hook); ``gamma`` must lie in (0, 1) either way, and
+    is checked before the generator is used.  A terminal ``s0`` raises
+    ``EnvUsageError``, and a scale that is not positive raises ``scale must
+    be positive`` only when a draw comes: a walk done after its first
+    transition raises nothing.
     """
     if horizon is None:
         drawn = draw_horizon(gamma, rng)

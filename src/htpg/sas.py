@@ -67,11 +67,8 @@ def _check_scale(scale: float) -> None:
 
 
 def sample_sas(spec: StableSpec, rng) -> float:
-    """Draw one variate from the given SaS law.
-
-    The draw is always ``location + scale * z`` with ``z`` a standard
-    (scale-1, location-0) variate, so draws at different scales from
-    identically seeded streams are exact affine images of each other.
+    """Draw one variate, ``location + scale * z`` (module docstring), so draws
+    at different scales from one seed are exact affine images of each other.
     """
     return spec.location + spec.scale * _standard_sas(spec.alpha, rng)
 

@@ -15,21 +15,11 @@ roughly the mean horizon times more environment steps).
 
 The loop has two implementations.  ``_train_reference`` works on
 ``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
-``_train_car_shared`` runs shared-Q training on the two cars as one loop
-over Python floats and is what :func:`train` uses for those inputs.  Under
-``LinearRange`` it also skips the updates of an episode whose Q estimate is
-exactly 0 when a per-episode bound proves that none of them can change a
-bit (``_zero_q_is_noop``); on the trapped car, whose start well pays
-nothing, that is most episodes.  The reference is the oracle: the fast loop
-must reproduce its metrics and final parameters bit for bit
-(``tests/test_kernel.py``).  Every float sum in htpg is a left-to-right
-sum of Python floats, so both loops take the mode as ``(t0*x + t1*v) + t2``
-(:func:`htpg.policy.action_mode`), an episode's return as
-``policy._float_sum`` of its rewards, and its update norm as ``math.sqrt``
-of ``policy._squared_norm``: no BLAS call and no builtin ``sum``, so the
-same bits on any CPU and Python version.
-The shared-Q loop's rollout is ``envs._car_rollout``, which resets the car
-and draws every action itself, as :func:`htpg.envs.rollout` does.
+``_train_car_shared`` runs shared-Q training on the two cars with a 3-weight
+policy as one loop over Python floats, and :func:`train` uses it there.
+The reference is the oracle: the fast loop must reproduce its metrics and
+final parameters bit for bit (``tests/test_kernel.py``), by the float rules
+of README "Numerics".
 
 A run diverges, and stops with ``diverged=True``, when an update leaves a
 parameter that is not finite or the policy scale leaves (0, inf).  Both
@@ -38,10 +28,7 @@ and before each pair's Q estimate and score.  So no scale of 0 reaches a
 draw or a score, and no infinite scale a rollout.
 
 Every number field of a step or update rule holds a finite double
-(``errors.finite_float``).  The Lipschitz-aware update divides by
-``1/alpha_k - L``; :class:`TrainConfig` checks that divisor once, at the
-largest step size the run can take, so neither loop has a per-update error
-path.
+(``errors.finite_float``).
 """
 
 from __future__ import annotations
@@ -264,19 +251,10 @@ class RunMetrics:
 def train(config: TrainConfig) -> RunMetrics:
     """Run the episode loop and collect :class:`RunMetrics`.
 
-    The schedule index is the global update counter for PowerDecay and
-    Constant rules (one increment per parameter update).  The LinearRange
-    rule spans the episode budget instead: the step size is fixed within an
-    episode and interpolated by episode number, which keeps the configured
-    start/end range meaningful regardless of how many updates each episode
+    The schedule index counts parameter updates under PowerDecay and
+    Constant, and episodes under LinearRange (fixed within an episode), so
+    its configured start/end range holds however many updates each episode
     contributes.
-
-    Shared-Q training on either car with the cars' 3-feature policy runs
-    as one loop over Python floats (:func:`_train_car_shared`); every other
-    input runs :func:`_train_reference`, which builds the policy, the
-    trajectory and the score as objects.  The reference is the oracle: both
-    paths draw the same random stream, do the same arithmetic in the same
-    order, and return identical metrics (``tests/test_kernel.py``).
     """
     if (config.q_mode == Q_SHARED and isinstance(config.env, _Car)
             and config.policy_init.dim == 3):
@@ -436,23 +414,14 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
 def _train_car_shared(config: TrainConfig) -> RunMetrics:
     """:func:`_train_reference` for shared Q on a car, as one loop over
     Python floats: no policy, state, trajectory or score objects per step.
+    It does the reference's arithmetic in its order (README "Numerics": the
+    mode, sigma, the clip), with the rollout ``envs._car_rollout`` and the
+    score ``policy._score_coefs``, and checks sigma where the reference does.
 
-    Bit-identity with the reference rests on doing its arithmetic, not an
-    equivalent: the mode is ``t0 * x + t1 * v + t2``, sigma stays
-    ``np.exp`` of ``(c0 + c1) + c2`` (numpy's sum order; ``math.exp`` rounds
-    differently), the clip is ``hi if g > hi else g`` (NaN passes through,
-    as through ``np.minimum``), and the update keeps the reference's
-    operation order per component.  The rollout is ``envs._car_rollout``,
-    which resets the car, draws every action and records every transition,
-    as :func:`htpg.envs.rollout` does; the score is the shared
-    ``policy._score_coefs``.  Sigma is checked to lie in (0, inf) before the
-    rollout and before each adaptive pair's score, as the reference checks
-    it.
-
-    Under ``LinearRange`` the step size is fixed within an episode, so an
-    episode with ``q == 0.0`` that :func:`_zero_q_is_noop` proves a no-op
-    skips its per-step updates: it adds its length to the update count and
-    records a zero update norm.
+    Under ``LinearRange`` an episode with ``q == 0.0`` that
+    :func:`_zero_q_is_noop` proves a no-op (on the trapped car, whose start
+    well pays nothing, most episodes) adds its length to the update count
+    and records a zero update norm, without its per-step updates.
     """
     env = config.env
     rng = np.random.default_rng(config.seed)

@@ -278,6 +278,16 @@ def test_cli_replot_of_a_missing_csv_is_one_line_with_exit_1(tmp_path, capsys):
     assert err.startswith("error: ") and "cauchy_seed1.csv" in err and err.count("\n") == 1
 
 
+def test_cli_first_exit_into_an_unwritable_out_is_one_line_with_exit_1(tmp_path, capsys):
+    # main owns the I/O-error exit for every subcommand, not only train.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["first-exit", "--episodes", "1", "--seeds", "1,2", "--out", str(blocker / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "x") in err and err.count("\n") == 1
+
+
 def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
     cfg_file = tmp_path / "exp.toml"
     cfg_file.write_text(SMALL_SWEEP.replace("seeds = [1, 2, 3]", "seeds = [-1]"))

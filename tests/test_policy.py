@@ -1,12 +1,13 @@
 """Policy-layer checks: score closed forms against a central finite-difference
-oracle, clip semantics, and agreement between the policy's own log-likelihood
-and the stable-law density it samples from."""
+oracle, clip semantics, and the policy's log-likelihood against scipy at the
+policy's own parameterisation."""
 
 import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from htpg.diagnostics import SmoothBump
@@ -28,7 +29,6 @@ from htpg.policy import (
     score,
     with_param_vector,
 )
-from htpg.sas import log_density
 
 
 def fd_score(p, s, a, h=1e-6):
@@ -109,15 +109,26 @@ def test_log_likelihood_examples():
 
 
 def test_log_likelihood_agrees_with_stable_density():
+    # log_likelihood is sas.log_density of action_distribution, so the
+    # reference is scipy at the policy's own parameterisation: a Cauchy of
+    # scale sigma, a Gaussian of standard deviation sigma.
     rng = np.random.default_rng(3)
-    for alpha in (1.0, 2.0):
+    for alpha, law in ((1.0, scipy.stats.cauchy), (2.0, scipy.stats.norm)):
         for _ in range(50):
             p = PolicyParams(rng.normal(size=3), rng.normal(size=3) * 0.3, alpha=alpha)
             s = features(rng.normal(size=2))
             a = float(rng.normal() * 4)
-            assert log_likelihood(p, s, a) == pytest.approx(
-                log_density(action_distribution(p, s), a), rel=1e-12
-            )
+            want = law(action_mode(p, s), policy_scale(p)).logpdf(a)
+            assert log_likelihood(p, s, a) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("log_sigma", [-1000.0, math.nan])
+def test_log_likelihood_at_a_scale_of_zero_or_nan_raises(alpha, log_sigma):
+    # exp(-1000) underflows to a scale of 0.0; a NaN weight gives a NaN scale.
+    p = PolicyParams(np.zeros(3), np.array([log_sigma, 0.0, 0.0]), alpha=alpha)
+    with pytest.raises(ParameterError, match="scale must be positive"):
+        log_likelihood(p, features((0.5, 0.0)), 1.0)
 
 
 def test_score_at_mode():
