@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
-from .policy import PolicyParams, _squared_norm, action_mode, features, policy_scale
+from .policy import PolicyParams, _check_feature_shape, _squared_norm, policy_scale
 from .sas import _rewind
 from .training import PlainAscent, StepRule, UpdateRule, step_size
 # apply_update goes unused here: the benchmark tracer patches it.
@@ -287,11 +287,12 @@ def tail_exploration_ratio(traj: Trajectory, policy: PolicyParams,
         raise ParameterError(f"threshold must be positive, got {threshold_sigmas}")
     if len(traj) == 0:
         raise ParameterError("empty trajectory")
-    sigma = policy_scale(policy)
-    cut = threshold_sigmas * sigma
+    _check_feature_shape(policy, (3,))
+    t0, t1, t2 = policy.theta_x0.tolist()
+    cut = threshold_sigmas * policy_scale(policy)
     extreme = 0
     for state, action in zip(traj.states, traj.actions):
-        mode = action_mode(policy, features((state.position, state.velocity)))
-        if abs(action - mode) > cut:
+        # action_mode at the features (x, v, 1) (README "Numerics").
+        if abs(action - (t0 * state.position + t1 * state.velocity + t2)) > cut:
             extreme += 1
     return extreme / len(traj)

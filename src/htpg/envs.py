@@ -10,7 +10,9 @@ oracles of two float loops that run one draw, clamp, step and reward loop on
 Python floats: :func:`_car_rollout`, the rollout of shared-Q training, and
 :func:`_car_q_walk`, the walk of a fresh Q estimate.  Both draw their noise
 by the rules of :mod:`htpg.sas` and do their arithmetic by README
-"Numerics".
+"Numerics".  :func:`walk` reads its policy once per walk; its oracle, which
+draws every action through ``sample_action``, is ``walk_reference`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import EnvUsageError, ParameterError
-from .policy import PolicyParams, _float_sum, features, sample_action
-from .sas import _noise_block, _rewind
+from .policy import (
+    PolicyParams,
+    _check_feature_shape,
+    _float_sum,
+    _stable_scale,
+    features,
+    policy_scale,
+    sample_action,
+)
+from .sas import _check_scale, _noise_block, _rewind, _standard_sas
 
 __all__ = [
     "EnvSpec",
@@ -251,9 +261,17 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
     ``steps`` transitions.
 
     Per transition: step, record (the action as executed, clamped), stop on
-    ``done``, else draw the next action at the state reached.
+    ``done``, else draw the next action at the state reached.  The policy is
+    fixed, so its weights, tail and scale are read once per walk, and a draw
+    is ``(t0*x + t1*v + t2) + scale * z``: :func:`sample_action`'s value and
+    stream (README "Numerics").  As with :func:`sample_action`, a policy
+    without three weights or a scale that is not positive raises at the
+    first draw; a walk that draws nothing raises neither.
     """
     clamp = env.spec.clamp_action
+    tail = policy.alpha
+    scale = _stable_scale(tail, policy_scale(policy))
+    weights = None
     action = clamp(action)
     states: list[EnvState] = []
     actions: list[float] = []
@@ -266,7 +284,12 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
         state = result.next_state
         if result.done:
             break
-        action = clamp(sample_action(policy, features((state.position, state.velocity)), rng))
+        if weights is None:
+            _check_feature_shape(policy, (3,))
+            _check_scale(scale)
+            t0, t1, t2 = weights = policy.theta_x0.tolist()
+        action = clamp((t0 * state.position + t1 * state.velocity + t2)
+                       + scale * _standard_sas(tail, rng))
     return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
 
 

@@ -3,7 +3,8 @@
 Two trainable families share one parameter layout: Cauchy (tail index 1)
 and Gaussian (tail index 2).  The action mode is the linear form
 ``theta_x0 . s`` over affine state features ``s`` and the scale is either a
-fixed constant ``sigma0`` or the learned ``exp(sum(theta_sigma))``.
+fixed constant ``sigma0`` or the learned ``exp(sum(theta_sigma))``, one
+libm ``exp`` (:func:`_exp_scale`).
 
 The Gaussian family's ``sigma`` is its standard deviation; its
 :mod:`htpg.sas` law is :func:`action_distribution`.
@@ -14,6 +15,7 @@ The Gaussian family's ``sigma`` is its standard deviation; its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +94,16 @@ def policy_scale(p: PolicyParams) -> float:
     """Current scale sigma: sigma0 when fixed, exp(sum(theta_sigma)) when adaptive."""
     if p.scale_mode == FIXED:
         return p.sigma0
-    return float(np.exp(p.theta_sigma.sum()))
+    return _exp_scale(_float_sum(p.theta_sigma.tolist()))
+
+
+def _exp_scale(log_sigma: float) -> float:
+    """``math.exp(log_sigma)``, with inf where it overflows: the adaptive
+    scale from the sum of ``theta_sigma``."""
+    try:
+        return math.exp(log_sigma)
+    except OverflowError:
+        return math.inf
 
 
 def action_mode(p: PolicyParams, s: np.ndarray) -> float:
@@ -100,14 +111,19 @@ def action_mode(p: PolicyParams, s: np.ndarray) -> float:
     left to right from -0.0: the arithmetic the float loops write inline.
     For the cars' ``s = (x, v, 1)`` this is ``(t0*x + t1*v) + t2``, as
     ``t2 * 1.0`` is ``t2``."""
-    if s.shape != p.theta_x0.shape:
-        raise ParameterError(
-            f"feature dimension {s.shape} does not match theta_x0 {p.theta_x0.shape}"
-        )
+    _check_feature_shape(p, s.shape)
     mode = -0.0
     for w, f in zip(p.theta_x0.tolist(), s.tolist()):
         mode += w * f
     return mode
+
+
+def _check_feature_shape(p: PolicyParams, shape: tuple) -> None:
+    """The rule of :func:`action_mode`: features of ``theta_x0``'s shape."""
+    if shape != p.theta_x0.shape:
+        raise ParameterError(
+            f"feature dimension {shape} does not match theta_x0 {p.theta_x0.shape}"
+        )
 
 
 def _float_sum(values) -> float:

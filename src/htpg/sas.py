@@ -82,14 +82,18 @@ def _standard_sas(alpha: float, rng) -> float:
 def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict]:
     """The noise block (module docstring): ``count`` draws of ``scale *
     _standard_sas(tail, rng)`` from one generator call, and the generator
-    state saved before it, for :func:`_rewind`."""
+    state saved before it, for :func:`_rewind`.  The Gaussian map is one
+    numpy product, which warns where it overflows unless the caller's
+    ``np.errstate`` ignores that, as training's does."""
     _check_scale(scale)
     saved = rng.bit_generator.state
     if tail != 2.0:
         tan, pi = math.tan, math.pi
         return [scale * tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
-    root2 = math.sqrt(2.0)
-    return [scale * (root2 * z) for z in rng.standard_normal(count).tolist()], saved
+    # (z * sqrt2) * scale is scale * _standard_sas's sqrt2 * z bit for bit:
+    # IEEE products commute.  numpy's tan is not libm's, so the Cauchy map
+    # stays on math.tan.
+    return (rng.standard_normal(count) * math.sqrt(2.0) * scale).tolist(), saved
 
 
 def _rewind(rng, tail: float, saved: dict, used: int, drawn: int) -> None:

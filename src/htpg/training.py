@@ -44,6 +44,7 @@ from .errors import ParameterError, ScheduleError, finite_float
 from .policy import (
     ADAPTIVE,
     PolicyParams,
+    _exp_scale,
     _float_sum,
     _score_coefs,
     _squared_norm,
@@ -449,7 +450,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     diverged = False
 
     for episode in range(config.episodes):
-        sigma = float(np.exp((c0 + c1) + c2)) if adaptive else init.sigma0
+        sigma = _exp_scale((c0 + c1) + c2) if adaptive else init.sigma0
         diverged = not 0.0 < sigma < math.inf
         if diverged:
             break
@@ -469,7 +470,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         vec_before = vec
         for xk, vk, ak in pairs:
             if adaptive:
-                sigma = float(np.exp((c0 + c1) + c2))
+                sigma = _exp_scale((c0 + c1) + c2)
                 diverged = not 0.0 < sigma < math.inf
                 if diverged:
                     break

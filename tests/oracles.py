@@ -8,6 +8,10 @@ the float loop's oracle (``tests/test_kernel.py``) and runs the inputs the
 package no longer accepts, such as the Lipschitz-aware case that
 ``tests/test_regression.py`` pins.
 
+:func:`walk_reference` is ``envs.walk`` with one ``policy.sample_action``
+per draw, at the state's features; ``walk`` reads the policy once per walk.
+``tests/test_envs.py`` checks ``walk`` against it.
+
 :func:`standard_cms` is the general Chambers-Mallows-Stuck transform for any
 tail index in (0, 2].  ``htpg.sas`` draws only its two members, Cauchy and
 Gaussian; ``tests/test_sas.py`` checks both against it.
@@ -18,8 +22,9 @@ import math
 import numpy as np
 
 from htpg.diagnostics import NoiseModel
+from htpg.envs import Trajectory
 from htpg.errors import DivergenceError
-from htpg.policy import _squared_norm
+from htpg.policy import _squared_norm, features, sample_action
 from htpg.training import StepRule, UpdateRule, apply_update, step_size
 
 
@@ -42,6 +47,25 @@ def synthetic_sga_reference(objective, noise: NoiseModel, step_rule: StepRule,
         if not np.isfinite(theta).all():
             raise DivergenceError(f"non-finite iterate at step {k}")
     return norms
+
+
+def walk_reference(env, policy, rng, state, action: float, steps: int) -> Trajectory:
+    """``envs.walk`` with one ``sample_action`` per draw: per transition,
+    step, record (the action as executed, clamped), stop on ``done``, else
+    draw the next action at the state reached."""
+    clamp = env.spec.clamp_action
+    action = clamp(action)
+    states, actions, rewards = [], [], []
+    for _ in range(steps):
+        result = env.step(state, action)
+        states.append(state)
+        actions.append(action)
+        rewards.append(result.reward)
+        state = result.next_state
+        if result.done:
+            break
+        action = clamp(sample_action(policy, features((state.position, state.velocity)), rng))
+    return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
 
 
 def standard_cms(alpha: float, rng) -> float:

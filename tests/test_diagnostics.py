@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from htpg.diagnostics import (
     BoundParams,
@@ -19,9 +20,9 @@ from htpg.diagnostics import (
     synthetic_sga_run,
     tail_exploration_ratio,
 )
-from htpg.envs import TrappedCar, rollout
+from htpg.envs import EnvState, Trajectory, TrappedCar, rollout
 from htpg.errors import DivergenceError, ParameterError, ScheduleError
-from htpg.policy import FIXED, PolicyParams
+from htpg.policy import FIXED, PolicyParams, action_mode, features, policy_scale
 from htpg.training import Constant, LipschitzAware, PlainAscent, PowerDecay
 from htpg.training import RunMetrics
 
@@ -276,3 +277,49 @@ def test_tail_exploration_cauchy_vs_gaussian():
     assert ratio_c > ratio_g
     assert ratio_c == pytest.approx((2 / math.pi) * math.atan(0.2), rel=0.15)
     assert ratio_g < 1e-4
+
+
+def _tail_ratio_by_action_mode(traj, policy, threshold_sigmas):
+    """The ratio with each mode from ``action_mode`` at the state's features."""
+    cut = threshold_sigmas * policy_scale(policy)
+    extreme = sum(abs(a - action_mode(policy, features((s.position, s.velocity)))) > cut
+                  for s, a in zip(traj.states, traj.actions))
+    return extreme / len(traj)
+
+
+@st.composite
+def _tail_ratio_inputs(draw):
+    special = st.sampled_from([0.0, -0.0, math.inf, math.nan])
+    weights = draw(st.lists(st.floats(-50.0, 50.0) | special, min_size=3, max_size=3))
+    # A scale far below an ulp of the mode makes an action at the mode count
+    # as extreme under any other rounding of the mode.
+    log_sigma = draw(st.floats(-3.0, 3.0) | st.floats(-700.0, -40.0))
+    policy = PolicyParams(np.array(weights), np.array([log_sigma, 0.0, 0.0]),
+                          draw(st.sampled_from([1.0, 2.0])))
+    threshold = draw(st.floats(0.1, 10.0))
+    cut = threshold * policy_scale(policy)
+    states, actions = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        state = EnvState(draw(st.floats(-5.0, 5.0)), draw(st.floats(-0.5, 0.5)))
+        mode = action_mode(policy, features((state.position, state.velocity)))
+        # Actions at the mode and at the cut, where a mode rounded otherwise
+        # flips the count.
+        offset = draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-3.0, 3.0))
+        states.append(state)
+        actions.append(draw(st.just(mode + offset * cut) | st.floats(-30.0, 30.0) | special))
+    traj = Trajectory(tuple(states), tuple(actions), (0.0,) * len(states), states[-1])
+    return traj, policy, threshold
+
+
+@given(inputs=_tail_ratio_inputs())
+@settings(max_examples=150, deadline=None)
+def test_tail_exploration_ratio_counts_by_action_mode(inputs):
+    assert tail_exploration_ratio(*inputs) == _tail_ratio_by_action_mode(*inputs)
+
+
+def test_tail_exploration_ratio_rejects_a_policy_without_three_weights():
+    traj = rollout(TrappedCar(), PolicyParams.zeros(3, alpha=1.0), np.random.default_rng(0),
+                   horizon=10)
+    with pytest.raises(ParameterError,
+                       match=r"^feature dimension \(3,\) does not match theta_x0 \(2,\)$"):
+        tail_exploration_ratio(traj, PolicyParams.zeros(2, alpha=1.0), 5.0)

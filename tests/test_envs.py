@@ -1,11 +1,17 @@
 """Environment checks: reset intervals, clamping, reward placement, the
-reward bound, and the gravity trap that makes exploration necessary."""
+reward bound, and the gravity trap that makes exploration necessary; and
+``walk``, which reads its policy once, against ``oracles.walk_reference``,
+which draws every action through ``sample_action``."""
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import ChainEnv
 
 from htpg.envs import (
     DEFAULT_MOUNTAIN_SPEC,
@@ -16,9 +22,12 @@ from htpg.envs import (
     StepResult,
     TrappedCar,
     rollout,
+    walk,
 )
 from htpg.errors import EnvUsageError, ParameterError
 from htpg.policy import FIXED, PolicyParams
+
+from oracles import walk_reference
 
 
 class FixedUniform:
@@ -232,3 +241,120 @@ def test_rollout_actions_are_clamped():
     traj = rollout(env, pol, np.random.default_rng(8), horizon=500)
     assert all(env.spec.action_low <= a <= env.spec.action_high for a in traj.actions)
     assert any(abs(a) == 20.0 for a in traj.actions)
+
+
+# -- walk against its oracle ---------------------------------------------------
+
+# Short budgets keep the walks small; a near goal lets some of them end there.
+_WALK_ENVS = (
+    TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=60), true_goal=2.3),
+    MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=60)),
+    ChainEnv(length=40),
+)
+
+
+def _walk_outcome(walker, seed, env, policy, state, action, steps):
+    """The trajectory's bytes, or the error the walk raised, and the
+    generator's state after the walk."""
+    rng = np.random.default_rng(seed)
+    try:
+        traj = walker(env, policy, rng, state, action, steps)
+    except Exception as err:  # the comparison is on type and message
+        return ("raised", type(err), str(err)), rng.bit_generator.state
+    states = (*traj.states, traj.final_state)
+    floats = [*(s.position for s in states), *(s.velocity for s in states),
+              *traj.actions, *traj.rewards]
+    return ((len(traj), struct.pack(f"<{len(floats)}d", *floats),
+             [(s.step_count, s.terminal) for s in states]), rng.bit_generator.state)
+
+
+def _assert_walk_matches_oracle(seed, *args):
+    """``walk`` against ``walk_reference``; returns the outcome."""
+    got = _walk_outcome(walk, seed, *args)
+    assert got == _walk_outcome(walk_reference, seed, *args)
+    return got[0]
+
+
+def test_walk_matches_its_oracle_on_fixed_seeds():
+    policies = [PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([0.1, 0.0, -0.3]), tail)
+                for tail in (1.0, 2.0)]
+    policies += [PolicyParams.zeros(3, tail, FIXED, sigma0=3.0) for tail in (1.0, 2.0)]
+    trailing = 0
+    for seed, (env, policy) in enumerate(
+            (env, policy) for env in _WALK_ENVS for policy in policies):
+        state = env.reset(np.random.default_rng(seed))
+        for action, steps in ((-30.0, 1), (0.0, 7), (30.0, 25), (0.5, 1000)):
+            got = _assert_walk_matches_oracle(seed, env, policy, state, action, steps)
+            length, _, marks = got
+            # A walk cut by its step count, not by done, took the trailing draw.
+            trailing += length == steps and not marks[-1][1]
+    # Those of 1, 7 and 25 steps; of 1000, each ends at the goal or budget.
+    assert trailing == 36
+
+
+def _walk_inputs():
+    def build(env, tail, weights, log_sigmas, data):
+        spec = env.spec
+        if isinstance(env, ChainEnv):
+            position = float(data.draw(st.integers(0, env.length - 1)))
+            velocity = 0.0
+        else:
+            position = data.draw(st.floats(spec.state_low, spec.state_high))
+            velocity = data.draw(st.floats(-env.max_speed, env.max_speed))
+        state = EnvState(position, velocity, data.draw(st.integers(0, spec.max_steps - 1)))
+        action = data.draw(st.floats(-40.0, 40.0) | st.sampled_from([math.inf, math.nan]))
+        policy = PolicyParams(np.array(weights), np.array(log_sigmas), tail)
+        return (data.draw(st.integers(0, 2**32)), env, policy, state, action,
+                data.draw(st.integers(1, 80)))
+
+    weight = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.inf, math.nan])
+    log_sigma = st.floats(-3.0, 3.0) | st.sampled_from([-800.0, 800.0, math.nan])
+    return st.builds(build, st.sampled_from(_WALK_ENVS), st.sampled_from([1.0, 2.0]),
+                     st.lists(weight, min_size=3, max_size=3),
+                     st.lists(log_sigma, min_size=3, max_size=3), st.data())
+
+
+@given(inputs=_walk_inputs())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_its_oracle_on_drawn_inputs(inputs):
+    _assert_walk_matches_oracle(*inputs)
+
+
+_DIMENSION_ERROR = r"^feature dimension \(3,\) does not match theta_x0 \(2,\)$"
+
+
+# The dimension error comes first, as in sample_action; exp(-800) is 0.0.
+@pytest.mark.parametrize("policy, message", [
+    (PolicyParams(np.zeros(2), np.zeros(2)), _DIMENSION_ERROR),
+    (PolicyParams(np.zeros(2), np.array([-800.0, 0.0]), 2.0), _DIMENSION_ERROR),
+    (PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0])), r"^scale must be positive, got 0.0$"),
+    (PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0]), 2.0),
+     r"^scale must be positive, got 0.0$"),
+    (PolicyParams(np.zeros(3), np.array([math.nan, 0.0, 0.0])),
+     r"^scale must be positive, got nan$"),
+])
+@pytest.mark.parametrize("env", _WALK_ENVS)
+def test_walk_raises_its_oracles_error_at_the_first_draw(env, policy, message):
+    state = env.reset(np.random.default_rng(0))
+    for steps in (1, 10):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ParameterError, match=message):
+            walk(env, policy, rng, state, 0.0, steps)
+        _assert_walk_matches_oracle(3, env, policy, state, 0.0, steps)
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyParams(np.zeros(2), np.zeros(2)),
+    PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0])),
+    PolicyParams(np.zeros(3), np.array([math.nan, 0.0, 0.0]), 2.0),
+])
+@pytest.mark.parametrize("env", _WALK_ENVS)
+def test_walk_done_after_its_first_transition_draws_nothing(env, policy):
+    # One transition left in the step budget: done after it, so no draw comes.
+    state = replace(env.reset(np.random.default_rng(0)), step_count=env.spec.max_steps - 1)
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    traj = walk(env, policy, rng, state, 0.0, 10)
+    assert len(traj) == 1 and traj.final_state.terminal
+    assert rng.bit_generator.state == start
+    _assert_walk_matches_oracle(3, env, policy, state, 0.0, 10)

@@ -287,3 +287,32 @@ def test_float_sum_is_the_left_to_right_float_sum_from_plus_zero(terms):
     assert _same_float(_float_sum(iter(terms)), want)
     if sys.version_info < (3, 12):
         assert _same_float(float(sum(terms)), want)
+
+
+@given(log_sigmas=st.lists(st.one_of(st.just(-0.0), st.floats(-800.0, 800.0)),
+                           min_size=1, max_size=10))
+@example(log_sigmas=[-0.0])
+@example(log_sigmas=[400.0, 400.0])  # past exp's range
+@example(log_sigmas=[-400.0, -400.0])  # below it
+@settings(max_examples=500, deadline=None)
+def test_policy_scale_is_libm_exp_of_the_left_to_right_float_sum(log_sigmas):
+    p = PolicyParams(np.zeros(len(log_sigmas)), np.array(log_sigmas))
+    total = _left_to_right([0.0, *log_sigmas])
+    try:
+        want = math.exp(total)
+    except OverflowError:
+        want = math.inf
+    assert _same_float(policy_scale(p), want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_policy_scale_past_exps_range_is_inf_below_it_zero_and_nan_stays_nan():
+    def scale(*log_sigmas):
+        return policy_scale(PolicyParams(np.zeros(3), np.array(log_sigmas)))
+
+    assert scale(710.0, 0.0, 0.0) == math.inf  # math.exp raises OverflowError
+    assert scale(math.inf, 0.0, 0.0) == math.inf
+    assert scale(-746.0, 0.0, 0.0) == 0.0
+    assert scale(-math.inf, 0.0, 0.0) == 0.0
+    assert math.isnan(scale(math.nan, 0.0, 0.0))
+    assert math.isnan(scale(math.inf, -math.inf, 0.0))

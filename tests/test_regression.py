@@ -7,12 +7,13 @@ of the outputs as IEEE-754 bytes, so a change in the random stream, the
 order of arithmetic or a single step count shows up.
 
 Every float sum behind these bytes is a left-to-right sum of Python floats
-(``policy.action_mode`` and ``policy._float_sum``), and no BLAS call enters
-them.  So they do not depend on the Python version (builtin ``sum``
-compensates from 3.12 on; a test below emulates that) or on the OpenBLAS
-core.  They still depend on numpy's ``exp`` SIMD loops (sigma) and on
-glibc's libm (its ``exp``, ``cos`` and ``tan``): the digests were recorded
-with numpy 2.4.6's AVX-512 loops and glibc 2.36.
+(``policy.action_mode`` and ``policy._float_sum``), no BLAS call enters
+them, and sigma is one ``math.exp``.  So they do not depend on the Python
+version (builtin ``sum`` compensates from 3.12 on; a test below emulates
+that), on the OpenBLAS core or on numpy's SIMD loops: what numpy computes on
+these paths is elementwise ``+``, ``-``, ``*`` and comparisons, which IEEE
+rounds alike in every loop.  They still depend on glibc's libm (its
+``exp``, ``cos`` and ``tan``): the digests were recorded with glibc 2.36.
 """
 
 import builtins
@@ -93,19 +94,19 @@ def _train_cases():
 # that moves one alters behaviour on these seeds.
 TRAIN_DIGESTS = {
     "cauchy-shared":
-        "f4e414c451788bfd5e54b3c1368d2ba8a086eecc6c7ca3915756f4a194e391ef",
+        "eaff17e5f0ecb8163a71c3164cab77cdf97dd6d7ddd7aba549a2b282fc2c4962",
     "gaussian-shared":
-        "ea67f5b2c937f7fdaa0acfbfeb5098b1ffb72fcaae52beab9dbdf3d9761282e2",
+        "a7137cfc1f4602c74e53a88e157f58d83246f46c7acca66bc3c9770df79ce784",
     "cauchy-fresh":
-        "5f1a42fcb14fb53dccf2fc1bbf014bbbf47d26facd2a65e9296ba92209963ba6",
+        "36fdf34b1e5add068af6a7b46097c44c707c18e8e34b3e1d4669f068d4663eac",
     "gaussian-fresh":
-        "6a58355ad23a35dc37f29f69aa5e48a8145e862ea444479e302c99fa7ae5376f",
+        "e0833a4ce0160390b2b23b9d0ea2d829130a41a635128809f2bd3d3a1811da03",
     "fixed-scale-near-goal":
         "142314eb9b5d260f22070e82586633f67f0c8f6421aa5681f78230f65367af7f",
     "mountain":
         "c685dc1f0607a3ec1fef95ccd123aed754bc8502857bbb73f1ac8815ed9ae40e",
     "lipschitz-symmetric":
-        "825ab1a8b0a64466bcd54435664faedcb2ccc214bec06e1ecd755e971402873d",
+        "efb9cd8c2268600758d6913f1a6f41192bfcfe66389f43ad36297f7b19f2fcd5",
 }
 ESTIMATE_Q_DIGEST = "8fe67cb51a7cd015e7ad0718cd1131a2e570b7f60d2f492dc3c7a48d1160d347"
 SGA_DIGEST = "e5417326e444285a045dd6161139a6657bc46903058b1517c14f8b1f7c1e3995"

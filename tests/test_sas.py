@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from htpg.errors import ParameterError
 from htpg.policy import PolicyParams
@@ -247,8 +247,17 @@ def test_noise_block_is_scalar_draws_and_rewinds_to_them(tail, count):
 
 
 @given(seed=st.integers(0, 2**63), tail=st.sampled_from([1.0, 2.0]),
-       count=st.sampled_from([1, 2, 57, 500]), scale=st.floats(1e-6, 1e6))
+       count=st.sampled_from([1, 2, 57, 500]), scale=st.floats(1e-308, 1e308))
+# At these ends, hundreds of a 500-block's products are subnormal (1e-308)
+# or overflow (1e308), in either tail; at 1e-300 and 1e300 none are.
+@example(seed=0, tail=1.0, count=500, scale=1e-308)
+@example(seed=0, tail=2.0, count=500, scale=1e-308)
+@example(seed=0, tail=1.0, count=500, scale=1e308)
+@example(seed=0, tail=2.0, count=500, scale=1e308)
 @settings(max_examples=40, deadline=None)
+# The block's numpy product warns on overflow; the scalars' float product
+# does not.
+@np.errstate(over="ignore")
 def test_noise_block_matches_scalar_draws_on_drawn_inputs(seed, tail, count, scale):
     _assert_block_and_rewind(seed, tail, scale, count)
 
