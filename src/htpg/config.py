@@ -40,11 +40,7 @@ __all__ = [
     "build_env",
     "build_train_config",
     "config_to_text",
-    "FEATURE_DIM",
 ]
-
-# Features are [position, velocity, bias].
-FEATURE_DIM = 3
 
 # Name -> class tables.  A rule's config keys are its fields (see
 # _rule_keys); only the selected rules' keys may appear in [train].
@@ -314,7 +310,7 @@ def build_env(cfg: ExperimentConfig):
 
 
 def _initial_policy(family: FamilyConfig) -> PolicyParams:
-    return PolicyParams.zeros(FEATURE_DIM, family.alpha, family.scale_mode, family.sigma0)
+    return PolicyParams.zeros(3, family.alpha, family.scale_mode, family.sigma0)
 
 
 def build_train_config(cfg: ExperimentConfig, family: FamilyConfig,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .envs import Trajectory
-from .policy import PolicyParams, _check_feature_shape, _squared_norm, policy_scale
+from .policy import PolicyParams, _squared_norm, policy_scale
 from .sas import _rewind
 from .training import PlainAscent, StepRule, UpdateRule, step_size
 # apply_update goes unused here: the benchmark tracer patches it.
@@ -287,7 +287,6 @@ def tail_exploration_ratio(traj: Trajectory, policy: PolicyParams,
         raise ParameterError(f"threshold must be positive, got {threshold_sigmas}")
     if len(traj) == 0:
         raise ParameterError("empty trajectory")
-    _check_feature_shape(policy, (3,))
     t0, t1, t2 = policy.theta_x0.tolist()
     cut = threshold_sigmas * policy_scale(policy)
     extreme = 0

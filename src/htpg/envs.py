@@ -21,15 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EnvUsageError, ParameterError
-from .policy import (
-    PolicyParams,
-    _check_feature_shape,
-    _float_sum,
-    _stable_scale,
-    features,
-    policy_scale,
-    sample_action,
-)
+from .policy import PolicyParams, _stable_scale, features, policy_scale, sample_action
 from .sas import _check_scale, _noise_block, _rewind, _standard_sas
 
 __all__ = [
@@ -110,9 +102,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def total_return(self) -> float:
-        return _float_sum(self.rewards)
-
 
 DEFAULT_TRAPPED_SPEC = EnvSpec(
     state_low=-4.0,
@@ -144,11 +133,17 @@ class _Car:
     speed cap and inelastic walls.  Subclasses are dataclasses with the
     fields ``spec``, ``thrust_gain``, ``gravity`` and ``max_speed`` and
     define ``reward_rule()``, the constants of their reward (see
-    :meth:`reward`)."""
+    :meth:`reward`).  No reward the rule pays may exceed ``spec.reward_bound``
+    in magnitude (a NaN reward passes)."""
 
     def __post_init__(self) -> None:
         if not self.max_speed > 0.0:
             raise ParameterError(f"max_speed must be positive, got {self.max_speed}")
+        _, goal_reward, _, _, band_reward, elsewhere = self.reward_rule()
+        bound = self.spec.reward_bound
+        over = [abs(r) for r in (goal_reward, band_reward, elsewhere) if abs(r) > bound]
+        if over:
+            raise ParameterError(f"reward_bound {bound} is below the largest reward {max(over)}")
 
     def reset(self, rng) -> EnvState:
         span = self.spec.init_high - self.spec.init_low
@@ -264,14 +259,14 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
     ``done``, else draw the next action at the state reached.  The policy is
     fixed, so its weights, tail and scale are read once per walk, and a draw
     is ``(t0*x + t1*v + t2) + scale * z``: :func:`sample_action`'s value and
-    stream (README "Numerics").  As with :func:`sample_action`, a policy
-    without three weights or a scale that is not positive raises at the
-    first draw; a walk that draws nothing raises neither.
+    stream (README "Numerics").  As with :func:`sample_action`, a scale that
+    is not positive raises at the first draw; a walk that draws nothing does
+    not raise.
     """
     clamp = env.spec.clamp_action
     tail = policy.alpha
     scale = _stable_scale(tail, policy_scale(policy))
-    weights = None
+    t0, t1, t2 = policy.theta_x0.tolist()
     action = clamp(action)
     states: list[EnvState] = []
     actions: list[float] = []
@@ -284,10 +279,8 @@ def walk(env, policy: PolicyParams, rng, state: EnvState, action: float,
         state = result.next_state
         if result.done:
             break
-        if weights is None:
-            _check_feature_shape(policy, (3,))
+        if len(states) == 1:  # the first draw
             _check_scale(scale)
-            t0, t1, t2 = weights = policy.theta_x0.tolist()
         action = clamp((t0 * state.position + t1 * state.velocity + t2)
                        + scale * _standard_sas(tail, rng))
     return Trajectory(tuple(states), tuple(actions), tuple(rewards), state)
@@ -310,7 +303,7 @@ def _car_constants(env: _Car, state: EnvState) -> tuple:
 
 def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     """:func:`rollout` on a car over Python floats, for the step budget and a
-    policy with the three mode weights ``theta`` (Python floats), mode
+    policy with the mode weights ``theta`` (Python floats), mode
     ``t0 * x + t1 * v + t2`` and draw ``mode + scale * z``, ``z`` a standard
     :mod:`htpg.sas` variate of ``tail`` 1 (Cauchy) or 2 (Gaussian).
 

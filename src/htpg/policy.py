@@ -50,9 +50,10 @@ class PolicyParams:
     """Parameter vector of one policy: mode weights, log-scale weights,
     tail index, and how the scale is determined.
 
-    With ``scale_mode="fixed"`` the scale is the constant ``sigma0`` and
-    ``theta_sigma`` is inert: it is excluded from :func:`param_vector` and
-    never updated.
+    ``theta_x0`` and ``theta_sigma`` hold three weights each, one per car
+    feature ``(x, v, 1)`` (:func:`features`).  With ``scale_mode="fixed"``
+    the scale is the constant ``sigma0`` and ``theta_sigma`` is inert: it
+    is excluded from :func:`param_vector` and never updated.
     """
 
     theta_x0: np.ndarray
@@ -67,22 +68,18 @@ class PolicyParams:
         _check_alpha(self.alpha)
         if self.scale_mode not in (FIXED, ADAPTIVE):
             raise ParameterError(f"unknown scale_mode {self.scale_mode!r}")
-        if self.theta_x0.ndim != 1 or self.theta_sigma.ndim != 1:
-            raise ParameterError("theta_x0 and theta_sigma must be 1-D vectors")
-        if self.theta_x0.size != self.theta_sigma.size:
-            raise ParameterError("theta_x0 and theta_sigma must have equal length")
+        if self.theta_x0.shape != (3,) or self.theta_sigma.shape != (3,):
+            raise ParameterError(f"theta_x0 and theta_sigma must have shape (3,), got "
+                                 f"{self.theta_x0.shape} and {self.theta_sigma.shape}")
         if not finite_float("sigma0", self.sigma0) > 0.0:
             raise ParameterError(f"sigma0 must be positive, got {self.sigma0}")
 
     @classmethod
     def zeros(cls, dim: int, alpha: float, scale_mode: str = ADAPTIVE,
               sigma0: float = 1.0) -> "PolicyParams":
-        """All-zero weights: mode 0 everywhere, scale exp(0)=1 when adaptive."""
+        """All-zero weights: mode 0 everywhere, scale exp(0)=1 when adaptive.
+        ``dim`` must be 3."""
         return cls(np.zeros(dim), np.zeros(dim), alpha, scale_mode, sigma0)
-
-    @property
-    def dim(self) -> int:
-        return self.theta_x0.size
 
 
 def features(raw) -> np.ndarray:
@@ -111,19 +108,14 @@ def action_mode(p: PolicyParams, s: np.ndarray) -> float:
     left to right from -0.0: the arithmetic the float loops write inline.
     For the cars' ``s = (x, v, 1)`` this is ``(t0*x + t1*v) + t2``, as
     ``t2 * 1.0`` is ``t2``."""
-    _check_feature_shape(p, s.shape)
+    if s.shape != p.theta_x0.shape:
+        raise ParameterError(
+            f"feature dimension {s.shape} does not match theta_x0 {p.theta_x0.shape}"
+        )
     mode = -0.0
     for w, f in zip(p.theta_x0.tolist(), s.tolist()):
         mode += w * f
     return mode
-
-
-def _check_feature_shape(p: PolicyParams, shape: tuple) -> None:
-    """The rule of :func:`action_mode`: features of ``theta_x0``'s shape."""
-    if shape != p.theta_x0.shape:
-        raise ParameterError(
-            f"feature dimension {shape} does not match theta_x0 {p.theta_x0.shape}"
-        )
 
 
 def _float_sum(values) -> float:
@@ -221,14 +213,11 @@ def param_vector(p: PolicyParams) -> np.ndarray:
 
 
 def with_param_vector(p: PolicyParams, vec: np.ndarray) -> PolicyParams:
-    """``p`` with its trainable parameters replaced by ``vec``.  The result
-    shares ``vec`` without copying, so ``vec`` must not be mutated later;
-    ``train`` never mutates a parameter vector in place."""
-    d = p.dim
+    """``p`` with its trainable parameters replaced by ``vec``, three in
+    fixed scale mode and six when adaptive; :class:`PolicyParams` rejects
+    any other size.  The result shares ``vec`` without copying, so ``vec``
+    must not be mutated later; ``train`` never mutates a parameter vector in
+    place."""
     if p.scale_mode == FIXED:
-        if vec.size != d:
-            raise ParameterError(f"expected {d} parameters, got {vec.size}")
         return PolicyParams(vec, p.theta_sigma, p.alpha, p.scale_mode, p.sigma0)
-    if vec.size != 2 * d:
-        raise ParameterError(f"expected {2 * d} parameters, got {vec.size}")
-    return PolicyParams(vec[:d], vec[d:], p.alpha, p.scale_mode, p.sigma0)
+    return PolicyParams(vec[:3], vec[3:], p.alpha, p.scale_mode, p.sigma0)

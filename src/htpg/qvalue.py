@@ -4,12 +4,11 @@ The estimator truncates a rollout at T ~ Geom(1 - sqrt(gamma)) and weights
 the reward at step t by gamma**(t/2).  Since P(T >= t) = gamma**(t/2), the
 expectation of the weighted sum telescopes to the ordinary discounted Q.
 
-:func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) with a
-3-weight policy it runs ``envs._car_q_walk``, which sums the discounted
-rewards inside the walk and records nothing.  Every other input runs
-:func:`htpg.envs.walk` and :func:`discounted_partial_return`, the oracle:
-both ways give the same value, horizon, random stream and errors
-(``tests/test_kernel.py``).
+:func:`estimate_q` walks one of two ways.  On a car (``envs._Car``) it runs
+``envs._car_q_walk``, which sums the discounted rewards inside the walk and
+records nothing.  Every other environment runs :func:`htpg.envs.walk` and
+:func:`discounted_partial_return`, the oracle: both ways give the same
+value, horizon, random stream and errors (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,
     if drawn < 0:
         raise ParameterError(f"horizon must be non-negative, got {drawn}")
     steps = min(drawn, env.spec.max_steps) + 1
-    if isinstance(env, _Car) and policy.dim == 3:
+    if isinstance(env, _Car):
         scale = _stable_scale(policy.alpha, policy_scale(policy))
         return QEstimate(_car_q_walk(env, policy.theta_x0.tolist(), scale, policy.alpha, rng,
                                      s0, a0, steps, gamma), drawn)

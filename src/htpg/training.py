@@ -15,8 +15,8 @@ roughly the mean horizon times more environment steps).
 
 The loop has two implementations.  ``_train_reference`` works on
 ``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
-``_train_car_shared`` runs shared-Q training on the two cars with a 3-weight
-policy as one loop over Python floats, and :func:`train` uses it there.
+``_train_car_shared`` runs shared-Q training on the two cars as one loop
+over Python floats, and :func:`train` uses it there.
 The reference is the oracle: the fast loop must reproduce its metrics and
 final parameters bit for bit (``tests/test_kernel.py``), by the float rules
 of README "Numerics".
@@ -47,7 +47,6 @@ from .policy import (
     _exp_scale,
     _float_sum,
     _score_coefs,
-    _squared_norm,
     _stable_scale,
     clip_score,
     features,
@@ -257,37 +256,36 @@ def train(config: TrainConfig) -> RunMetrics:
     its configured start/end range holds however many updates each episode
     contributes.
     """
-    if (config.q_mode == Q_SHARED and isinstance(config.env, _Car)
-            and config.policy_init.dim == 3):
+    if config.q_mode == Q_SHARED and isinstance(config.env, _Car):
         return _train_car_shared(config)
     return _train_reference(config)
 
 
 class _Curves:
-    """The per-episode series of :class:`RunMetrics`, as both training paths
-    record them."""
+    """The per-episode series of :class:`RunMetrics`, computed from each
+    episode's own records for both training paths."""
 
     def __init__(self, env) -> None:
         self.returns: list[float] = []
         self.moving: list[float] = []
         self.norms: list[float] = []
         self.counts: list[int] = []
-        self._window_sum = 0.0
         self.terminal_episodes = 0
         self.first_exit: int | None = None
         self._outside_basin = getattr(env, "outside_basin", None)
 
-    def add(self, episode: int, ret: float, norm: float, updates: int, at_goal: bool,
+    def add(self, episode: int, rewards, before, after, updates: int, at_goal: bool,
             positions) -> None:
-        """Record one finished episode; ``positions`` are the positions it
-        visited, final one included."""
+        """Record one finished episode from its rewards, its trainable
+        parameters ``before`` and ``after`` it (Python floats), and the
+        positions it visited, final one included.  The return, the update
+        norm and the 100-episode mean are float sums (README "Numerics")."""
         returns = self.returns
-        returns.append(ret)
-        self._window_sum += ret
-        if len(returns) > 100:
-            self._window_sum -= returns[-101]
-        self.moving.append(self._window_sum / min(len(returns), 100))
-        self.norms.append(norm)
+        returns.append(_float_sum(rewards))
+        window = returns[-100:]
+        self.moving.append(_float_sum(window) / len(window))
+        self.norms.append(math.sqrt(_float_sum((a - b) * (a - b)
+                                               for a, b in zip(after, before))))
         self.counts.append(updates)
         self.terminal_episodes += at_goal
         if (self._outside_basin is not None and self.first_exit is None
@@ -405,7 +403,7 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
             policy = with_param_vector(policy, vec)
         if diverged:
             break
-        curves.add(episode, traj.total_return(), math.sqrt(_squared_norm(vec - vec_before)),
+        curves.add(episode, traj.rewards, vec_before.tolist(), vec.tolist(),
                    updates, env.at_goal(traj.final_state),
                    (st.position for st in (*traj.states, traj.final_state)))
     return curves.metrics(updates, diverged, policy)
@@ -441,10 +439,10 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     t0, t1, t2 = init.theta_x0.tolist()
     c0, c1, c2 = init.theta_sigma.tolist()
 
-    def param_vec():
-        return np.array((t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2))
+    def params() -> tuple:
+        """The trainable parameters, as ``param_vector`` orders them."""
+        return (t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2)
 
-    vec = param_vec()
     curves = _Curves(env)
     updates = 0
     diverged = False
@@ -459,15 +457,13 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
 
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
         pairs = zip(xs, vs, actions)
+        before = params()
         if per_episode_rule:
             alpha = step_size(rule, episode + 1)
-            if q == 0.0 and _zero_q_is_noop(
-                    env, (t0, t1, t2, c0, c1, c2) if adaptive else (t0, t1, t2),
-                    sigma, alpha, xs, vs, actions):
+            if q == 0.0 and _zero_q_is_noop(env, before, sigma, alpha, xs, vs, actions):
                 # No update of the episode can change a bit: count them.
                 updates += len(xs)
                 pairs = ()
-        vec_before = vec
         for xk, vk, ak in pairs:
             if adaptive:
                 sigma = _exp_scale((c0 + c1) + c2)
@@ -506,10 +502,8 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
             t0, t1, t2 = n0, n1, n2
             if adaptive:
                 c0, c1, c2 = m0, m1, m2
-        vec = param_vec()
         if diverged:
             break
         xs.append(x)
-        curves.add(episode, _float_sum(rewards), math.sqrt(_squared_norm(vec - vec_before)),
-                   updates, at_goal, xs)
-    return curves.metrics(updates, diverged, with_param_vector(init, vec))
+        curves.add(episode, rewards, before, params(), updates, at_goal, xs)
+    return curves.metrics(updates, diverged, with_param_vector(init, np.array(params())))

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from htpg.config import (
     ConfigError,
     ExperimentConfig,
-    FEATURE_DIM,
     FamilyConfig,
     build_train_config,
     config_to_text,
@@ -101,7 +100,7 @@ def test_full_config_roundtrip():
 
     tc = build_train_config(cfg, cfg.families[0], seed=3)
     assert tc.episodes == 50
-    assert tc.policy_init.dim == FEATURE_DIM
+    assert tc.policy_init.theta_x0.shape == tc.policy_init.theta_sigma.shape == (3,)
     assert tc.policy_init.alpha == 1.0
 
 
@@ -358,13 +357,17 @@ _UNIT = st.floats(0.01, 0.99)
 @st.composite
 def experiment_configs(draw):
     env_cls = draw(st.sampled_from([TrappedCar, MountainCar]))
-    spec = replace(env_cls().spec, **draw(st.fixed_dictionaries({}, optional={
-        "max_steps": st.integers(1, 1000), "reward_bound": st.floats(0.1, 1e3)})))
     car_keys = {TrappedCar: {"false_reward": _UNIT, "true_goal": st.floats(3.0, 3.7),
                              "start_at_false_goal": st.booleans()},
                 MountainCar: {"goal_position": st.floats(0.0, 0.6)}}[env_cls]
-    env = env_cls(spec=spec, **draw(st.fixed_dictionaries(
+    env = env_cls(**draw(st.fixed_dictionaries(
         {}, optional={"thrust_gain": _UNIT, **car_keys})))
+    # reward_bound from the largest reward the car pays upward.
+    _, goal_reward, _, _, band_reward, elsewhere = env.reward_rule()
+    largest = max(abs(goal_reward), abs(band_reward), abs(elsewhere))
+    spec = replace(env.spec, **draw(st.fixed_dictionaries({}, optional={
+        "max_steps": st.integers(1, 1000), "reward_bound": st.floats(largest, 1e3)})))
+    env = replace(env, spec=spec)
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True),
                           min_size=1, max_size=3, unique=True))
     families = tuple(
@@ -476,9 +479,8 @@ def test_parse_accepts_exactly_what_the_types_accept(data):
     try:
         env_cls = {"trapped_car": TrappedCar, "mountain_car": MountainCar}[kind]
         spec = replace(env_cls().spec, max_steps=v["max_steps"], init_low=v["init_low"])
-        policies = [PolicyParams.zeros(FEATURE_DIM, v["policy_alpha"], v["scale_mode"],
-                                       v["sigma0"]),
-                    PolicyParams.zeros(FEATURE_DIM, 2.0)]
+        policies = [PolicyParams.zeros(3, v["policy_alpha"], v["scale_mode"], v["sigma0"]),
+                    PolicyParams.zeros(3, 2.0)]
         episodes = v["episodes"]
         rule = {"linear_range": lambda: LinearRange(v["alpha_start"], v["alpha_end"],
                                                     max(episodes, 1)),

@@ -318,8 +318,31 @@ def test_tail_exploration_ratio_counts_by_action_mode(inputs):
 
 
 def test_tail_exploration_ratio_rejects_a_policy_without_three_weights():
+    # Such a policy is the constructor's error: it never reaches the ratio.
     traj = rollout(TrappedCar(), PolicyParams.zeros(3, alpha=1.0), np.random.default_rng(0),
                    horizon=10)
-    with pytest.raises(ParameterError,
-                       match=r"^feature dimension \(3,\) does not match theta_x0 \(2,\)$"):
+    with pytest.raises(ParameterError, match=r"^theta_x0 and theta_sigma must have shape "
+                                             r"\(3,\), got \(2,\) and \(2,\)$"):
         tail_exploration_ratio(traj, PolicyParams.zeros(2, alpha=1.0), 5.0)
+
+
+_EMPTY = Trajectory((), (), (), EnvState(0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BoundParams(u_r=1.0, gamma=1.0, l1j=1.0, y1=1.0, b=0.5),
+     "gamma must lie in (0, 1), got 1.0"),
+    (lambda: BoundParams(u_r=1.0, gamma=0.0, l1j=1.0, y1=1.0, b=0.5),
+     "gamma must lie in (0, 1), got 0.0"),
+    (lambda: BoundParams(u_r=1.0, gamma=math.nan, l1j=1.0, y1=1.0, b=0.5),
+     "gamma must lie in (0, 1), got nan"),
+    (lambda: synthetic_sga_run(SmoothBump(), NoiseModel(1.0), PowerDecay(0.5), PlainAscent(),
+                               0, np.random.default_rng(0)),
+     "n must be at least 1, got 0"),
+    (lambda: tail_exploration_ratio(_EMPTY, PolicyParams.zeros(3, 1.0), 5.0),
+     "empty trajectory"),
+])
+def test_diagnostics_reject_bad_arguments(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message

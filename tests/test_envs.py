@@ -52,6 +52,40 @@ def test_env_spec_validation():
         EnvSpec(0.0, 1.0, -1, 1, 0.2, 0.4, 1.5, 1.0, 10)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: replace(DEFAULT_TRAPPED_SPEC, action_low=20.0), "action_low must be below action_high"),
+    (lambda: replace(DEFAULT_MOUNTAIN_SPEC, action_high=math.nan),
+     "action_low must be below action_high"),
+    (lambda: replace(DEFAULT_TRAPPED_SPEC, reward_bound=0.0), "reward_bound must be positive"),
+    (lambda: replace(DEFAULT_TRAPPED_SPEC, reward_bound=-1.0), "reward_bound must be positive"),
+    (lambda: replace(DEFAULT_MOUNTAIN_SPEC, reward_bound=math.nan),
+     "reward_bound must be positive"),
+    # A car pays no reward above its spec's reward_bound in magnitude.
+    (lambda: TrappedCar(true_reward=500.0), "reward_bound 100.0 is below the largest reward 500.0"),
+    (lambda: TrappedCar(true_reward=500.0, false_reward=-700.0),
+     "reward_bound 100.0 is below the largest reward 700.0"),
+    (lambda: TrappedCar(true_reward=math.nan, false_reward=100.5),
+     "reward_bound 100.0 is below the largest reward 100.5"),
+    (lambda: TrappedCar(true_reward=-math.inf), "reward_bound 100.0 is below the largest reward inf"),
+    (lambda: MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, reward_bound=0.5)),
+     "reward_bound 0.5 is below the largest reward 1.0"),
+])
+def test_specs_and_cars_reject_bad_bounds(make, message):
+    with pytest.raises(ParameterError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrappedCar(true_reward=-100.0, false_reward=100.0),
+    lambda: TrappedCar(true_reward=math.nan),
+    lambda: TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, reward_bound=500.0), true_reward=500.0),
+    lambda: MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, reward_bound=1.0)),
+])
+def test_rewards_up_to_the_bound_or_nan_pass(make):
+    make()
+
+
 @pytest.mark.parametrize("car", [TrappedCar, MountainCar])
 @pytest.mark.parametrize("max_speed", [0.0, -0.0, -0.5, math.nan])
 def test_cars_reject_a_max_speed_that_is_not_positive(car, max_speed):
@@ -231,7 +265,7 @@ def test_rollout_mountain_car_return_is_minus_steps():
     env = MountainCar()
     traj = rollout(env, near_zero_policy(), np.random.default_rng(4), horizon=250)
     assert not env.at_goal(traj.final_state)
-    assert traj.total_return() == -250.0
+    assert traj.rewards == (-1.0,) * 250
     assert len(traj) == 250
 
 
@@ -320,13 +354,13 @@ def test_walk_matches_its_oracle_on_drawn_inputs(inputs):
     _assert_walk_matches_oracle(*inputs)
 
 
-_DIMENSION_ERROR = r"^feature dimension \(3,\) does not match theta_x0 \(2,\)$"
-
-
-# The dimension error comes first, as in sample_action; exp(-800) is 0.0.
+# exp(-800) is 0.0.  Weights that are not finite raise nothing themselves: a
+# policy without three weights is the constructor's error (tests/test_policy.py).
 @pytest.mark.parametrize("policy, message", [
-    (PolicyParams(np.zeros(2), np.zeros(2)), _DIMENSION_ERROR),
-    (PolicyParams(np.zeros(2), np.array([-800.0, 0.0]), 2.0), _DIMENSION_ERROR),
+    (PolicyParams(np.array([math.nan, 0.0, math.inf]), np.array([math.nan, 0.0, 0.0])),
+     r"^scale must be positive, got nan$"),
+    (PolicyParams(np.array([math.nan, math.inf, 0.0]), np.array([-800.0, 0.0, 0.0]), 2.0),
+     r"^scale must be positive, got 0.0$"),
     (PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0])), r"^scale must be positive, got 0.0$"),
     (PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0]), 2.0),
      r"^scale must be positive, got 0.0$"),
@@ -344,7 +378,7 @@ def test_walk_raises_its_oracles_error_at_the_first_draw(env, policy, message):
 
 
 @pytest.mark.parametrize("policy", [
-    PolicyParams(np.zeros(2), np.zeros(2)),
+    PolicyParams(np.array([math.nan, math.inf, -math.inf]), np.zeros(3)),
     PolicyParams(np.zeros(3), np.array([-800.0, 0.0, 0.0])),
     PolicyParams(np.zeros(3), np.array([math.nan, 0.0, 0.0]), 2.0),
 ])

@@ -311,15 +311,16 @@ def test_cli_family_name_with_leading_space_is_one_line_with_exit_2(tmp_path, ca
     assert not out_dir.exists()
 
 
-# Every return is 1e20 (the false-start reward on one-step episodes).  The
-# default schedule's first update drives sigma to 0, so the next episode
-# diverges; a constant step of 1e-40 keeps the policy put.
+# Every return is 1e20 (the false-start reward on one-step episodes, within
+# its reward_bound).  The default schedule's first update drives sigma to 0,
+# so the next episode diverges; a constant step of 1e-40 keeps the policy put.
 HUGE_RETURNS = """
 name = "huge"
 
 [env]
 kind = "trapped_car"
 false_reward = 1e20
+reward_bound = 1e20
 start_at_false_goal = true
 max_steps = 1
 

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import ChainEnv
 from htpg import diagnostics, qvalue, training
 from htpg.diagnostics import NoiseModel, SmoothBump
 from htpg.envs import (
@@ -305,16 +306,16 @@ def test_a_scale_outside_its_range_is_a_divergence_in_both_loops(name, monkeypat
 
 
 def test_other_inputs_take_the_reference_loop(monkeypatch):
+    # train dispatches on the env and q_mode alone: fresh Q on a car, and
+    # shared Q on an environment that is not a car.
     fresh = replace(CASES["cauchy-default"], episodes=1, q_mode="fresh")
-    wide = _config(_TRAPPED, 1.0, 1, episodes=1)
-    wide = replace(wide, policy_init=PolicyParams.zeros(4, 1.0))
+    chain = _config(ChainEnv(length=4), 1.0, 1, episodes=2)
+    assert _train_reference(chain).returns == [4.0, 4.0]
     calls = []
     monkeypatch.setattr(training, "_train_reference", calls.append)
     train(fresh)
-    with pytest.raises(ParameterError, match="feature dimension"):
-        _train_reference(wide)
-    train(wide)
-    assert calls == [fresh, wide]
+    train(chain)
+    assert calls == [fresh, chain]
 
 
 @st.composite
@@ -891,11 +892,18 @@ def test_zero_or_nan_scale_raises_only_at_a_draw(log_scale, monkeypatch):
 
 
 def test_other_policies_keep_the_object_walk(monkeypatch):
+    # estimate_q dispatches on the env alone: any policy on an environment
+    # that is not a car takes the object walk, every policy on a car the
+    # float walk.
     walks = []
     monkeypatch.setattr(qvalue, "walk", lambda *args: walks.append(args) or walk(*args))
-    with pytest.raises(ParameterError, match="feature dimension"):
-        estimate_q(_MOUNTAIN, PolicyParams.zeros(4, 1.0), EnvState(-0.5, 0.0), 0.0, 0.97,
-                   np.random.default_rng(0), horizon=3)
+    policy = PolicyParams(np.array([0.5, 20.0, 0.1]), np.array([0.1, 0.0, -0.3]), 2.0)
+    est = estimate_q(ChainEnv(length=40), policy, EnvState(0.0, 0.0), 0.0, 0.97,
+                     np.random.default_rng(0), horizon=3)
+    assert est == QEstimate(1.0 + 0.97 ** 0.5 + 0.97 + 0.97 ** 1.5, 3)
+    assert len(walks) == 1
+    estimate_q(_MOUNTAIN, policy, EnvState(-0.5, 0.0), 0.0, 0.97,
+               np.random.default_rng(0), horizon=3)
     assert len(walks) == 1
 
 

@@ -3,6 +3,7 @@ oracle, clip semantics, and the policy's log-likelihood against scipy at the
 policy's own parameterisation."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -47,14 +48,38 @@ def fd_score(p, s, a, h=1e-6):
 
 
 def test_params_validation():
-    with pytest.raises(ParameterError):
-        PolicyParams(np.zeros(2), np.zeros(2), alpha=1.5)
-    with pytest.raises(ParameterError):
+    # Three weights each, so every case reaches the check it names.
+    with pytest.raises(ParameterError, match="alpha must be 1"):
+        PolicyParams(np.zeros(3), np.zeros(3), alpha=1.5)
+    with pytest.raises(ParameterError, match=r"must have shape \(3,\), got \(2,\) and \(3,\)$"):
         PolicyParams(np.zeros(2), np.zeros(3), alpha=1.0)
-    with pytest.raises(ParameterError):
-        PolicyParams(np.zeros(2), np.zeros(2), alpha=1.0, scale_mode="other")
-    with pytest.raises(ParameterError):
-        PolicyParams(np.zeros(2), np.zeros(2), alpha=1.0, scale_mode=FIXED, sigma0=0.0)
+    with pytest.raises(ParameterError, match="unknown scale_mode 'other'"):
+        PolicyParams(np.zeros(3), np.zeros(3), alpha=1.0, scale_mode="other")
+    with pytest.raises(ParameterError, match="sigma0 must be positive, got 0.0"):
+        PolicyParams(np.zeros(3), np.zeros(3), alpha=1.0, scale_mode=FIXED, sigma0=0.0)
+
+
+# The cars' features are (x, v, 1): any other weight shape is the
+# constructor's error, in either scale mode and either tail.
+@pytest.mark.parametrize("theta_x0, theta_sigma", [
+    (np.zeros(2), np.zeros(2)),
+    (np.zeros(2), np.array([-800.0, 0.0])),
+    (np.zeros(4), np.zeros(4)),
+    (np.zeros(3), np.zeros(4)),
+    (np.zeros((1, 3)), np.zeros(3)),
+    (np.zeros(3), np.zeros((3, 1))),
+    (np.float64(0.0), np.zeros(3)),
+    (np.zeros(0), np.zeros(0)),
+])
+@pytest.mark.parametrize("alpha, scale_mode", [(1.0, ADAPTIVE), (2.0, ADAPTIVE), (1.0, FIXED),
+                                              (2.0, FIXED)])
+def test_a_policy_without_three_weights_is_a_construction_error(theta_x0, theta_sigma, alpha,
+                                                                scale_mode):
+    message = (rf"^theta_x0 and theta_sigma must have shape \(3,\), got "
+               rf"{re.escape(str(np.shape(theta_x0)))} and "
+               rf"{re.escape(str(np.shape(theta_sigma)))}$")
+    with pytest.raises(ParameterError, match=message):
+        PolicyParams(theta_x0, theta_sigma, alpha, scale_mode)
 
 
 def test_features_appends_bias():
@@ -63,47 +88,50 @@ def test_features_appends_bias():
 
 
 def test_action_distribution_examples():
-    p = PolicyParams(np.array([2.0, 0.0]), np.zeros(2), alpha=1.0,
+    p = PolicyParams(np.array([2.0, 0.0, 0.0]), np.zeros(3), alpha=1.0,
                      scale_mode=FIXED, sigma0=1.0)
-    spec = action_distribution(p, np.array([3.0, 1.0]))
+    spec = action_distribution(p, np.array([3.0, 1.0, 1.0]))
     assert (spec.alpha, spec.location, spec.scale) == (1.0, 6.0, 1.0)
 
-    p0 = PolicyParams.zeros(4, alpha=1.0)
-    assert action_distribution(p0, features((0.3, -2.0, 5.0))).location == 0.0
+    p0 = PolicyParams.zeros(3, alpha=1.0)
+    assert action_distribution(p0, features((0.3, -2.0))).location == 0.0
 
-    p = PolicyParams(np.zeros(2), np.array([0.5, 0.5]), alpha=1.0)
+    p = PolicyParams(np.zeros(3), np.array([0.5, 0.5, 0.0]), alpha=1.0)
     assert policy_scale(p) == pytest.approx(math.e)
 
-    with pytest.raises(ParameterError):
-        action_distribution(p, np.array([1.0, 2.0, 3.0]))
+    # action_mode keeps its check on the features it is given.
+    for feats in (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 1.0]), np.ones((1, 3))):
+        with pytest.raises(ParameterError, match=r"^feature dimension \(\d, ?\d?\) does not "
+                                                 r"match theta_x0 \(3,\)$"):
+            action_distribution(p, feats)
 
 
 def test_gaussian_spec_uses_stable_convention():
     # Policy sigma is the Gaussian standard deviation; the stable-law scale
     # must be sigma/sqrt(2) so the sampled variance is sigma^2.
-    p = PolicyParams(np.zeros(2), np.zeros(2), alpha=2.0, scale_mode=FIXED, sigma0=3.0)
-    spec = action_distribution(p, np.array([0.0, 1.0]))
+    p = PolicyParams(np.zeros(3), np.zeros(3), alpha=2.0, scale_mode=FIXED, sigma0=3.0)
+    spec = action_distribution(p, features((0.0, 1.0)))
     assert spec.scale == pytest.approx(3.0 / math.sqrt(2))
     rng = np.random.default_rng(1)
-    draws = [sample_action(p, np.array([0.0, 1.0]), rng) for _ in range(200_000)]
+    draws = [sample_action(p, features((0.0, 1.0)), rng) for _ in range(200_000)]
     assert np.var(draws) == pytest.approx(9.0, rel=0.02)
 
 
 def test_log_likelihood_examples():
-    s = features((1.0,))
-    p = PolicyParams(np.array([2.0, 3.0]), np.zeros(2), alpha=1.0,
+    s = features((1.0, 0.5))
+    p = PolicyParams(np.array([2.0, 0.0, 3.0]), np.zeros(3), alpha=1.0,
                      scale_mode=FIXED, sigma0=1.0)
     assert log_likelihood(p, s, 5.0) == pytest.approx(-math.log(math.pi))
 
     # Cauchy with x0 = 3, sigma = 2 evaluated at a = 5 (u = 1).
-    theta_sigma = np.full(2, math.log(2.0) / 2)
-    p = PolicyParams(np.array([3.0, 0.0]), theta_sigma, alpha=1.0)
+    theta_sigma = np.full(3, math.log(2.0) / 3)
+    p = PolicyParams(np.array([3.0, 0.0, 0.0]), theta_sigma, alpha=1.0)
     assert policy_scale(p) == pytest.approx(2.0)
-    assert log_likelihood(p, np.array([1.0, 1.0]), 5.0) == pytest.approx(-math.log(4 * math.pi))
+    assert log_likelihood(p, np.array([1.0, 1.0, 1.0]), 5.0) == pytest.approx(
+        -math.log(4 * math.pi))
 
-    p = PolicyParams(np.array([0.0, 0.0]), np.zeros(2), alpha=2.0,
-                     scale_mode=FIXED, sigma0=1.0)
-    assert log_likelihood(p, np.array([0.0, 1.0]), 1.0) == pytest.approx(
+    p = PolicyParams(np.zeros(3), np.zeros(3), alpha=2.0, scale_mode=FIXED, sigma0=1.0)
+    assert log_likelihood(p, features((0.0, 1.0)), 1.0) == pytest.approx(
         -0.5 - 0.5 * math.log(2 * math.pi)
     )
 
@@ -143,11 +171,11 @@ def test_score_at_mode():
 
 def test_score_cauchy_closed_form_at_u1():
     # sigma = 1, u = 1: mode block = s, scale block = 0.
-    p = PolicyParams(np.array([0.0, 0.0]), np.zeros(2), alpha=1.0)
-    s = np.array([1.0, 1.0])
+    p = PolicyParams(np.zeros(3), np.zeros(3), alpha=1.0)
+    s = np.array([1.0, 1.0, 1.0])
     g = score(p, s, 1.0)
-    assert np.allclose(g[:2], [1.0, 1.0])
-    assert np.allclose(g[2:], 0.0)
+    assert np.allclose(g[:3], [1.0, 1.0, 1.0])
+    assert np.allclose(g[3:], 0.0)
     assert np.allclose(g, fd_score(p, s, 1.0), rtol=1e-5)
 
 
@@ -213,15 +241,32 @@ def test_translation_equivariance_of_mode():
 
 
 def test_param_vector_roundtrip():
-    p = PolicyParams(np.array([1.0, 2.0]), np.array([3.0, 4.0]), alpha=2.0)
+    p = PolicyParams(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]), alpha=2.0)
     vec = param_vector(p)
-    assert vec.tolist() == [1.0, 2.0, 3.0, 4.0]
-    q = with_param_vector(p, np.array([5.0, 6.0, 7.0, 8.0]))
-    assert q.theta_x0.tolist() == [5.0, 6.0]
-    assert q.theta_sigma.tolist() == [7.0, 8.0]
+    assert vec.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    q = with_param_vector(p, np.array([7.0, 8.0, 9.0, 10.0, 11.0, 12.0]))
+    assert q.theta_x0.tolist() == [7.0, 8.0, 9.0]
+    assert q.theta_sigma.tolist() == [10.0, 11.0, 12.0]
     assert (q.alpha, q.scale_mode) == (p.alpha, p.scale_mode)
     with pytest.raises(ParameterError):
         with_param_vector(p, np.zeros(3))
+
+
+# Three parameters in fixed scale mode, six when adaptive: any other size is
+# the constructor's shape error.
+@pytest.mark.parametrize("scale_mode, size, shapes", [
+    (FIXED, 0, "(0,) and (3,)"),
+    (FIXED, 2, "(2,) and (3,)"),
+    (FIXED, 4, "(4,) and (3,)"),
+    (FIXED, 6, "(6,) and (3,)"),
+    (ADAPTIVE, 3, "(3,) and (0,)"),
+    (ADAPTIVE, 5, "(3,) and (2,)"),
+    (ADAPTIVE, 7, "(3,) and (4,)"),
+])
+def test_with_param_vector_rejects_the_wrong_size(scale_mode, size, shapes):
+    p = PolicyParams.zeros(3, 1.0, scale_mode)
+    with pytest.raises(ParameterError, match=rf"must have shape \(3,\), got {re.escape(shapes)}$"):
+        with_param_vector(p, np.arange(float(size)))
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -253,11 +298,14 @@ def _vectors(count: int):
         lambda d: st.tuples(*[st.lists(_COMPONENT, min_size=d, max_size=d)] * count))
 
 
-@given(pair=_vectors(2))
+_THREE = st.lists(_COMPONENT, min_size=3, max_size=3)
+
+
+@given(weights=_THREE, feats=_THREE)
+@example(weights=[-0.0, 0.0, -0.0], feats=[1.0, -1.0, 1.0])  # every product -0.0
 @settings(max_examples=500, deadline=None)
-def test_action_mode_is_the_left_to_right_float_sum(pair):
-    weights, feats = pair
-    p = PolicyParams(np.array(weights), np.zeros(len(weights)))
+def test_action_mode_is_the_left_to_right_float_sum(weights, feats):
+    p = PolicyParams(np.array(weights), np.zeros(3))
     want = _left_to_right([w * f for w, f in zip(weights, feats)])
     assert _same_float(action_mode(p, np.array(feats)), want)
 
@@ -289,15 +337,20 @@ def test_float_sum_is_the_left_to_right_float_sum_from_plus_zero(terms):
         assert _same_float(float(sum(terms)), want)
 
 
-@given(log_sigmas=st.lists(st.one_of(st.just(-0.0), st.floats(-800.0, 800.0)),
-                           min_size=1, max_size=10))
-@example(log_sigmas=[-0.0])
-@example(log_sigmas=[400.0, 400.0])  # past exp's range
-@example(log_sigmas=[-400.0, -400.0])  # below it
+_LOG_SIGMA = st.one_of(st.just(-0.0), st.floats(-800.0, 800.0))
+
+
+@given(theta_sigma=st.lists(_LOG_SIGMA, min_size=3, max_size=3),
+       log_sigmas=st.lists(_LOG_SIGMA, min_size=1, max_size=10))
+@example(theta_sigma=[-0.0, -0.0, -0.0], log_sigmas=[-0.0])
+@example(theta_sigma=[400.0, 400.0, 0.0], log_sigmas=[400.0, 400.0])  # past exp's range
+@example(theta_sigma=[-400.0, -400.0, 0.0], log_sigmas=[-400.0, -400.0])  # below it
 @settings(max_examples=500, deadline=None)
-def test_policy_scale_is_libm_exp_of_the_left_to_right_float_sum(log_sigmas):
-    p = PolicyParams(np.zeros(len(log_sigmas)), np.array(log_sigmas))
-    total = _left_to_right([0.0, *log_sigmas])
+def test_policy_scale_is_libm_exp_of_the_left_to_right_float_sum(theta_sigma, log_sigmas):
+    # The sum policy_scale takes, over 1-10 terms, and the scale of three.
+    assert _same_float(_float_sum(log_sigmas), _left_to_right([0.0, *log_sigmas]))
+    p = PolicyParams(np.zeros(3), np.array(theta_sigma))
+    total = _left_to_right([0.0, *theta_sigma])
     try:
         want = math.exp(total)
     except OverflowError:

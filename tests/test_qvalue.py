@@ -54,6 +54,18 @@ def test_estimate_q_checks_gamma_before_any_draw(chain_env):
             assert rng.random() == np.random.default_rng(8).random()
 
 
+@pytest.mark.parametrize("env", [ChainEnv(), TrappedCar()])
+@pytest.mark.parametrize("horizon", [-1, -10**6])
+def test_estimate_q_rejects_a_negative_horizon(env, horizon):
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    with pytest.raises(ParameterError) as err:
+        estimate_q(env, PolicyParams.zeros(3, 1.0), EnvState(0.0, 0.0), 0.0, 0.97, rng,
+                   horizon=horizon)
+    assert str(err.value) == f"horizon must be non-negative, got {horizon}"
+    assert rng.bit_generator.state == start
+
+
 def test_estimate_q_single_term(chain_env):
     rng = np.random.default_rng(2)
     est = estimate_q(chain_env, dummy_policy(), EnvState(0.0, 0.0), 0.0, 0.81, rng,

@@ -2,6 +2,7 @@
 on a single-transition environment, determinism, and the divergence guard."""
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from htpg import diagnostics
 from htpg.envs import EnvSpec, EnvState, MountainCar, StepResult, TrappedCar
 from htpg.errors import ParameterError, ScheduleError
-from htpg.policy import ADAPTIVE, FIXED, PolicyParams, clip_score, features, param_vector, score
+from htpg.policy import (ADAPTIVE, FIXED, PolicyParams, _float_sum, _squared_norm, clip_score,
+                         features, param_vector, score)
 from htpg.training import (
     Constant,
     LinearRange,
@@ -19,6 +21,7 @@ from htpg.training import (
     PlainAscent,
     PowerDecay,
     TrainConfig,
+    _Curves,
     _train_reference,
     apply_update,
     step_size,
@@ -119,6 +122,18 @@ def test_power_decay_series_trends():
     tail_bound = 2.0 * (10_000.0) ** -0.5  # integral of x^(-1.5) from 1e4
     assert s2[-1] - s2[9_999] < tail_bound
     assert s2[-1] < 1.0 + 2.0  # 1 + integral of x^(-1.5) from 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Constant(0.0), "alpha must be positive"),
+    (lambda: Constant(-1e-3), "alpha must be positive"),
+    (lambda: LipschitzAware(0.0), "l1j must be positive"),
+    (lambda: LipschitzAware(-2.0), "l1j must be positive"),
+])
+def test_rules_reject_a_constant_that_is_not_positive(make, message):
+    with pytest.raises(ParameterError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_apply_update_plain():
@@ -349,9 +364,48 @@ def test_train_moving_average_invariant():
     cfg = TrainConfig(env=env, policy_init=PolicyParams.zeros(3, alpha=1.0),
                       episodes=130, seed=9)
     m = train(cfg)
-    for k in (0, 1, 50, 99, 100, 129):
+    for k in range(130):
         window = m.returns[max(0, k - 99): k + 1]
-        assert m.moving_avg_100[k] == pytest.approx(sum(window) / len(window))
+        assert m.moving_avg_100[k] == _float_sum(window) / len(window)
+
+
+def test_curves_window_mean_is_the_float_sum_of_its_window():
+    # A running sum that adds each return and subtracts the one leaving the
+    # window keeps a rounding residue: here it ends at -6.38e-18, not 0.0.
+    returns = [0.1] * 100 + [0.0] * 100
+    curves = _Curves(TrappedCar())
+    for k, ret in enumerate(returns):
+        curves.add(k, [ret], (0.5,), (0.5,), k + 1, False, [1.5])
+    m = curves.metrics(200, False, None)
+    assert m.returns == returns
+    assert m.moving_avg_100[199] == 0.0
+    for k in range(200):
+        window = returns[max(0, k - 99): k + 1]
+        assert m.moving_avg_100[k] == _float_sum(window) / len(window)
+    assert m.update_norms == [0.0] * 200 and m.update_counts == list(range(1, 201))
+
+
+def _bits(x: float) -> bytes:
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+_PARAM = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+
+
+@given(size=st.sampled_from([3, 6]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_curves_return_and_update_norm_are_float_sums(size, data):
+    before = data.draw(st.lists(_PARAM, min_size=size, max_size=size))
+    after = data.draw(st.lists(_PARAM, min_size=size, max_size=size))
+    rewards = data.draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.1, -0.0]),
+                                 max_size=20))
+    curves = _Curves(TrappedCar())
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = math.sqrt(_squared_norm(np.array(after) - np.array(before)))
+    curves.add(0, rewards, before, after, 1, False, [1.5])
+    assert _bits(curves.norms[0]) == _bits(want)
+    assert _bits(curves.returns[0]) == _bits(_float_sum(rewards))
+    assert _bits(curves.moving[0]) == _bits(_float_sum(rewards))
 
 
 def test_train_q_fresh_mode_runs():
