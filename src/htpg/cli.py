@@ -5,7 +5,6 @@ Subcommands:
 * ``train``        -- run a configured experiment sweep (CSV + SVG outputs)
 * ``check-bound``  -- noisy-ascent testbed vs. the analytic gradient bound
 * ``first-exit``   -- basin first-exit comparison, Cauchy vs. Gaussian
-* ``dist-tests``   -- statistical self-checks of the stable sampler
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, sas
+from . import diagnostics
 from .config import ConfigError, parse_config
 from .errors import ParameterError
 from .experiment import replot, run_experiment
@@ -127,46 +126,6 @@ def cmd_first_exit(args) -> int:
     return 0
 
 
-def _ks_statistic(samples: np.ndarray, cdf) -> float:
-    xs = np.sort(samples)
-    n = xs.size
-    cdf_vals = np.array([cdf(x) for x in xs])
-    upper = np.abs(np.arange(1, n + 1) / n - cdf_vals).max()
-    lower = np.abs(cdf_vals - np.arange(0, n) / n).max()
-    return float(max(upper, lower))
-
-
-def cmd_dist_tests(args) -> int:
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    for alpha in (1.0, 2.0):
-        spec = sas.StableSpec(alpha, location=0.5, scale=1.5)
-        draws = np.array([sas.sample_sas(spec, rng) for _ in range(100_000)])
-        stat = _ks_statistic(draws, lambda x: sas.cdf(spec, x))
-        checks.append((f"KS closed-form sampler alpha={alpha:g}", stat < 0.01,
-                       f"stat={stat:.5f}"))
-
-    g = sas.StableSpec(2.0, 0.0, 1.0)
-    var = float(np.var([sas.sample_sas(g, rng) for _ in range(200_000)]))
-    checks.append(("variance of alpha=2 member is 2*scale^2", abs(var - 2.0) < 0.04,
-                   f"var={var:.4f}"))
-
-    c = sas.StableSpec(1.0, 0.0, 1.0)
-    tail = float(np.mean([abs(sas.sample_sas(c, rng)) > 5.0 for _ in range(200_000)]))
-    expect = sas.tail_probability(c, 5.0)
-    checks.append(("Cauchy 5-sigma tail mass", abs(tail - expect) / expect < 0.1,
-                   f"empirical={tail:.5f} analytic={expect:.5f}"))
-
-    failures = 0
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-        failures += not ok
-    return 1 if failures else 0
-
-
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ParameterError: one ``error:`` line, exit 2."""
 
@@ -199,10 +158,6 @@ def main(argv=None) -> int:
     p_exit.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     p_exit.add_argument("--out", default="results/first-exit")
     p_exit.set_defaults(func=cmd_first_exit)
-
-    p_dist = sub.add_parser("dist-tests", help="stable-distribution self checks")
-    p_dist.add_argument("--seed", type=int, default=0)
-    p_dist.set_defaults(func=cmd_dist_tests)
 
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,6 @@
 """The two symmetric alpha-stable (SaS) laws of the policies, Cauchy
-(``alpha = 1``) and Gaussian (``alpha = 2``): sampling, closed forms and
-tail math.  This module is the one place that knows how a tail is drawn.
+(``alpha = 1``) and Gaussian (``alpha = 2``): sampling and log-density.
+This module is the one place that knows how a tail is drawn.
 
 Scale convention: a SaS law with tail index ``alpha`` and scale ``sigma``
 has characteristic function ``exp(i*location*t - (sigma*|t|)**alpha)``.
@@ -36,8 +36,6 @@ __all__ = [
     "StableSpec",
     "sample_sas",
     "log_density",
-    "cdf",
-    "tail_probability",
 ]
 
 
@@ -113,21 +111,3 @@ def log_density(spec: StableSpec, x: float) -> float:
     var = 2.0 * spec.scale * spec.scale
     d = x - spec.location
     return -0.5 * math.log(2.0 * math.pi * var) - d * d / (2.0 * var)
-
-
-def cdf(spec: StableSpec, x: float) -> float:
-    """Distribution function."""
-    z = (x - spec.location) / spec.scale
-    if spec.alpha == 1.0:
-        return 0.5 + math.atan(z) / math.pi
-    # Gaussian with variance 2*scale**2: standardized deviate z/sqrt(2).
-    return 0.5 * math.erfc(-z / 2.0)
-
-
-def tail_probability(spec: StableSpec, threshold: float) -> float:
-    """Two-sided tail mass ``P(|X - location| > threshold * scale)``."""
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-    if spec.alpha == 1.0:
-        return (2.0 / math.pi) * math.atan(1.0 / threshold)
-    return math.erfc(threshold / 2.0)

@@ -180,7 +180,6 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["check-bound", "--y1", "inf"], {}),
     (["check-bound", "--y1", "1e308"], {}),
     (["check-bound", "--n", "1000000000000000", "--seeds", "1"], {}),
-    (["dist-tests", "--seed", "-1"], {}),
     (["first-exit", "--episodes", "-1"], {}),
     (["first-exit", "--seeds", "1,1"], {}),
     (["first-exit", "--out", ""], {}),
@@ -193,8 +192,7 @@ def test_cli_train_invalid_config(tmp_path, capsys):
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
         "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
         "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
-        "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large", "dist-seed-negative",
-        "first-exit-episodes-negative",
+        "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large", "first-exit-episodes-negative",
         "first-exit-seeds-repeated", "first-exit-out-empty", "family-slash", "family-nul",
         "name-nul", "out-nul", "first-exit-out-nul", "max-steps-too-large"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
@@ -227,7 +225,10 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     (["check-bound", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
     (["first-exit", "--episodes", "1.5"], "argument --episodes: invalid int value: '1.5'"),
     (["train"], "the following arguments are required: --config"),
-], ids=["bound-n-not-int", "first-exit-episodes-not-int", "train-without-config"])
+    (["dist-tests"], "argument command: invalid choice: 'dist-tests' "
+                     "(choose from 'train', 'check-bound', 'first-exit')"),
+], ids=["bound-n-not-int", "first-exit-episodes-not-int", "train-without-config",
+        "removed-subcommand"])
 def test_cli_usage_error_is_one_line_with_exit_2(argv, message, tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.chdir(tmp_path)
@@ -411,9 +412,11 @@ def test_cli_scale_outside_its_range_is_a_recorded_divergence(text, csv_name, ep
     assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
         f"cauchy: final avg_return_100 per seed = [{final}]  (1 diverged)")
-    rows = list(csv.reader((out_dir / csv_name).open(newline="")))
+    with (out_dir / csv_name).open(newline="") as f:
+        rows = list(csv.reader(f))
     assert len(rows) == episodes + 2 and rows[-1][0] == "diverged"
-    aggregate = list(csv.DictReader((out_dir / "aggregate.csv").open(newline="")))
+    with (out_dir / "aggregate.csv").open(newline="") as f:
+        aggregate = list(csv.DictReader(f))
     assert [(r["episodes"], r["diverged"]) for r in aggregate] == [(str(episodes), "1")]
     assert _chart_problems((out_dir / "returns.svg").read_text()) == []
 
@@ -557,15 +560,6 @@ def test_cli_check_bound_reports_the_stacked_mean(seeds, n, capsys):
     else:
         ci = 1.96 * statistics.stdev(means) / math.sqrt(seeds)
         assert f"(95% CI +/- {ci:.2g} over {seeds} seeds)" in out
-
-
-def test_cli_dist_tests(capsys):
-    rc = main(["dist-tests"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == 0
-    # Two KS checks of the sampler (one per tail), the variance, the tail mass.
-    assert len(lines) == 4
-    assert all(line.startswith("PASS") for line in lines)
 
 
 def test_worker_count_env_cap(monkeypatch):

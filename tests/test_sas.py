@@ -17,10 +17,8 @@ from htpg.sas import (
     _noise_block,
     _rewind,
     _standard_sas,
-    cdf,
     log_density,
     sample_sas,
-    tail_probability,
 )
 from oracles import standard_cms
 
@@ -103,33 +101,6 @@ def test_unsupported_alpha_raises():
         assert PolicyParams.zeros(3, alpha).alpha == alpha
 
 
-def test_tail_probability_values():
-    assert tail_probability(StableSpec(1.0), 5.0) == pytest.approx(
-        (2.0 / math.pi) * math.atan(0.2)
-    )
-    assert tail_probability(StableSpec(1.0), 1e-12) == pytest.approx(1.0)
-    assert tail_probability(StableSpec(2.0), 5.0) == pytest.approx(math.erfc(2.5))
-    with pytest.raises(ParameterError):
-        tail_probability(StableSpec(1.0), 0.0)
-
-
-def test_tail_probability_matches_scipy():
-    for alpha, dist in ((1.0, scipy.stats.cauchy()), (2.0, scipy.stats.norm(scale=math.sqrt(2)))):
-        for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-            assert tail_probability(StableSpec(alpha), t) == pytest.approx(
-                2.0 * dist.sf(t), rel=1e-10
-            )
-
-
-def test_tails_monotone_and_ordered():
-    grid = np.linspace(1.0, 40.0, 200)
-    c = [tail_probability(StableSpec(1.0), t) for t in grid]
-    g = [tail_probability(StableSpec(2.0), t) for t in grid]
-    assert all(a > b for a, b in zip(c, c[1:]))
-    assert all(a > b for a, b in zip(g, g[1:]))
-    assert all(a > b for a, b in zip(c, g))
-
-
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_sampler_matches_analytic_cdf(alpha):
     rng = np.random.default_rng(42)
@@ -164,24 +135,13 @@ def test_cms_transform_agrees_with_members(alpha):
         arr = np.abs(np.array(draws))
         assert abs(float(np.median(draws))) < 0.02
         frac10 = float(np.mean(arr > 10.0))
-        cauchy10 = tail_probability(StableSpec(1.0), 10.0)
+        cauchy10 = (2.0 / math.pi) * math.atan(0.1)
         if alpha < 1.0:
             assert frac10 > cauchy10
         else:
-            assert tail_probability(StableSpec(2.0), 10.0) < frac10 < cauchy10
+            assert math.erfc(5.0) < frac10 < cauchy10
         frac40 = float(np.mean(arr > 40.0))
         assert frac10 / frac40 == pytest.approx(4.0 ** alpha, rel=0.25)
-
-
-def test_internal_cdf_matches_scipy():
-    xs = np.linspace(-8, 8, 33)
-    for x in xs:
-        assert cdf(StableSpec(1.0, 0.5, 1.5), x) == pytest.approx(
-            scipy.stats.cauchy(0.5, 1.5).cdf(x), abs=1e-12
-        )
-        assert cdf(StableSpec(2.0, -0.5, 0.8), x) == pytest.approx(
-            scipy.stats.norm(-0.5, 0.8 * math.sqrt(2)).cdf(x), abs=1e-12
-        )
 
 
 @given(
