@@ -114,6 +114,22 @@ def test_sampler_matches_analytic_cdf(alpha):
     assert stat < 0.01
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("threshold", [0.5, 1.0, 2.0, 5.0])
+def test_sampled_tail_mass_matches_scipy(alpha, threshold):
+    # P(|X - location| > threshold * scale) is (2/pi) * atan(1/threshold)
+    # for the Cauchy and erfc(threshold / 2) for the Gaussian of variance
+    # 2 * scale**2; the hits must fall within 5 binomial standard deviations.
+    rng = np.random.default_rng(13)
+    spec = StableSpec(alpha, 0.5, 1.5)
+    n = 200_000
+    draws = np.array([sample_sas(spec, rng) for _ in range(n)])
+    hits = int(np.sum(np.abs(draws - spec.location) > threshold * spec.scale))
+    oracle = scipy.stats.cauchy() if alpha == 1.0 else scipy.stats.norm(scale=math.sqrt(2))
+    p = 2.0 * float(oracle.sf(threshold))
+    assert abs(hits - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_cms_transform_agrees_with_members(alpha):
     rng = np.random.default_rng(5)
