@@ -16,10 +16,10 @@ roughly the mean horizon times more environment steps).
 The loop has two implementations.  ``_train_reference`` works on
 ``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
 ``_train_car_shared`` runs shared-Q training on the two cars as one loop
-over Python floats, and :func:`train` uses it there.
-The reference is the oracle: the fast loop must reproduce its metrics and
-final parameters bit for bit (``tests/test_kernel.py``), by the float rules
-of README "Numerics".
+over Python floats, skipping the zero-Q episodes it proves no-ops under
+any step rule; :func:`train` uses it there.  The reference is the oracle:
+the fast loop must reproduce its metrics and final parameters bit for bit
+(``tests/test_kernel.py``), by the float rules of README "Numerics".
 
 A run diverges, and stops with ``diverged=True``, when an update leaves a
 parameter that is not finite or the policy scale leaves (0, inf).  Both
@@ -315,30 +315,30 @@ class _Curves:
 _FAR_BELOW_OVERFLOW = 1e100
 
 
-def _zero_q_is_noop(env, params: tuple, sigma: float, alpha: float, xs: list, vs: list,
-                    actions: list) -> bool:
+def _zero_q_is_noop(env, params: tuple, sigma: float, xs: list, vs: list, actions: list) -> bool:
     """Whether an episode's updates with ``q_hat == 0`` provably leave every
-    parameter's bits as they are, at step size ``alpha`` and policy scale
-    ``sigma`` (``params`` are the updated parameters, mode weights first).
+    parameter's bits as they are, at policy scale ``sigma`` (``params`` are
+    the updated parameters, mode weights first), under any step rule.
     ``sigma`` lies in (0, inf): the loop checked it before the rollout.
 
-    Each update adds ``alpha * (0 * g)`` (or ``0 * g / inv``), which is
-    +-0.0 when ``alpha`` and every score component ``g`` are finite; and
-    ``p + +-0.0`` is ``p`` unless ``p`` is -0.0 (``-0.0 + 0.0`` is +0.0).  A
-    score component that is not finite makes the update NaN, a divergence.
-    So this asks for finite parameters without a -0.0, and for a bound under
-    which every score component is finite: with ``u = (a - mode) / sigma``,
-    a mode component is at most ``2|u| / sigma`` times its feature (x, v or
-    1) and a scale component at most ``u**2 + 1``.  After its first state a
-    finite walk stays inside the walls, so with ``b`` the largest of the
-    wall positions and the first state's ``|x|`` and ``|v|``, every ``|x|``
-    is at most ``b`` and every ``|v|`` (which kept the car inside) at most
-    ``2b``; every ``|a|`` is at most ``|a|max`` (the clamp).  That bounds
-    ``|u|`` by ``(|a|max + 2|mode|max) / sigma``, with
+    Each update adds ``alpha * (0 * g)`` (or ``0 * g / inv``).  Every rule
+    gives a finite ``alpha > 0`` from its checked finite fields, and
+    :class:`TrainConfig` proves ``inv > 0``, so that is +-0.0 when every
+    score component ``g`` is finite; and ``p + +-0.0`` is ``p`` unless ``p``
+    is -0.0 (``-0.0 + 0.0`` is +0.0).  A score component that is not finite
+    makes the update NaN, a divergence.  So this asks for finite parameters
+    without a -0.0, and for a bound under which every score component is
+    finite: with ``u = (a - mode) / sigma``, a mode component is at most
+    ``2|u| / sigma`` times its feature (x, v or 1) and a scale component at
+    most ``u**2 + 1``.  After its first state a finite walk stays inside the
+    walls, so with ``b`` the largest of the wall positions and the first
+    state's ``|x|`` and ``|v|``, every ``|x|`` is at most ``b`` and every
+    ``|v|`` (which kept the car inside) at most ``2b``; every ``|a|`` is at
+    most ``|a|max`` (the clamp).  That bounds ``|u|`` by
+    ``(|a|max + 2|mode|max) / sigma``, with
     ``|mode|max = (|t0| + 2|t1|) b + |t2|`` and the 2 covering rounding.
     """
-    if not (math.isfinite(alpha)
-            and math.isfinite(sum(xs) + sum(vs) + sum(actions))
+    if not (math.isfinite(sum(xs) + sum(vs) + sum(actions))
             and all(math.isfinite(p) and (p != 0.0 or math.copysign(1.0, p) > 0.0)
                     for p in params)):
         return False
@@ -417,7 +417,7 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
     mode, sigma, the clip), with the rollout ``envs._car_rollout`` and the
     score ``policy._score_coefs``, and checks sigma where the reference does.
 
-    Under ``LinearRange`` an episode with ``q == 0.0`` that
+    Under every step rule, an episode with ``q == 0.0`` that
     :func:`_zero_q_is_noop` proves a no-op (on the trapped car, whose start
     well pays nothing, most episodes) adds its length to the update count
     and records a zero update norm, without its per-step updates.
@@ -458,12 +458,12 @@ def _train_car_shared(config: TrainConfig) -> RunMetrics:
         q = discounted_partial_return(rewards, gamma, draw_horizon(gamma, rng))
         pairs = zip(xs, vs, actions)
         before = params()
-        if per_episode_rule:
+        if q == 0.0 and _zero_q_is_noop(env, before, sigma, xs, vs, actions):
+            # No update of the episode can change a bit: count them.
+            updates += len(xs)
+            pairs = ()
+        elif per_episode_rule:
             alpha = step_size(rule, episode + 1)
-            if q == 0.0 and _zero_q_is_noop(env, before, sigma, alpha, xs, vs, actions):
-                # No update of the episode can change a bit: count them.
-                updates += len(xs)
-                pairs = ()
         for xk, vk, ak in pairs:
             if adaptive:
                 sigma = _exp_scale((c0 + c1) + c2)

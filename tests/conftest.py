@@ -1,7 +1,10 @@
 """Shared fixtures: a deterministic chain MDP whose exact Q is computable in
-closed form, used as the independent oracle for the Q estimator."""
+closed form, used as the independent oracle for the Q estimator.  And one
+hook: each acceptance criterion must print its pinned line."""
 
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +61,33 @@ def chain_exact_q(env: ChainEnv, gamma: float) -> float:
 @pytest.fixture
 def chain_env() -> ChainEnv:
     return ChainEnv()
+
+
+# tests/acceptance_lines.txt holds each criterion's PASS line without its
+# elapsed time (" in <t>s"), which is the one part allowed to differ.
+_PINNED = Path(__file__).with_name("acceptance_lines.txt")
+_ELAPSED = re.compile(r" in \d+(\.\d+)?s$")
+_CRITERION = re.compile(r"test_criterion_(\d+)_")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing test of ``test_acceptance.py`` whose captured
+    ``[criterion N]`` line, elapsed time aside, is missing or differs from
+    its line in ``acceptance_lines.txt``.  So a statistic that moves but
+    still passes its bound fails the run.  Under ``-s`` (``--capture=no``)
+    nothing is captured and nothing is checked; ``--capture=tee-sys`` shows
+    the lines and checks them."""
+    report = (yield).get_result()
+    match = _CRITERION.match(item.name)
+    if (report.when != "call" or not report.passed or match is None
+            or item.path.name != "test_acceptance.py"
+            or item.config.getoption("capture", "no") == "no"):
+        return
+    tag = f"[criterion {match.group(1)}] "
+    want = [line for line in _PINNED.read_text().splitlines() if line.startswith(tag)]
+    got = [_ELAPSED.sub("", line) for line in report.capstdout.splitlines()
+           if line.startswith(tag)]
+    if got != want or len(want) != 1:
+        report.outcome = "failed"
+        report.longrepr = f"{item.name} printed {got!r}; {_PINNED.name} pins {want!r}"

@@ -186,12 +186,17 @@ CASES = {
     "zero-q-lipschitz-ceiling-rounding": _config(
         _TRAPPED, 2.0, 16, episodes=3,
         step_rule=_CEILING_STEP, update_rule=LipschitzAware(math.nextafter(_CEILING_L, 0.0))),
+    # Zero-Q episodes before and after ones that update, under each rule
+    # other than LinearRange: the skip keeps PowerDecay's update index.
+    "zero-q-power-decay": _config(_TRAPPED, 1.0, 25, episodes=6, step_rule=PowerDecay(0.75)),
+    "zero-q-constant": _config(_TRAPPED, 1.0, 25, episodes=6, step_rule=Constant(0.001)),
+    "zero-q-lipschitz-power-decay": _config(_TRAPPED, 1.0, 25, episodes=6,
+                                            step_rule=PowerDecay(0.75),
+                                            update_rule=LipschitzAware(0.5)),
     # One bound of the no-op proof each, which alone refuses a zero-Q episode
     # where the reference diverges: a start far past the walls, walls far
     # apart, dynamics that give NaN, a 1/sigma that overflows on its own, a
-    # mode far from every action, an infinite step size (set past the
-    # rule's checks, which take finite doubles only) and an infinite scale
-    # weight.
+    # mode far from every action and an infinite scale weight.
     "zero-q-far-start": _zero_q_config(TrappedCar(
         spec=_SHORT_TRAPPED, start_at_false_goal=True, false_start=1e305,
         true_goal=math.inf), theta_x0=(0.0, 0.0, 1e9)),
@@ -207,8 +212,6 @@ CASES = {
     "zero-q-far-mode": _zero_q_config(
         TrappedCar(spec=_SHORT_TRAPPED, true_goal=math.inf), alpha=1.0, scale_mode=ADAPTIVE,
         theta_x0=(0.0, 0.0, 1e200)),
-    "zero-q-infinite-step": _unchecked(_zero_q_config(_TRAPPED), step_rule=_unchecked(
-        LinearRange(total=3), alpha_start=math.inf)),
     "zero-q-infinite-scale-weight": _zero_q_config(_TRAPPED, scale_mode=ADAPTIVE,
                                                    theta_sigma=(math.inf, 0.0, 0.0)),
 }
@@ -256,8 +259,13 @@ def test_zero_q_cases_reach_what_they_test(monkeypatch):
     proofs.clear()
     assert train(CASES["zero-q-lipschitz-ceiling-rounding"]).wall_updates == 240
     assert proofs == [True, True, True]
+    for name in ("zero-q-power-decay", "zero-q-constant", "zero-q-lipschitz-power-decay"):
+        proofs.clear()
+        norms = train(CASES[name]).update_norms
+        assert 0 < norms.count(0.0) < len(norms), name
+        assert proofs == [True] * norms.count(0.0), name
     for name in ("zero-q-far-start", "zero-q-far-walls", "zero-q-nan-dynamics",
-                 "zero-q-narrow-actions", "zero-q-far-mode", "zero-q-infinite-step"):
+                 "zero-q-narrow-actions", "zero-q-far-mode"):
         proofs.clear()
         assert train(CASES[name]).diverged, name
         assert proofs == [False], name
@@ -369,9 +377,9 @@ def test_kernel_matches_reference_on_drawn_configs(config, monkeypatch):
 
 @st.composite
 def _zero_q_configs(draw):
-    """Shared Q on the trapped car under ``LinearRange``: from the start well
-    Q is mostly exactly 0, so most episodes reach the kernel's no-op proof,
-    at weights and scales on both sides of its bounds."""
+    """Shared Q on the trapped car under every step rule: from the start
+    well Q is mostly exactly 0, so most episodes reach the kernel's no-op
+    proof, at weights and scales on both sides of its bounds."""
     env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=draw(st.integers(1, 80))),
                      true_goal=draw(st.sampled_from([2.3, 3.6])))
     weights = st.lists(st.sampled_from([0.0, -0.0, 1e-300, 1e300]) | st.floats(-2.0, 2.0),
@@ -383,9 +391,12 @@ def _zero_q_configs(draw):
                           draw(st.sampled_from([FIXED, ADAPTIVE])),
                           draw(st.sampled_from([1e-310, 1e-101, 1e-99, 0.3, 1.0, 1e250])))
     episodes = draw(st.integers(1, 6))
-    alpha_start = draw(st.sampled_from([5e-3, 0.5, 1e3]))
-    step_rule = LinearRange(alpha_start, draw(st.sampled_from([5e-9, alpha_start])), episodes)
-    update_rule = draw(st.sampled_from([PlainAscent(), LipschitzAware(0.5 / alpha_start)]))
+    alpha = draw(st.sampled_from([5e-3, 0.5, 1e3]))
+    step_rule = draw(st.sampled_from([
+        LinearRange(alpha, 5e-9, episodes), LinearRange(alpha, alpha, episodes),
+        PowerDecay(0.3), PowerDecay(0.9), Constant(alpha)]))
+    update_rule = draw(st.sampled_from([
+        PlainAscent(), LipschitzAware(0.5 / training.step_size(step_rule, 1))]))
     return TrainConfig(env=env, policy_init=policy, episodes=episodes,
                        seed=draw(st.integers(0, 2**32)),
                        gamma=draw(st.sampled_from([0.5, 0.97])),
@@ -909,8 +920,7 @@ def test_other_policies_keep_the_object_walk(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
-    # Past the checks: a case holds what they passed, or an infinite step.
-    config = _unchecked(CASES[name], q_mode="fresh")
+    config = replace(CASES[name], q_mode="fresh")
     walks = []
     with monkeypatch.context() as patch:
         patch.setattr(qvalue, "walk", lambda *args: walks.append(args) or walk(*args))

@@ -129,6 +129,7 @@ def test_power_decay_series_trends():
     (lambda: Constant(-1e-3), "alpha must be positive"),
     (lambda: LipschitzAware(0.0), "l1j must be positive"),
     (lambda: LipschitzAware(-2.0), "l1j must be positive"),
+    (lambda: LinearRange(1e-3, 1e-2), "alpha_start must be at least alpha_end"),
 ])
 def test_rules_reject_a_constant_that_is_not_positive(make, message):
     with pytest.raises(ParameterError) as err:
