@@ -1,12 +1,10 @@
-"""Experiment configuration: a strict flat config-file format and its schema.
+"""Experiment configuration: the config file's schema, read with ``tomllib``.
 
-The file format is a TOML-like subset: ``key = value`` lines grouped under
-``[section]`` headers, with JSON-style values (quoted strings, numbers,
-booleans, flat arrays) and ``#`` comments.  Sections are ``[env]``,
-``[policy.<family>]`` (one per policy family to compare), ``[train]``, and
+A config file is TOML.  Its tables are ``[env]``, ``[policy.<family>]``
+(one per policy family to compare, in file order), ``[train]`` and
 ``[run]``; the only top-level key is ``name``.
 
-The parser checks syntax, keys and JSON value types.  Value invariants
+The parser checks keys and value types.  Value invariants
 belong to the types a config builds: the parser builds the car and
 :class:`ExperimentConfig` every family's initial policy and a training
 config, and each reports their errors under the section they came from.
@@ -16,7 +14,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
+import tomllib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -51,7 +51,7 @@ _UPDATE_RULES = {"plain": PlainAscent, "lipschitz": LipschitzAware}
 # The keys that map one to one onto FamilyConfig and ExperimentConfig fields,
 # with the defaults of the PolicyParams and TrainConfig fields they set (the
 # episode count has its own).  A value read from the file must have its
-# default's JSON type (an integer passes as a number).
+# default's type (an integer passes as a number).
 _FAMILY_DEFAULTS = {f.name: f.default for f in fields(PolicyParams)
                     if f.name in ("alpha", "scale_mode", "sigma0")}
 _TRAIN_DEFAULTS = {"episodes": 1000}
@@ -118,10 +118,6 @@ class ExperimentConfig:
         for name in names:
             if _NOT_IN_FAMILY_NAMES.intersection(name):
                 raise ConfigError(f"family name {name!r} holds a path separator or NUL")
-            # config.txt must read it back from its [policy.<name>] line.
-            if "#" in name or name.splitlines() != [name] or name != name.strip():
-                raise ConfigError(f"family name {name!r} holds '#', a line break, or "
-                                  "leading or trailing whitespace")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("[run] seeds must be a non-empty list of distinct integers")
         if not self.out_dir or "\0" in self.out_dir:
@@ -139,63 +135,18 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Low-level file parsing
-
-
-def _strip_comment(line: str) -> str:
-    in_string = escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif ch == "\\":
-            escaped = in_string
-        elif ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
-def _parse_sections(text: str) -> dict:
-    """{section: (header line, {key: (line, value)})}; top-level keys are
-    under section None."""
-    sections = {None: (0, {})}
-    body = sections[None][1]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line[1:-1].strip()
-            if not line.endswith("]") or not section:
-                raise ConfigError(f"line {lineno}: malformed section header {raw.strip()!r}")
-            if section in sections:
-                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
-            sections[section] = (lineno, {})
-            body = sections[section][1]
-            continue
-        key, eq, value_text = line.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key in body:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            body[key] = (lineno, json.loads(value_text.strip()))
-        except json.JSONDecodeError:
-            raise ConfigError(
-                f"line {lineno}: cannot parse value {value_text.strip()!r} "
-                "(use quoted strings, numbers, booleans, or flat arrays)"
-            ) from None
-    return sections
-
-
-# ---------------------------------------------------------------------------
 # Schema
 
 
+def _table(value, section) -> dict:
+    """``value``, the keys of ``[section]``, which must be a TOML table."""
+    if type(value) is not dict:
+        raise ConfigError(f"[{section}] must be a table, got {value!r}")
+    return value
+
+
 def _typed(value, default, where: str):
-    """``value`` if it has the JSON type of ``default``; a number must be finite."""
+    """``value`` if it has the type of ``default``; a number must be finite."""
     kind = type(default)
     if kind is float and type(value) in (int, float):
         # Exact for integers of any size; false for NaN and the infinities.
@@ -207,11 +158,11 @@ def _typed(value, default, where: str):
     return value
 
 
-def _read(section, body: dict, defaults: dict) -> dict:
-    """``defaults`` overridden by ``body``, whose keys must be among them."""
+def _read(section, body, defaults: dict) -> dict:
+    """``defaults`` overridden by the table ``body``, whose keys must be among them."""
     values = dict(defaults)
-    for key, (lineno, value) in body.items():
-        where = f"line {lineno}: " + (f"[{section}]" if section else "top-level")
+    where = f"[{section}]" if section else "top-level"
+    for key, value in _table(body, section).items():
         if key not in defaults:
             raise ConfigError(f"{where} key {key!r} is unknown")
         values[key] = _typed(value, defaults[key], f"{where} {key}")
@@ -220,10 +171,9 @@ def _read(section, body: dict, defaults: dict) -> dict:
 
 def _lookup(table: dict, section: str, body: dict, key: str, default: str):
     """(name, class) of the ``table`` entry that ``body[key]`` names."""
-    lineno, name = body.get(key, (0, default))
+    name = body.get(key, default)
     if not isinstance(name, str) or name not in table:
-        raise ConfigError(
-            f"line {lineno}: [{section}] {key} must be one of {list(table)}, got {name!r}")
+        raise ConfigError(f"[{section}] {key} must be one of {list(table)}, got {name!r}")
     return name, table[name]
 
 
@@ -241,27 +191,25 @@ def _rule_keys(rule) -> dict:
 
 
 def parse_config(text) -> ExperimentConfig:
-    """Parse an experiment configuration file (str or UTF-8 bytes).
+    """Parse an experiment configuration file (TOML, as str or UTF-8 bytes).
 
-    Syntax, key and type errors name their line; the returned config has
-    passed every invariant of the objects it builds.
+    A syntax error names its line and column, a key or type error its
+    section; the returned config has passed every invariant of the objects
+    it builds.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ConfigError(f"config is not UTF-8 text: {err}") from None
-    sections = _parse_sections(text)
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(f"config is not TOML: {err}") from None
+    env_body, policies, train_body, run_body = (
+        _table(doc.pop(section, {}), section) for section in ("env", "policy", "train", "run"))
+    name = _read(None, doc, {"name": "experiment"})["name"]
 
-    def body(section) -> dict:
-        return sections.get(section, (0, {}))[1]
-
-    name = _read(None, body(None), {"name": "experiment"})["name"]
-    for section, (lineno, _) in sections.items():
-        if section not in (None, "env", "train", "run") and not section.startswith("policy."):
-            raise ConfigError(f"line {lineno}: unknown section [{section}]")
-
-    env_body = body("env")
     kind, env_cls = _lookup(_ENV_KINDS, "env", env_body, "kind", "trapped_car")
     default = env_cls()
     env_keys = _read("env", env_body, {"kind": kind, **_env_keys(default)})
@@ -270,13 +218,9 @@ def parse_config(text) -> ExperimentConfig:
         spec = replace(default.spec, **{key: env_keys.pop(key) for key in _SPEC_KEYS})
         env = env_cls(spec=spec, **env_keys)
 
-    families = tuple(
-        FamilyConfig(section.split(".", 1)[1], **_read(section, fam_body, _FAMILY_DEFAULTS))
-        for section, (_, fam_body) in sections.items()
-        if section and section.startswith("policy.")
-    )
+    families = tuple(FamilyConfig(family, **_read(f"policy.{family}", body, _FAMILY_DEFAULTS))
+                     for family, body in policies.items())
 
-    train_body = body("train")
     step_name, step_cls = _lookup(_STEP_RULES, "train", train_body, "step_rule", "linear_range")
     update_name, update_cls = _lookup(_UPDATE_RULES, "train", train_body, "update_rule", "plain")
     step_keys, update_keys = _rule_keys(step_cls()), _rule_keys(update_cls())
@@ -286,7 +230,7 @@ def parse_config(text) -> ExperimentConfig:
         step_rule = step_cls(**{key: train[key] for key in step_keys})
         update_rule = update_cls(**{key: train[key] for key in update_keys})
 
-    run = _read("run", body("run"), {"seeds": [0], "out": f"results/{name}"})
+    run = _read("run", run_body, {"seeds": [0], "out": f"results/{name}"})
 
     return ExperimentConfig(
         name=name,
@@ -324,14 +268,20 @@ def build_train_config(cfg: ExperimentConfig, family: FamilyConfig,
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Render a config back to file syntax (used for provenance copies)."""
 
+    def toml(value) -> str:
+        # json.dumps writes a value as TOML does, given ensure_ascii=False (TOML
+        # has no surrogate-pair escapes) and DEL escaped, as TOML strings need.
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
+
     def assign(key: str, value) -> str:
-        return f"{key} = {json.dumps(value)}"
+        return f"{key} = {toml(value)}"
 
     kind = next(kind for kind, cls in _ENV_KINDS.items() if isinstance(cfg.env, cls))
     out = [assign("name", cfg.name), "", "[env]", assign("kind", kind)]
     out += [assign(key, value) for key, value in _env_keys(cfg.env).items()]
     for fam in cfg.families:
-        out += ["", f"[policy.{fam.name}]"]
+        bare = re.fullmatch(r"[A-Za-z0-9_-]+", fam.name)
+        out += ["", f"[policy.{fam.name if bare else toml(fam.name)}]"]
         out += [assign(key, getattr(fam, key)) for key in _FAMILY_DEFAULTS]
     out += ["", "[train]"] + [assign(key, getattr(cfg, key)) for key in _TRAIN_DEFAULTS]
     for key, table, rule in (("step_rule", _STEP_RULES, cfg.step_rule),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -41,6 +42,8 @@ AGGREGATE_COLUMNS = (
 
 _FLOAT_MAX = sys.float_info.max
 
+_NOT_XML_TEXT = re.compile("[^\t\n\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -52,7 +55,9 @@ def worker_count(n_jobs: int) -> int:
         try:
             cap = int(env_cap)
         except ValueError:
-            raise ConfigError(f"HTPG_THREADS must be an integer, got {env_cap!r}") from None
+            cap = 0
+        if cap < 1:
+            raise ConfigError(f"HTPG_THREADS must be a positive integer, got {env_cap!r}")
     elif hasattr(os, "sched_getaffinity"):
         cap = len(os.sched_getaffinity(0))
     else:
@@ -195,6 +200,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return ticks
 
 
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: markup escaped, and each character that
+    XML 1.0 cannot hold (or CR, which a reader takes for LF) as U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML_TEXT.sub("\ufffd", text)
+
+
 def render_chart(series: dict) -> str:
     """Seed-averaged moving-average returns per family with a min/max band.
 
@@ -287,6 +299,6 @@ def render_chart(series: dict) -> str:
         ly = pad_t + 16 + 16 * ci
         parts.append(f'<line x1="{pad_l + 10}" y1="{ly - 4}" x2="{pad_l + 34}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{pad_l + 40}" y="{ly}">{name}</text>')
+        parts.append(f'<text x="{pad_l + 40}" y="{ly}">{_xml_text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,6 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -169,6 +170,8 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["train", "--seeds", "-1"], {}),
     (["train", "--seeds", "1,-1"], {}),
     (["train"], {"HTPG_THREADS": "two"}),
+    (["train"], {"HTPG_THREADS": "0"}),
+    (["train"], {"HTPG_THREADS": "-3"}),
     (["train", "--config", "latin1.toml"], {}),
     (["train", "--config", "."], {}),
     (["train", "--out", ""], {}),
@@ -190,11 +193,12 @@ def test_cli_train_invalid_config(tmp_path, capsys):
     (["first-exit", "--out", "x\0y"], {}),
     (["train", "--config", "huge-budget.toml"], {}),
 ], ids=["seeds-not-int", "seeds-repeated", "seed-negative", "second-seed-negative",
-        "threads-not-int", "config-not-utf8", "config-is-directory", "out-empty",
-        "seeds-empty", "bound-n-0", "bound-b-1.5", "bound-seeds-0", "bound-y1-nan",
-        "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large", "first-exit-episodes-negative",
-        "first-exit-seeds-repeated", "first-exit-out-empty", "family-slash", "family-nul",
-        "name-nul", "out-nul", "first-exit-out-nul", "max-steps-too-large"])
+        "threads-not-int", "threads-zero", "threads-negative", "config-not-utf8",
+        "config-is-directory", "out-empty", "seeds-empty", "bound-n-0", "bound-b-1.5",
+        "bound-seeds-0", "bound-y1-nan", "bound-y1-inf", "bound-y1-1e308", "bound-n-too-large",
+        "first-exit-episodes-negative", "first-exit-seeds-repeated", "first-exit-out-empty",
+        "family-slash", "family-nul", "name-nul", "out-nul", "first-exit-out-nul",
+        "max-steps-too-large"])
 def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -202,9 +206,9 @@ def test_cli_bad_input_is_one_line_with_exit_2(argv, env, tmp_path, monkeypatch,
     if argv[0] == "train":
         Path("exp.toml").write_text(SMALL_SWEEP)
         Path("latin1.toml").write_bytes("[policy.caf\xe9]\n".encode("latin-1"))
-        Path("slash.toml").write_text(SMALL_SWEEP.replace("[policy.gaussian]", "[policy.a/b]"))
+        Path("slash.toml").write_text(SMALL_SWEEP.replace("[policy.gaussian]", '[policy."a/b"]'))
         Path("nul-family.toml").write_text(
-            SMALL_SWEEP.replace("[policy.gaussian]", "[policy.a\0b]"))
+            SMALL_SWEEP.replace("[policy.gaussian]", '[policy."a\\u0000b"]'))
         # A name sets the default out, results/<name>.
         Path("nul-name.toml").write_text(SMALL_SWEEP.replace('"smoke"', '"x\\u0000y"'))
         # A float rollout draws its whole step budget's noise at once: past
@@ -299,17 +303,20 @@ def test_cli_negative_seed_in_config_is_one_line_with_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_cli_family_name_with_leading_space_is_one_line_with_exit_2(tmp_path, capsys):
-    # Only a leading space reaches a name from a file.  Names are rejected with
-    # leading or trailing whitespace alike; a trailing one would not read back.
+@pytest.mark.parametrize("name", [" gaussian", "a<b & c"])
+def test_cli_quoted_family_name_trains_and_reruns_from_config_txt(name, tmp_path):
     cfg_file = tmp_path / "exp.toml"
-    cfg_file.write_text(SMALL_SWEEP.replace("[policy.gaussian]", "[policy. gaussian]"))
-    out_dir = tmp_path / "out"
-    assert main(["train", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: family name ' gaussian' holds '#', a line break, "
-                   "or leading or trailing whitespace\n")
-    assert not out_dir.exists()
+    cfg_file.write_text(SMALL_SWEEP.replace("[policy.gaussian]", f'[policy."{name}"]')
+                        .replace("seeds = [1, 2, 3]", "seeds = [1, 2]"))
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(out / "config.txt"), "--out", str(rerun)]) == 0
+    files = ["cauchy_seed1.csv", "cauchy_seed2.csv", f"{name}_seed1.csv", f"{name}_seed2.csv",
+             "aggregate.csv", "returns.svg"]
+    for file in files:
+        assert (out / file).read_bytes() == (rerun / file).read_bytes(), file
+    legend = minidom.parse(str(out / "returns.svg")).getElementsByTagName("text")[-1]
+    assert legend.firstChild.data == name
 
 
 # Every return is 1e20 (the false-start reward on one-step episodes, within
