@@ -16,7 +16,7 @@ The Gaussian family's ``sigma`` is its standard deviation; its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,11 @@ class PolicyParams:
     feature ``(x, v, 1)`` (:func:`features`).  With ``scale_mode="fixed"``
     the scale is the constant ``sigma0`` and ``theta_sigma`` is inert: it
     is excluded from :func:`param_vector` and never updated.
+
+    The adaptive scale ``exp(sum(theta_sigma))`` is computed once, here, and
+    :func:`policy_scale` reads it; so the two arrays must not be mutated
+    after construction (build a new policy, as :func:`with_param_vector`
+    does).
     """
 
     theta_x0: np.ndarray
@@ -61,6 +66,7 @@ class PolicyParams:
     alpha: float = 1.0
     scale_mode: str = ADAPTIVE
     sigma0: float = 1.0
+    _adaptive_scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta_x0", np.asarray(self.theta_x0, dtype=float))
@@ -73,6 +79,8 @@ class PolicyParams:
                                  f"{self.theta_x0.shape} and {self.theta_sigma.shape}")
         if not finite_float("sigma0", self.sigma0) > 0.0:
             raise ParameterError(f"sigma0 must be positive, got {self.sigma0}")
+        object.__setattr__(self, "_adaptive_scale",
+                           _exp_scale(_float_sum(self.theta_sigma.tolist())))
 
     @classmethod
     def zeros(cls, dim: int, alpha: float, scale_mode: str = ADAPTIVE,
@@ -88,10 +96,11 @@ def features(raw) -> np.ndarray:
 
 
 def policy_scale(p: PolicyParams) -> float:
-    """Current scale sigma: sigma0 when fixed, exp(sum(theta_sigma)) when adaptive."""
+    """Current scale sigma: sigma0 when fixed, exp(sum(theta_sigma)) when
+    adaptive (computed when ``p`` was built)."""
     if p.scale_mode == FIXED:
         return p.sigma0
-    return _exp_scale(_float_sum(p.theta_sigma.tolist()))
+    return p._adaptive_scale
 
 
 def _exp_scale(log_sigma: float) -> float:
@@ -170,11 +179,9 @@ def score(p: PolicyParams, s: np.ndarray, a: float) -> np.ndarray:
     mode_coef, sigma_coef = _score_coefs(p.alpha, a, action_mode(p, s), policy_scale(p))
     if p.scale_mode == FIXED:
         return mode_coef * s
-    d = s.size
-    out = np.empty(2 * d)
-    np.multiply(s, mode_coef, out=out[:d])
-    out[d:] = sigma_coef
-    return out
+    s0, s1, s2 = s.tolist()
+    return np.array((mode_coef * s0, mode_coef * s1, mode_coef * s2,
+                     sigma_coef, sigma_coef, sigma_coef))
 
 
 def _score_coefs(alpha: float, a: float, x0: float, sigma: float) -> tuple[float, float]:

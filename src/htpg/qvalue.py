@@ -58,8 +58,14 @@ def draw_horizon(gamma: float, rng, size: int | None = None):
 
 def discounted_partial_return(rewards, gamma: float, horizon: int) -> float:
     """sum_{t=0}^{horizon} gamma**(t/2) * rewards[t], truncated at the data,
-    summed by ``policy._float_sum``."""
-    return _float_sum(gamma ** (0.5 * t) * r for t, r in enumerate(rewards[: horizon + 1]))
+    summed by ``policy._float_sum``, for ``gamma`` in (0, 1).
+
+    A reward that is 0.0 or -0.0 adds no term and its power is not taken,
+    as in ``envs._car_q_walk``; that never changes a bit of the sum (README
+    "Numerics", no-op updates).
+    """
+    return _float_sum(gamma ** (0.5 * t) * r
+                      for t, r in enumerate(rewards[: horizon + 1]) if r)
 
 
 def estimate_q(env, policy: PolicyParams, s0, a0: float, gamma: float, rng,

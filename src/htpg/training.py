@@ -14,7 +14,8 @@ draws an independent estimate from every visited pair (unbiased per pair,
 roughly the mean horizon times more environment steps).
 
 The loop has two implementations.  ``_train_reference`` works on
-``PolicyParams``, ``Trajectory`` and score arrays and runs every input;
+``PolicyParams``, ``Trajectory`` and score arrays and runs every input,
+skipping each pair's update that it proves a no-op;
 ``_train_car_shared`` runs shared-Q training on the two cars as one loop
 over Python floats, skipping the zero-Q episodes it proves no-ops under
 any step rule; :func:`train` uses it there.  The reference is the oracle:
@@ -339,8 +340,7 @@ def _zero_q_is_noop(env, params: tuple, sigma: float, xs: list, vs: list, action
     ``|mode|max = (|t0| + 2|t1|) b + |t2|`` and the 2 covering rounding.
     """
     if not (math.isfinite(sum(xs) + sum(vs) + sum(actions))
-            and all(math.isfinite(p) and (p != 0.0 or math.copysign(1.0, p) > 0.0)
-                    for p in params)):
+            and _finite_without_negative_zero(params)):
         return False
     spec = env.spec
     b = max(abs(spec.state_low), abs(spec.state_high), abs(xs[0]), abs(vs[0]))
@@ -352,17 +352,47 @@ def _zero_q_is_noop(env, params: tuple, sigma: float, xs: list, vs: list, action
     return b < limit and inv_sigma < limit and u_max < limit
 
 
+def _finite_without_negative_zero(params) -> bool:
+    """Whether every parameter is finite and none is -0.0: the parameters
+    to which adding a signed zero gives back the same bits."""
+    return all(math.isfinite(p) and (p != 0.0 or math.copysign(1.0, p) > 0.0)
+               for p in params)
+
+
+def _update_is_noop(q_hat: float, g: np.ndarray, plain: bool) -> bool:
+    """Whether the update by ``q_hat * g`` provably leaves every parameter's
+    bits as they are, where ``plain`` says that every parameter is finite
+    and none is -0.0 (:func:`_finite_without_negative_zero`).
+
+    With ``q_hat == 0.0`` and every clipped score component ``g`` finite,
+    ``q_hat * g`` is a vector of signed zeros, and so are ``alpha * (0 * g)``
+    and ``0 * g / inv`` for the finite ``alpha > 0`` and ``inv > 0`` that
+    every rule gives; ``p + +-0.0`` is ``p`` unless ``p`` is -0.0 (README
+    "Numerics", no-op updates).
+    """
+    return q_hat == 0.0 and plain and all(map(math.isfinite, g.tolist()))
+
+
 # Heavy-tailed q_hat * score products may overflow; that is exactly what the
 # divergence guard in both loops is for, so numpy stays quiet while they run.
 @np.errstate(over="ignore", invalid="ignore")
 def _train_reference(config: TrainConfig) -> RunMetrics:
     """The episode loop over policy, trajectory and score objects: the
     reference for :func:`_train_car_shared`, and the path for fresh Q and
-    for environments other than the cars."""
+    for environments other than the cars.
+
+    A pair whose update :func:`_update_is_noop` proves a no-op (under fresh
+    Q on the trapped car, almost every pair: its start well pays nothing)
+    counts as an update and keeps the schedule index, without the update,
+    its finiteness scan or a new policy.  Whether every parameter is finite
+    and none is -0.0 is decided at the start and after each applied update,
+    the only times a parameter changes.
+    """
     env = config.env
     rng = np.random.default_rng(config.seed)
     policy = config.policy_init
     vec = param_vector(policy)
+    plain = _finite_without_negative_zero(vec.tolist())
     per_episode_rule = isinstance(config.step_rule, LinearRange)
     fresh = config.q_mode == Q_FRESH
     curves = _Curves(env)
@@ -393,14 +423,18 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
             g = clip_score(score(policy, s, action), config.epsilon_clip,
                            config.symmetric_clip)
             updates += 1
+            if _update_is_noop(q_hat, g, plain):
+                continue
             alpha = alpha_episode if per_episode_rule else step_size(
                 config.step_rule, updates
             )
             vec = apply_update(vec, q_hat * g, config.update_rule, alpha)
-            if not all(map(math.isfinite, vec.tolist())):
+            params = vec.tolist()
+            if not all(map(math.isfinite, params)):
                 diverged = True
                 break
             policy = with_param_vector(policy, vec)
+            plain = _finite_without_negative_zero(params)
         if diverged:
             break
         curves.add(episode, traj.rewards, vec_before.tolist(), vec.tolist(),

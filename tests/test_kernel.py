@@ -4,7 +4,9 @@
 which skips the updates of a zero-Q episode it proves no-ops;
 ``_train_reference`` is the object-level loop it must reproduce: every field
 of the metrics, the final parameter bytes, and, where the reference raises,
-the same exception with the same message.  The shared-Q loop's rollout
+the same exception with the same message.  ``_train_reference`` itself
+skips each update it proves a no-op; with that skip switched off, it is
+the oracle of ``train`` in both Q modes.  The shared-Q loop's rollout
 runs over floats (``envs._car_rollout``, stepping the car inline and drawing
 its noise in one block), and ``rollout`` is its oracle; so does
 ``estimate_q`` on a car (``envs._car_q_walk``, a walk from a given pair that
@@ -376,12 +378,14 @@ def test_kernel_matches_reference_on_drawn_configs(config, monkeypatch):
 
 
 @st.composite
-def _zero_q_configs(draw):
-    """Shared Q on the trapped car under every step rule: from the start
-    well Q is mostly exactly 0, so most episodes reach the kernel's no-op
-    proof, at weights and scales on both sides of its bounds."""
-    env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC, max_steps=draw(st.integers(1, 80))),
-                     true_goal=draw(st.sampled_from([2.3, 3.6])))
+def _zero_q_configs(draw, q_mode="shared", max_steps=80, max_episodes=6):
+    """Training on the trapped car under every step rule: from the start
+    well Q is mostly exactly 0, so most episodes (shared Q) or pairs (fresh
+    Q) reach a no-op proof, at weights and scales on both sides of its
+    bounds, -0.0 weights among them."""
+    env = TrappedCar(spec=replace(DEFAULT_TRAPPED_SPEC,
+                                  max_steps=draw(st.integers(1, max_steps))),
+                     true_goal=draw(st.sampled_from([2.1, 2.3, 3.6])))
     weights = st.lists(st.sampled_from([0.0, -0.0, 1e-300, 1e300]) | st.floats(-2.0, 2.0),
                        min_size=3, max_size=3)
     # Sums of the log scales from exp underflow (-720) to overflow (720).
@@ -390,7 +394,7 @@ def _zero_q_configs(draw):
     policy = PolicyParams(draw(weights), draw(log_scales), draw(st.sampled_from([1.0, 2.0])),
                           draw(st.sampled_from([FIXED, ADAPTIVE])),
                           draw(st.sampled_from([1e-310, 1e-101, 1e-99, 0.3, 1.0, 1e250])))
-    episodes = draw(st.integers(1, 6))
+    episodes = draw(st.integers(1, max_episodes))
     alpha = draw(st.sampled_from([5e-3, 0.5, 1e3]))
     step_rule = draw(st.sampled_from([
         LinearRange(alpha, 5e-9, episodes), LinearRange(alpha, alpha, episodes),
@@ -401,7 +405,7 @@ def _zero_q_configs(draw):
                        seed=draw(st.integers(0, 2**32)),
                        gamma=draw(st.sampled_from([0.5, 0.97])),
                        epsilon_clip=draw(st.sampled_from([0.01, 0.2, 0.9])),
-                       step_rule=step_rule, update_rule=update_rule,
+                       step_rule=step_rule, update_rule=update_rule, q_mode=q_mode,
                        symmetric_clip=draw(st.booleans()))
 
 
@@ -930,6 +934,66 @@ def test_fresh_training_matches_the_object_q_path(name, monkeypatch):
         want = _outcome(train, config)
     assert got == want
     assert walks == []
+
+
+# -- the reference loop's no-op skip against the loop without it ----------
+
+
+def _assert_train_matches_the_loop_without_the_skip(config, monkeypatch) -> int:
+    """``train`` against ``_train_reference`` with ``_update_is_noop``
+    switched off, bit for bit; returns how many pairs ``train`` skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_update_is_noop", lambda *args: False)
+        want = _outcome(_train_reference, config)
+    skips = []
+    noop = training._update_is_noop
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_update_is_noop",
+                      lambda *args: skips.append(noop(*args)) or skips[-1])
+        got = _outcome(train, config)
+    assert got == want
+    return sum(skips)
+
+
+# How many pairs fresh-Q training skips where it also applies updates: zero-Q
+# pairs between nonzero ones; a -0.0 weight, which a zero update keeps
+# where the score component is negative; and skips before a divergence.
+_FRESH_SKIPS = {
+    "cauchy-default": 392,
+    "near-goal-fixed": 155,
+    "zero-q-negative-zero": 236,
+    "diverges-fixed": 113,
+    "zero-q-nan-dynamics": 2,
+    "zero-q-narrow-actions": 4,
+}
+
+
+@pytest.mark.parametrize("q_mode", ["shared", "fresh"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_op_skip_of_fresh_and_shared_q_is_exact_on_fixed_seeds(name, q_mode, monkeypatch):
+    # Under shared Q, train runs the float loop on these cars, so this also
+    # checks the kernel against the reference loop that updates every pair.
+    config = replace(CASES[name], q_mode=q_mode)
+    skipped = _assert_train_matches_the_loop_without_the_skip(config, monkeypatch)
+    if q_mode == "shared":
+        assert skipped == 0
+    elif name in _FRESH_SKIPS:
+        assert skipped == _FRESH_SKIPS[name]
+
+
+def test_no_op_skip_of_fresh_q_is_exact_on_drawn_configs(monkeypatch):
+    skipped = []
+
+    # Fresh Q costs a walk per pair, so the runs are shorter.
+    @settings(max_examples=150, deadline=None)
+    @given(config=_zero_q_configs("fresh", max_steps=30, max_episodes=3))
+    def check(config):
+        skipped.append(_assert_train_matches_the_loop_without_the_skip(config, monkeypatch))
+
+    check()
+    # About two in three drawn runs skip; the others skip nothing (a -0.0
+    # weight that no update clears, a score that is not finite, a divergence).
+    assert any(skipped) and not all(skipped)
 
 
 # -- the bound testbed: the 2-D SmoothBump float loop against the generic one -

@@ -4,6 +4,7 @@ policy's own parameterisation."""
 
 import math
 import re
+import struct
 import sys
 
 import numpy as np
@@ -17,7 +18,9 @@ from htpg.policy import (
     ADAPTIVE,
     FIXED,
     PolicyParams,
+    _exp_scale,
     _float_sum,
+    _score_coefs,
     _squared_norm,
     action_distribution,
     action_mode,
@@ -369,3 +372,75 @@ def test_policy_scale_past_exps_range_is_inf_below_it_zero_and_nan_stays_nan():
     assert scale(-math.inf, 0.0, 0.0) == 0.0
     assert math.isnan(scale(math.nan, 0.0, 0.0))
     assert math.isnan(scale(math.inf, -math.inf, 0.0))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Sums from exp's underflow to its overflow, and signed zeros, infinities
+# and NaN, whose sum is NaN where an inf meets a -inf.
+_SCALE_WEIGHTS = st.lists(_LOG_SIGMA | _COMPONENT, min_size=3, max_size=3)
+
+
+@given(theta_sigma=_SCALE_WEIGHTS, scale_mode=st.sampled_from([FIXED, ADAPTIVE]))
+@example(theta_sigma=[400.0, 400.0, 0.0], scale_mode=ADAPTIVE)  # overflows to inf
+@example(theta_sigma=[-400.0, -400.0, 0.0], scale_mode=ADAPTIVE)  # underflows to 0.0
+@example(theta_sigma=[math.nan, 0.0, 0.0], scale_mode=ADAPTIVE)
+@example(theta_sigma=[math.inf, -math.inf, 0.0], scale_mode=FIXED)
+@settings(max_examples=500, deadline=None)
+def test_policy_stores_the_adaptive_scale_it_builds_with(theta_sigma, scale_mode):
+    # The scale is computed once per policy; policy_scale reads it when
+    # adaptive and sigma0 when fixed, and a policy with new weights has its
+    # own.
+    p = PolicyParams(np.zeros(3), np.array(theta_sigma), 2.0, scale_mode, 0.5)
+    want = _exp_scale(_float_sum(theta_sigma))
+    assert _bits(p._adaptive_scale) == _bits(want)
+    assert _bits(policy_scale(p)) == _bits(want if scale_mode == ADAPTIVE else 0.5)
+    updated = with_param_vector(PolicyParams.zeros(3, 1.0), np.array([0.0] * 3 + theta_sigma))
+    assert _bits(updated._adaptive_scale) == _bits(want)
+
+
+def _score_by_multiply(p, s, a):
+    """The adaptive score as ``np.empty`` and ``np.multiply`` built it."""
+    mode_coef, sigma_coef = _score_coefs(p.alpha, a, action_mode(p, s), policy_scale(p))
+    out = np.empty(6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(s, mode_coef, out=out[:3])
+    out[3:] = sigma_coef
+    return out
+
+
+def _score_outcome(build, p, s, a):
+    """The score's dtype, shape and bytes, or the error it raised.  A
+    product of two NaNs is one of them, but which one CPython returns
+    changes once it specialises the multiplication, so such a product is
+    written as the one NaN (no NaN score reaches an output: the update it
+    gives is a divergence)."""
+    try:
+        g = build(p, s, a)
+    except ZeroDivisionError as err:  # a scale of 0.0, on Python floats
+        return ("raised", str(err))
+    mode_coef = _score_coefs(p.alpha, a, action_mode(p, s), policy_scale(p))[0]
+    both_nan = math.isnan(mode_coef) & np.isnan(s)
+    return g.dtype, g.shape, np.where(np.r_[both_nan, [False] * 3], math.nan, g).tobytes()
+
+
+_NAN_COMPONENT = _COMPONENT | st.just(-math.nan)
+
+
+@given(theta_x0=st.lists(_NAN_COMPONENT, min_size=3, max_size=3), theta_sigma=_SCALE_WEIGHTS,
+       feats=st.lists(_NAN_COMPONENT, min_size=3, max_size=3), action=_NAN_COMPONENT,
+       alpha=st.sampled_from([1.0, 2.0]))
+@example(theta_x0=[0.0, 0.0, 0.0], theta_sigma=[-800.0, 0.0, 0.0], feats=[1.0, 2.0, 1.0],
+         action=1.0, alpha=2.0)  # sigma 0.0
+@example(theta_x0=[1.0, 0.0, 0.0], theta_sigma=[0.0, 0.0, 0.0], feats=[1e300, -0.0, 1.0],
+         action=-1e300, alpha=2.0)  # products that overflow, and -0.0
+@example(theta_x0=[0.0, 0.0, 0.0], theta_sigma=[-700.0, 0.0, 0.0], feats=[-math.nan, 0.0, 1.0],
+         action=math.inf, alpha=1.0)  # a NaN coefficient times a NaN feature
+@settings(max_examples=500, deadline=None)
+def test_score_is_the_multiply_construction_byte_for_byte(theta_x0, theta_sigma, feats, action,
+                                                          alpha):
+    p = PolicyParams(np.array(theta_x0), np.array(theta_sigma), alpha)
+    s = np.array(feats)
+    assert _score_outcome(score, p, s, action) == _score_outcome(_score_by_multiply, p, s, action)

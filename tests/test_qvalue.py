@@ -2,16 +2,17 @@
 chain oracle, the hard boundedness guarantee, and exact weighting."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import ChainEnv, chain_exact_q
 from htpg import qvalue
 from htpg.envs import EnvState, MountainCar, TrappedCar
 from htpg.errors import ParameterError
-from htpg.policy import ADAPTIVE, FIXED, PolicyParams
+from htpg.policy import ADAPTIVE, FIXED, PolicyParams, _float_sum
 from htpg.qvalue import QEstimate, discounted_partial_return, draw_horizon, estimate_q
 
 
@@ -154,6 +155,28 @@ def test_discounted_partial_return_truncates_at_data():
     assert discounted_partial_return(rewards, gamma, 2) == pytest.approx(full)
     assert discounted_partial_return(rewards, gamma, 99) == pytest.approx(full)
     assert discounted_partial_return(rewards, gamma, 0) == 1.0
+
+
+_REWARD = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
+                    st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-1e308, 1e308))
+
+
+@given(rewards=st.lists(_REWARD, max_size=12), horizon=st.integers(0, 14),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(rewards=[-0.0, -0.0], horizon=1, gamma=0.5)  # the sum stays +0.0
+@example(rewards=[0.0, math.inf, -0.0], horizon=2, gamma=1e-300)  # 0 * inf past t = 0
+@settings(max_examples=500, deadline=None)
+def test_discounted_partial_return_skips_only_zero_rewards(rewards, horizon, gamma):
+    # Every term summed, zeros included: the skip of a 0.0 or -0.0 reward
+    # never changes a bit, whatever else the rewards hold.  (Which NaN a sum
+    # of two NaNs keeps changes once CPython specialises the addition, so a
+    # NaN sum is compared as NaN.)
+    every_term = _float_sum(gamma ** (0.5 * t) * r for t, r in enumerate(rewards[: horizon + 1]))
+    got = discounted_partial_return(rewards, gamma, horizon)
+    if math.isnan(every_term):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", every_term)
 
 
 def test_estimate_q_mountain_car_no_goal_band():

@@ -87,6 +87,18 @@ def _train_cases():
         "lipschitz-symmetric": cfg(
             _TRAPPED, 1.0, 7, episodes=6, update_rule=LipschitzAware(2.0),
             symmetric_clip=True, epsilon_clip=0.3),
+        # Fresh Q from the usual start, whose well pays nothing: 7 of the 240
+        # Q estimates are nonzero, near the goal, between zero ones.
+        "fresh-near-goal": cfg(
+            replace(_TRAPPED, start_at_false_goal=False, true_goal=2.1), 1.0, 8,
+            episodes=3, q_mode="fresh"),
+        # Every Q estimate is zero; a zero update keeps a -0.0 weight only
+        # where its score component is negative.
+        "fresh-negative-zero": TrainConfig(
+            env=replace(_TRAPPED, start_at_false_goal=False),
+            policy_init=PolicyParams(np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 0.0]),
+                                     2.0),
+            seed=9, episodes=2, q_mode="fresh"),
     }
 
 
@@ -107,6 +119,10 @@ TRAIN_DIGESTS = {
         "c685dc1f0607a3ec1fef95ccd123aed754bc8502857bbb73f1ac8815ed9ae40e",
     "lipschitz-symmetric":
         "efb9cd8c2268600758d6913f1a6f41192bfcfe66389f43ad36297f7b19f2fcd5",
+    "fresh-near-goal":
+        "245ab8ebe7f3a426ebb4cbab52e97fa1311184070c32768de59ffe4264f8e829",
+    "fresh-negative-zero":
+        "6533fda9fd990af6d3ca8ef599b8ffdaa75b471e70e4aeeafe81d2c675317faf",
 }
 ESTIMATE_Q_DIGEST = "8fe67cb51a7cd015e7ad0718cd1131a2e570b7f60d2f492dc3c7a48d1160d347"
 SGA_DIGEST = "e5417326e444285a045dd6161139a6657bc46903058b1517c14f8b1f7c1e3995"
