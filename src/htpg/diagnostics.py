@@ -159,7 +159,6 @@ def _step_schedule(rule: StepRule, n: int) -> array:
     return array("d", map(partial(step_size, rule), range(1, n + 1)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _smooth_bump_run(noise: NoiseModel, schedule: array, rng, theta: np.ndarray,
                      norms: np.ndarray) -> np.ndarray:
     """:func:`synthetic_sga_run` from the iterate ``theta``, as one loop over

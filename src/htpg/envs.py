@@ -8,10 +8,11 @@ Each car states its reward rule once, as constants (``reward_rule()``).
 :func:`rollout` and :func:`walk`, which step through ``step``, are the
 oracles of two float loops that run one draw, clamp, step and reward loop on
 Python floats: :func:`_car_rollout`, the rollout of shared-Q training, and
-:func:`_car_q_walk`, the walk of a fresh Q estimate.  Both draw their noise
-by the rules of :mod:`htpg.sas` and do their arithmetic by README
-"Numerics".  :func:`walk` reads its policy once per walk; its oracle, which
-draws every action through ``sample_action``, is ``walk_reference`` in
+:func:`_car_q_walk`, the walk of a fresh Q estimate.  Both draw standard
+variates in one :mod:`htpg.sas` noise block, scale each at its draw, as
+:func:`walk` does, and do their arithmetic by README "Numerics".
+:func:`walk` reads its policy once per walk; its oracle, which draws every
+action through ``sample_action``, is ``walk_reference`` in
 ``tests/oracles.py``.
 """
 
@@ -312,12 +313,14 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     the final position and whether it is at the goal.  Like :func:`rollout`,
     it resets the car first, and a scale that is not positive raises the
     sampler's ``scale must be positive`` before any transition.  The whole
-    budget's noise is one noise block, drawn after the reset.
+    budget's standard draws are one noise block, drawn after the reset, and
+    each step scales its own.
     """
     state = env.reset(rng)
     (low, high, a_low, a_high, gain, gravity, cap, goal, goal_reward,
      band_low, band_high, band_reward, elsewhere, budget) = _car_constants(env, state)
-    noise, saved = _noise_block(rng, tail, scale, budget)
+    _check_scale(scale)
+    noise, saved = _noise_block(rng, tail, budget)
     neg_cap = -cap
     cos = math.cos
     t0, t1, t2 = theta
@@ -329,8 +332,8 @@ def _car_rollout(env: _Car, theta, scale: float, tail: float, rng):
     add_x, add_v, add_a, add_r = xs.append, vs.append, actions.append, rewards.append
     at_goal = False
     try:
-        for step_noise in noise:
-            a = (t0 * x + t1 * v + t2) + step_noise
+        for z in noise:
+            a = (t0 * x + t1 * v + t2) + scale * z
             if a_low > a:
                 a = a_low
             if a_high < a:
@@ -370,10 +373,11 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
     Like :func:`walk`, it clamps ``action`` and raises on a terminal
     ``state``.  The given pair's transition runs through the car's own
     methods; a walk that it ends (the goal, or a budget ``max(max_steps -
-    step_count, 1)`` of 1) draws nothing.  Otherwise one noise block holds
-    :func:`walk`'s draws, ``steps`` below the budget (the trailing draw
-    included) else ``budget - 1``, and :func:`_car_rollout`'s loop runs over
-    the first ``min(steps, budget) - 1`` of them.
+    step_count, 1)`` of 1) draws nothing and checks no scale.  Otherwise one
+    noise block holds :func:`walk`'s standard draws, ``steps`` below the
+    budget (the trailing draw included) else ``budget - 1``, and
+    :func:`_car_rollout`'s loop runs over the first ``min(steps, budget) - 1``
+    of them.
 
     A reward that is 0.0 or -0.0 adds no term, and its power is not taken.
     That is exact.  With gamma in (0, 1), ``w = gamma**(t/2)`` is finite and
@@ -391,14 +395,15 @@ def _car_q_walk(env: _Car, theta, scale: float, tail: float, rng, state: EnvStat
     total = r if r else 0.0
     if at_goal or budget == 1:
         return total
-    noise, saved = _noise_block(rng, tail, scale, steps if steps < budget else budget - 1)
+    _check_scale(scale)
+    noise, saved = _noise_block(rng, tail, steps if steps < budget else budget - 1)
     neg_cap = -cap
     cos = math.cos
     t0, t1, t2 = theta
     t = 0
     try:
-        for t, step_noise in enumerate(noise[:min(steps, budget) - 1], 1):
-            a = (t0 * x + t1 * v + t2) + step_noise
+        for t, z in enumerate(noise[:min(steps, budget) - 1], 1):
+            a = (t0 * x + t1 * v + t2) + scale * z
             if a_low > a:
                 a = a_low
             if a_high < a:

@@ -16,13 +16,13 @@ mapped.  Cauchy draws a uniform ``u`` (``rng.random``) and returns
 ``z`` (``rng.standard_normal``) and returns ``sqrt(2) * z``.  A draw of the
 law is ``location + scale * z``.
 
-The noise block: :func:`_noise_block` draws ``count`` values in one
-generator call, the same stream and the same values as ``count`` calls of
-:func:`_standard_sas` times ``scale``, and saves the generator state first.
-:func:`_rewind` then leaves the generator where ``used`` scalar draws would
-have left it, so a float walk that stops early takes back what it drew but
-did not use.  A scale that is not positive raises before the generator is
-touched.
+The noise block: :func:`_noise_block` draws ``count`` standard variates in
+one generator call, the same stream and the same values as ``count`` calls
+of :func:`_standard_sas`, and saves the generator state first.  A float walk
+applies its scale at each draw, ``mode + scale * z`` on Python floats, which
+never warns (README "Numerics").  :func:`_rewind` then leaves the generator
+where ``used`` scalar draws would have left it, so a float walk that stops
+early takes back what it drew but did not use.
 """
 
 from __future__ import annotations
@@ -77,21 +77,18 @@ def _standard_sas(alpha: float, rng) -> float:
     return math.tan(math.pi * (rng.random() - 0.5))
 
 
-def _noise_block(rng, tail: float, scale: float, count: int) -> tuple[list, dict]:
-    """The noise block (module docstring): ``count`` draws of ``scale *
-    _standard_sas(tail, rng)`` from one generator call, and the generator
-    state saved before it, for :func:`_rewind`.  The Gaussian map is one
-    numpy product, which warns where it overflows unless the caller's
-    ``np.errstate`` ignores that, as training's does."""
-    _check_scale(scale)
+def _noise_block(rng, tail: float, count: int) -> tuple[list, dict]:
+    """The noise block (module docstring): ``count`` draws of
+    ``_standard_sas(tail, rng)`` from one generator call, and the generator
+    state saved before it, for :func:`_rewind`."""
     saved = rng.bit_generator.state
     if tail != 2.0:
         tan, pi = math.tan, math.pi
-        return [scale * tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
-    # (z * sqrt2) * scale is scale * _standard_sas's sqrt2 * z bit for bit:
-    # IEEE products commute.  numpy's tan is not libm's, so the Cauchy map
-    # stays on math.tan.
-    return (rng.standard_normal(count) * math.sqrt(2.0) * scale).tolist(), saved
+        return [tan(pi * (u - 0.5)) for u in rng.random(count).tolist()], saved
+    # z * sqrt2 is _standard_sas's sqrt2 * z bit for bit (IEEE products
+    # commute) and cannot overflow.  numpy's tan is not libm's, so the Cauchy
+    # map stays on math.tan.
+    return (rng.standard_normal(count) * math.sqrt(2.0)).tolist(), saved
 
 
 def _rewind(rng, tail: float, saved: dict, used: int, drawn: int) -> None:

@@ -374,7 +374,8 @@ def _update_is_noop(q_hat: float, g: np.ndarray, plain: bool) -> bool:
 
 
 # Heavy-tailed q_hat * score products may overflow; that is exactly what the
-# divergence guard in both loops is for, so numpy stays quiet while they run.
+# divergence guard is for, so numpy stays quiet while they run.  The float
+# loop's products are on Python floats, which do not warn.
 @np.errstate(over="ignore", invalid="ignore")
 def _train_reference(config: TrainConfig) -> RunMetrics:
     """The episode loop over policy, trajectory and score objects: the
@@ -443,7 +444,6 @@ def _train_reference(config: TrainConfig) -> RunMetrics:
     return curves.metrics(updates, diverged, policy)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _train_car_shared(config: TrainConfig) -> RunMetrics:
     """:func:`_train_reference` for shared Q on a car, as one loop over
     Python floats: no policy, state, trajectory or score objects per step.

@@ -25,11 +25,12 @@ import copy
 import itertools
 import math
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import ChainEnv
 from htpg import diagnostics, qvalue, training
@@ -105,12 +106,6 @@ _TRAPPED = TrappedCar(spec=_SHORT_TRAPPED)
 _FALSE_START = TrappedCar(spec=_SHORT_TRAPPED, start_at_false_goal=True, basin_exit=-2.45)
 _NEAR_GOAL = TrappedCar(spec=_SHORT_TRAPPED, true_goal=2.1)
 _MOUNTAIN = MountainCar(spec=replace(DEFAULT_MOUNTAIN_SPEC, max_steps=80))
-
-
-def _sigma(policy) -> float:
-    """The policy scale, inf where exp overflows (without numpy's warning)."""
-    with np.errstate(over="ignore"):
-        return policy_scale(policy)
 
 
 def _config(env, alpha, seed, scale_mode=ADAPTIVE, sigma0=1.0, **kw):
@@ -232,7 +227,7 @@ def test_fixed_cases_reach_divergence_and_errors():
     # to inf, where the run stops; unchecked, it went on to underflow to 0.
     for name, sigma in (("zero-scale", math.inf), ("zero-scale-mountain", 0.0)):
         m = _train_reference(CASES[name])
-        assert m.diverged and _sigma(m.final_policy) == sigma
+        assert m.diverged and policy_scale(m.final_policy) == sigma
     # Past the ceiling, the config does not build; one float below it, the
     # divisor at k = 2 is one ulp and the run trains.
     for name in ("lipschitz-ceiling-rounding", "zero-q-lipschitz-ceiling-rounding"):
@@ -286,7 +281,7 @@ def test_zero_scale_at_an_episode_start_is_a_divergence(monkeypatch):
     config = _config(env, 2.0, 0, episodes=400, step_rule=Constant(1e6))
     _assert_kernel_matches_reference(config, monkeypatch)
     m = train(config)
-    assert m.diverged and _sigma(m.final_policy) == 0.0
+    assert m.diverged and policy_scale(m.final_policy) == 0.0
     assert m.wall_updates == len(m.returns) < 400
 
 
@@ -309,7 +304,7 @@ def test_a_scale_outside_its_range_is_a_divergence_in_both_loops(name, monkeypat
     config, sigma, updates = _SCALE_LEAVES_ITS_RANGE[name]
     _assert_kernel_matches_reference(config, monkeypatch)
     m = train(config)
-    assert m.diverged and _sigma(m.final_policy) == sigma
+    assert m.diverged and policy_scale(m.final_policy) == sigma
     assert np.isfinite(param_vector(m.final_policy)).all()
     assert m.wall_updates == updates and m.returns == []
     assert "a scale outside (0, inf)" in caplog.text
@@ -653,11 +648,40 @@ def _q_inputs(draw):
 _Q_EXAMPLES = 60 * len(_Q_ENVS)
 
 
+# Scales at the float range's ends: at 1e-308 most products scale * z are
+# subnormal, and at 1e308 a Cauchy draw's overflows once |z| > 1.8 and a
+# Gaussian draw's (scale 7.1e307) once |sqrt(2) * z| > 2.5.
+_EXTREME_FIXED = [PolicyParams(np.zeros(3), np.zeros(3), tail, FIXED, sigma0)
+                  for tail in (1.0, 2.0) for sigma0 in (1e-308, 1e308)]
+
+
 @settings(max_examples=_Q_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_q_inputs())
+@example(inputs=(_TRAPPED, _EXTREME_FIXED[0], EnvState(1.5, 0.0), 0.7, 0.97, 0, 80))
+@example(inputs=(_TRAPPED, _EXTREME_FIXED[1], EnvState(1.5, 0.0), 0.7, 0.97, 0, 80))
+@example(inputs=(_TRAPPED, _EXTREME_FIXED[2], EnvState(1.5, 0.0), 0.7, 0.97, 0, 80))
+@example(inputs=(_TRAPPED, _EXTREME_FIXED[3], EnvState(1.5, 0.0), 0.7, 0.97, 0, 80))
 def test_float_q_walk_matches_walk_on_drawn_inputs(inputs, monkeypatch):
     _assert_float_q_matches_walk(monkeypatch, *inputs)
+
+
+@pytest.mark.parametrize("theta_sigma", [(0.0, -91.0, 800.0), (0.0, 0.0, 800.0)],
+                         ids=["sigma-8.2e307", "sigma-inf"])
+def test_float_q_walk_of_estimate_q_at_a_scale_near_or_past_the_float_maximum(
+        theta_sigma, monkeypatch):
+    # sigma = exp(709) is 8.2e307, where a draw's product scale * z overflows
+    # once |z| > 2.2 (Cauchy) or 3.1 (Gaussian, scale sigma / sqrt(2));
+    # exp(800) is inf.  The value, the horizon and the next draw are the
+    # object path's, and nothing warns.
+    for env, s0 in ((_TRAPPED, EnvState(1.5, 0.0)), (_MOUNTAIN, EnvState(-0.5, 0.0))):
+        for tail, seed in itertools.product((1.0, 2.0), range(3)):
+            policy = PolicyParams(np.zeros(3), np.array(theta_sigma), tail)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = _assert_float_q_matches_walk(monkeypatch, env, policy, s0, 0.7, 0.97,
+                                                    seed, env.spec.max_steps)
+            assert want[0] != "raised"
 
 
 def _walk_records(env, policy, s0, a0, steps, rng):
@@ -706,16 +730,13 @@ def _walk_or_error(walker, seed, *args):
 # -- shared-Q rollouts: the float rollout against rollout ---------------------
 
 
-# Log scales that sum past 709 make an infinite scale; exp's overflow is
-# expected there.
-@np.errstate(over="ignore")
 def _rollout_records(env, policy, rng):
     """What ``_car_rollout`` returns, from ``rollout`` over the step budget."""
     return _records(env, rollout(env, policy, rng, env.spec.max_steps))
 
 
 def _float_rollout(env, policy, rng):
-    scale = _stable_scale(policy.alpha, _sigma(policy))
+    scale = _stable_scale(policy.alpha, policy_scale(policy))
     return _car_rollout(env, policy.theta_x0.tolist(), scale, policy.alpha, rng)
 
 
@@ -778,6 +799,14 @@ def _rollout_inputs(draw):
 
 @settings(max_examples=40 * len(_ROLLOUT_CARS), deadline=None)
 @given(inputs=_rollout_inputs())
+# A Gaussian at sigma = exp(709) = 8.2e307, where some products scale * z
+# overflow: a numpy product warns there, a float product does not.
+@example(inputs=(0, _TRAPPED, PolicyParams(np.zeros(3), [0.0, -91.0, 800.0], 2.0, ADAPTIVE,
+                                           1e-3)))
+@example(inputs=(0, _TRAPPED, _EXTREME_FIXED[0]))
+@example(inputs=(0, _TRAPPED, _EXTREME_FIXED[1]))
+@example(inputs=(0, _TRAPPED, _EXTREME_FIXED[2]))
+@example(inputs=(0, _TRAPPED, _EXTREME_FIXED[3]))
 def test_float_rollout_matches_rollout_on_drawn_inputs(inputs):
     _assert_float_rollout_matches_rollout(*inputs)
 
@@ -857,6 +886,26 @@ def test_float_walk_checks_the_scale_at_the_first_draw_only(log_scale):
     negative = _unchecked(PolicyParams.zeros(3, 1.0, FIXED), sigma0=-1.0)
     got = _assert_float_rollout_matches_rollout(8, _NEAR_GOAL, negative)
     assert got[0] == raised + "-1.0')"
+
+
+@pytest.mark.parametrize("tail", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+def test_float_walks_reject_a_bad_scale_before_drawing(tail, scale):
+    # Each walk checks its scale before it draws its noise block: a rollout
+    # has drawn its reset, a Q walk nothing.
+    theta = [0.5, 20.0, 0.1]
+    rng = np.random.default_rng(3)
+    _TRAPPED.reset(rng)
+    after_reset = rng.bit_generator.state
+    rng = np.random.default_rng(3)
+    with pytest.raises(ParameterError, match="^scale must be positive"):
+        _car_rollout(_TRAPPED, theta, scale, tail, rng)
+    assert rng.bit_generator.state == after_reset
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="^scale must be positive"):
+        _car_q_walk(_TRAPPED, theta, scale, tail, rng, EnvState(1.5, 0.0), 0.0, 5, 0.97)
+    assert rng.bit_generator.state == start
 
 
 @pytest.mark.parametrize("max_speed", [-0.05, 0.0])

@@ -157,6 +157,15 @@ def test_discounted_partial_return_truncates_at_data():
     assert discounted_partial_return(rewards, gamma, 0) == 1.0
 
 
+def test_discounted_partial_return_checks_gamma():
+    # Unchecked, -0.5 ** 0.5 is complex and 2.0 ** 1500.0 overflows.
+    late = [0.0] * 3000 + [1.0]
+    for rewards, gamma in (([1.0, 1.0], -0.5), (late, 2.0), ([1.0, 1.0], math.nan),
+                           ([1.0], 0.0), ([1.0], 1.0)):
+        with pytest.raises(ParameterError, match=r"^gamma must lie in \(0, 1\)"):
+            discounted_partial_return(rewards, gamma, len(rewards))
+
+
 _REWARD = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
                     st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-1e308, 1e308))
 

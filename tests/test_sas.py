@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from htpg.errors import ParameterError
 from htpg.policy import PolicyParams
@@ -185,15 +185,15 @@ def test_scale_equivariance_same_stream(alpha):
     assert a[0] == loc + scale * z
 
 
-def _block_and_scalars(seed, tail, scale, count):
+def _block_and_scalars(seed, tail, count):
     """The noise block and ``count`` scalar draws from the same seed, each
     with the generator it left."""
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
-    block, saved = _noise_block(rng, tail, scale, count)
+    block, saved = _noise_block(rng, tail, count)
     assert saved == start
     scalar_rng = np.random.default_rng(seed)
-    scalars = [scale * _standard_sas(tail, scalar_rng) for _ in range(count)]
+    scalars = [_standard_sas(tail, scalar_rng) for _ in range(count)]
     return block, rng, scalars, scalar_rng
 
 
@@ -204,13 +204,13 @@ def _state_after(seed, tail, draws):
     return rng.bit_generator.state
 
 
-def _assert_block_and_rewind(seed, tail, scale, count):
-    block, rng, scalars, scalar_rng = _block_and_scalars(seed, tail, scale, count)
+def _assert_block_and_rewind(seed, tail, count):
+    block, rng, scalars, scalar_rng = _block_and_scalars(seed, tail, count)
     assert np.array(block).tobytes() == np.array(scalars).tobytes()
     assert rng.bit_generator.state == scalar_rng.bit_generator.state
     for used in sorted({0, 1, count - 1, count}):
         rng = np.random.default_rng(seed)
-        block, saved = _noise_block(rng, tail, scale, count)
+        block, saved = _noise_block(rng, tail, count)
         _rewind(rng, tail, saved, used, count)
         assert rng.bit_generator.state == _state_after(seed, tail, used), used
 
@@ -218,32 +218,14 @@ def _assert_block_and_rewind(seed, tail, scale, count):
 @pytest.mark.parametrize("tail", [1.0, 2.0])
 @pytest.mark.parametrize("count", [1, 2, 57, 500])
 def test_noise_block_is_scalar_draws_and_rewinds_to_them(tail, count):
-    for seed, scale in ((0, 1.0), (7, 0.3), (2024, 40.0)):
-        _assert_block_and_rewind(seed, tail, scale, count)
+    for seed in (0, 7, 2024):
+        _assert_block_and_rewind(seed, tail, count)
 
 
+# The block holds standard draws; the float walks apply the scale, and
+# tests/test_kernel.py checks them at scales of 1e-308 and 1e308.
 @given(seed=st.integers(0, 2**63), tail=st.sampled_from([1.0, 2.0]),
-       count=st.sampled_from([1, 2, 57, 500]), scale=st.floats(1e-308, 1e308))
-# At these ends, hundreds of a 500-block's products are subnormal (1e-308)
-# or overflow (1e308), in either tail; at 1e-300 and 1e300 none are.
-@example(seed=0, tail=1.0, count=500, scale=1e-308)
-@example(seed=0, tail=2.0, count=500, scale=1e-308)
-@example(seed=0, tail=1.0, count=500, scale=1e308)
-@example(seed=0, tail=2.0, count=500, scale=1e308)
+       count=st.sampled_from([1, 2, 57, 500]))
 @settings(max_examples=40, deadline=None)
-# The block's numpy product warns on overflow; the scalars' float product
-# does not.
-@np.errstate(over="ignore")
-def test_noise_block_matches_scalar_draws_on_drawn_inputs(seed, tail, count, scale):
-    _assert_block_and_rewind(seed, tail, scale, count)
-
-
-@pytest.mark.parametrize("tail", [1.0, 2.0])
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
-def test_noise_block_rejects_a_bad_scale_before_drawing(tail, scale):
-    rng = np.random.default_rng(3)
-    start = rng.bit_generator.state
-    with pytest.raises(ParameterError, match="^scale must be positive"):
-        _noise_block(rng, tail, scale, 5)
-    assert rng.bit_generator.state == start
-
+def test_noise_block_matches_scalar_draws_on_drawn_inputs(seed, tail, count):
+    _assert_block_and_rewind(seed, tail, count)
